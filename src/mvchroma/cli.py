@@ -1,16 +1,15 @@
 """Command-line surface.
 
 Exit codes: 0 success/agreement, 2 usage or input error, 3 semantic negative
-(invalid coloring, theorem mismatch), 4 budget exhausted.
+(invalid coloring, theorem mismatch, trivially-unsat input to reduce or
+normalize), 4 budget exhausted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import asdict
 
 from . import __version__
 from .errors import GapInputError, MvChromaError
@@ -170,13 +169,18 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _normalized_formula(args):
+    """Parse and normalize --formula; None when normalizing refutes it."""
+    outcome = normalize(parse_nae_formula(_read(args.formula)))
+    return None if outcome.trivially_unsat else outcome.formula
+
+
 def cmd_reduce(args) -> int:
-    f = parse_nae_formula(_read(args.formula))
-    outcome = normalize(f)
-    if outcome.trivially_unsat:
+    formula = _normalized_formula(args)
+    if formula is None:
         print("TRIVIALLY-UNSAT", file=sys.stderr)
         return EXIT_NEGATIVE
-    rg = build_reduction(outcome.formula)
+    rg = build_reduction(formula)
     _write(args.out, write_graph(rg.graph))
     if args.legend:
         _write(args.legend, json.dumps(legend_to_dict(rg.legend), indent=2) + "\n")
@@ -202,12 +206,11 @@ def cmd_reduce_verify(args) -> int:
 
 
 def cmd_nae(args) -> int:
-    f = parse_nae_formula(_read(args.formula))
-    outcome = normalize(f)
-    if outcome.trivially_unsat:
+    formula = _normalized_formula(args)
+    if formula is None:
         print("TRIVIALLY-UNSAT")
         return EXIT_OK
-    assignment = nae_satisfiable(outcome.formula)
+    assignment = nae_satisfiable(formula)
     if assignment is None:
         print("UNSAT")
         return EXIT_OK
@@ -219,12 +222,11 @@ def cmd_nae(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    f = parse_nae_formula(_read(args.formula))
-    outcome = normalize(f)
-    if outcome.trivially_unsat:
-        print("TRIVIALLY-UNSAT")
+    formula = _normalized_formula(args)
+    if formula is None:
+        print("TRIVIALLY-UNSAT", file=sys.stderr)
         return EXIT_NEGATIVE
-    _write(args.out, format_nae_formula(outcome.formula))
+    _write(args.out, format_nae_formula(formula))
     return EXIT_OK
 
 
@@ -234,12 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mutual-visibility colorings: generate, validate, solve, reduce.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("MVCHROMA_THREADS", "1")),
-        help="solver parallelism hint; never changes output bytes",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-tree", help="generate a glued t-ary tree")

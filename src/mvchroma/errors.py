@@ -57,10 +57,6 @@ class GapInputError(MvChromaError):
     """The closed-form value is not determined for this (r, t)."""
 
 
-class ConstructionFailedError(MvChromaError):
-    """No enumerated coloring interpretation validated."""
-
-
 class NonNormalizedInputError(MvChromaError):
     pass
 

@@ -66,7 +66,7 @@ def read_coloring(text: str) -> tuple[Coloring, dict[int, int]]:
     Returns the coloring and the external-id -> dense-id mapping (both sides
     1-based external ids mapped to 0-based internal).
     """
-    n = k = None
+    n = None
     raw_colors: dict[int, int] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -78,7 +78,8 @@ def read_coloring(text: str) -> tuple[Coloring, dict[int, int]]:
                 raise GraphFormatError("duplicate solution line")
             if len(parts) != 4 or parts[1] != "color":
                 raise GraphFormatError(f"bad solution line: {line!r}")
-            n, k = int(parts[2]), int(parts[3])
+            # the header's palette size describes the writer, not the classes
+            n, _ = int(parts[2]), int(parts[3])
         elif parts[0] == "v":
             if len(parts) != 3:
                 raise GraphFormatError(f"bad vertex line: {line!r}")
@@ -95,9 +96,6 @@ def read_coloring(text: str) -> tuple[Coloring, dict[int, int]]:
     used = sorted(set(raw_colors.values()))
     mapping = {ext: dense for dense, ext in enumerate(used)}
     colors = tuple(mapping[raw_colors[v]] for v in range(1, n + 1))
-    if k is not None and k != len(used):
-        # tolerated: k in the header describes the writer's palette
-        pass
     return Coloring(colors=colors, k=len(used)), mapping
 
 

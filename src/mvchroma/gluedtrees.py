@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (
-    ConstructionFailedError,
     GapInputError,
     InvalidParamsError,
     InvalidQuasiLeafError,
@@ -247,14 +246,7 @@ def _side2_sequence(tree: LabeledGluedTree, count: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
-    coloring: Coloring
-    # which reading of the single recolored vertex validated, when applicable
-    recolor_interpretation: str | None
-
-
-def constructive_coloring(tree: LabeledGluedTree) -> ConstructionResult:
+def constructive_coloring(tree: LabeledGluedTree) -> Coloring:
     """The theorem's explicit coloring, using exactly the closed-form count.
 
     Colors are 0-based internally, with the quasi-leaf class always color 0;
@@ -271,9 +263,7 @@ def constructive_coloring(tree: LabeledGluedTree) -> ConstructionResult:
         colors = [0] * n
         colors[tree.internal(1, 1, 1)] = 1
         colors[tree.internal(2, 1, 1)] = 1
-        return ConstructionResult(
-            coloring=Coloring(colors=tuple(colors), k=2), recolor_interpretation=None
-        )
+        return Coloring(colors=tuple(colors), k=2)
 
     i = formula.i
     a_i = _internal_per_side(i - 1, t)
@@ -283,55 +273,32 @@ def constructive_coloring(tree: LabeledGluedTree) -> ConstructionResult:
     at_second_min = (not first_regime) and r == (b2 + 1) // 2 + i - 1
     big_k = r - i + 1 if at_first_min else r - i
 
-    def paint(recolor_side: int | None) -> Coloring:
-        colors = [-1] * n
-        for a in range(1, t**r + 1):
-            colors[tree.quasi(a)] = 0
-        seq1 = _side1_sequence(tree, big_k)
-        seq2 = _side2_sequence(tree, big_k)
-        for k in range(1, big_k + 1):
-            depth = r - k  # level index depth+1
-            for j in range(1, t**depth + 1):
-                colors[tree.internal(1, depth + 1, j)] = 2 * k - 1
-                colors[tree.internal(2, depth + 1, j)] = 2 * k
-            colors[seq2[k - 1]] = 2 * k - 1
-            colors[seq1[k - 1]] = 2 * k
-        if at_first_min:
-            assert all(c != -1 for c in colors)
-        else:
-            leftover1 = [v for v in range(n) if colors[v] == -1 and isinstance(tree.coord_of[v], Internal) and tree.coord_of[v].side == 1]
-            leftover2 = [v for v in range(n) if colors[v] == -1 and isinstance(tree.coord_of[v], Internal) and tree.coord_of[v].side == 2]
-            if first_regime:
-                for v in leftover1:
-                    colors[v] = 2 * (r - i) + 1
-                for v in leftover2:
-                    colors[v] = 2 * (r - i) + 2
-            else:
-                for v in leftover1 + leftover2:
-                    colors[v] = 2 * (r - i) + 1
-                if at_second_min:
-                    # the one vertex recolored back to the quasi-leaf color
-                    j = r - i - a_i
-                    side = 1 if recolor_side == 1 else 2
-                    colors[tree.internal(side, i, j + 1)] = 0
-        assert all(c != -1 for c in colors)
-        return Coloring(colors=tuple(colors), k=max(colors) + 1)
-
-    if not at_second_min:
-        coloring = paint(None)
-        assert coloring.k == formula.value
-        return ConstructionResult(coloring=coloring, recolor_interpretation=None)
-
-    oracle = all_pairs_distances(tree.graph)
-    for side, label in ((1, "side1"), (2, "side2")):
-        coloring = paint(side)
-        if coloring.k != formula.value:
-            continue
-        if validate_mv_coloring(tree.graph, oracle, coloring).valid:
-            return ConstructionResult(coloring=coloring, recolor_interpretation=label)
-    raise ConstructionFailedError(
-        f"no recolor interpretation validates for (r={r}, t={t})"
-    )
+    colors = [-1] * n
+    for a in range(1, t**r + 1):
+        colors[tree.quasi(a)] = 0
+    seq1 = _side1_sequence(tree, big_k)
+    seq2 = _side2_sequence(tree, big_k)
+    for k in range(1, big_k + 1):
+        depth = r - k  # level index depth+1
+        for j in range(1, t**depth + 1):
+            colors[tree.internal(1, depth + 1, j)] = 2 * k - 1
+            colors[tree.internal(2, depth + 1, j)] = 2 * k
+        colors[seq2[k - 1]] = 2 * k - 1
+        colors[seq1[k - 1]] = 2 * k
+    if not at_first_min:
+        # leftover internals: side-2 ones get their own color in the first
+        # regime, share side 1's in the second
+        for v in range(n):
+            if colors[v] == -1:
+                second = first_regime and tree.coord_of[v].side == 2
+                colors[v] = 2 * (r - i) + (2 if second else 1)
+        if at_second_min:
+            # the one side-1 vertex recolored back to the quasi-leaf color
+            colors[tree.internal(1, i, r - i - a_i + 1)] = 0
+    assert all(c != -1 for c in colors)
+    coloring = Coloring(colors=tuple(colors), k=max(colors) + 1)
+    assert coloring.k == formula.value
+    return coloring
 
 
 @dataclass(frozen=True)
@@ -371,11 +338,11 @@ def verify_theorem(
         )
     tree = build_glued_tree(r, t)
     oracle = all_pairs_distances(tree.graph)
-    construction = constructive_coloring(tree)
-    mv_valid = validate_mv_coloring(tree.graph, oracle, construction.coloring).valid
+    coloring = constructive_coloring(tree)
+    mv_valid = validate_mv_coloring(tree.graph, oracle, coloring).valid
     gp_valid = None
     if gp:
-        gp_valid = validate_gp_coloring(tree.graph, oracle, construction.coloring).valid
+        gp_valid = validate_gp_coloring(tree.graph, oracle, coloring).valid
     exact_value = None
     if exact:
         exact_value, _ = chi_mu_exact(tree.graph, budget=budget, oracle=oracle)
@@ -383,7 +350,7 @@ def verify_theorem(
         r=r,
         t=t,
         formula=formula,
-        construction_colors=construction.coloring.k,
+        construction_colors=coloring.k,
         mv_valid=mv_valid,
         gp_valid=gp_valid,
         exact=exact_value,

@@ -44,6 +44,8 @@ class Graph:
         return v in self.adjacency[u]
 
     def sparse_adjacency(self) -> csr_matrix:
+        """0/1 adjacency whose dtype holds the largest degree, so a product
+        with a 0/1 matrix counts neighbours without wrapping."""
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         for v in range(self.n):
             indptr[v + 1] = indptr[v] + len(self.adjacency[v])
@@ -52,7 +54,8 @@ class Graph:
             dtype=np.int64,
             count=int(indptr[-1]),
         )
-        data = np.ones(len(indices), dtype=np.int8)
+        max_degree = max((len(a) for a in self.adjacency), default=0)
+        data = np.ones(len(indices), dtype=np.min_scalar_type(max_degree))
         return csr_matrix((data, indices, indptr), shape=(self.n, self.n))
 
 
@@ -74,6 +77,11 @@ class DistanceOracle:
         if d == UNREACHABLE:
             raise UnreachablePairError(f"vertices {u} and {v} are not connected")
         return d
+
+    def require_connected_graph(self) -> None:
+        # a disconnected graph has an unreachable vertex in every distance row
+        if self.n and (self.dist[0] == UNREACHABLE).any():
+            raise DisconnectedGraphError("graph is disconnected")
 
 
 def _check_vertex(v: int, n: int) -> None:
@@ -144,8 +152,7 @@ def diameter(g: Graph, o: DistanceOracle | None = None) -> int:
         o = all_pairs_distances(g)
     if g.n == 0:
         raise DisconnectedGraphError("empty graph has no diameter")
-    if np.any(o.dist == UNREACHABLE):
-        raise DisconnectedGraphError("graph is disconnected")
+    o.require_connected_graph()
     return int(o.dist.max())
 
 

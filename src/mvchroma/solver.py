@@ -17,7 +17,6 @@ from enum import Enum
 
 from .errors import (
     BudgetExhaustedError,
-    DisconnectedGraphError,
     InvalidParamsError,
     TooManyVariablesError,
 )
@@ -165,11 +164,6 @@ class _BudgetTracker:
         return time.perf_counter() - self.start
 
 
-def _require_connected(g: Graph, o: DistanceOracle) -> None:
-    if g.n and (o.dist == UNREACHABLE).any():
-        raise DisconnectedGraphError("solver requires a connected graph")
-
-
 def _check_assignment(
     pv: _PairVisibility,
     members: list[int],
@@ -204,7 +198,7 @@ def mv_k_colorable(
     if k < 1:
         raise InvalidParamsError("color budget must be >= 1")
     o = oracle if oracle is not None else all_pairs_distances(g)
-    _require_connected(g, o)
+    o.require_connected_graph()
     n = g.n
     order = solver_vertex_order(g)
     pv = _PairVisibility(g, o)
@@ -280,7 +274,7 @@ def greedy_upper_bound(
     coloring.
     """
     o = oracle if oracle is not None else all_pairs_distances(g)
-    _require_connected(g, o)
+    o.require_connected_graph()
     n = g.n
     if n == 0:
         return 0, Coloring((), 0)

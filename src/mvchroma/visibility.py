@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ColoringNotTotalError, OutOfRangeVertexError
-from .graph import UNREACHABLE, DistanceOracle, Graph, geodesic_exists_avoiding
+from .graph import DistanceOracle, Graph, geodesic_exists_avoiding
 
 
 @dataclass(frozen=True)
@@ -46,17 +46,26 @@ class ValidationReport:
     checked_pairs: int
 
 
-def _class_visibility(g: Graph, o: DistanceOracle, members: list[int]) -> np.ndarray:
-    """Pairwise visibility inside one blocked set.
+def _violating_pairs(members: list[int], bad: np.ndarray) -> list[tuple[int, int]]:
+    """Member pairs (x, y), x < y, marked in the s x s matrix ``bad``."""
+    # most classes are clean; any() costs far less than argwhere on large s
+    if not bad.any():
+        return []
+    return [(members[i], members[j]) for i, j in np.argwhere(bad) if i < j]
 
-    Entry [i, j] is True iff members[i] sees members[j] through some geodesic
-    whose internal vertices avoid the whole member set (endpoints exempt).
-    Level-synchronous frontier propagation from every member at once.
+
+def _mv_violating_pairs(
+    g: Graph, o: DistanceOracle, members: list[int]
+) -> list[tuple[int, int]]:
+    """Pairs (x, y), x < y, with no geodesic whose internal vertices avoid
+    the member set (endpoints exempt).
+
+    Level-synchronous frontier propagation from every member at once. Two
+    members of a connected graph always see each other.
     """
     s = len(members)
-    vis = np.eye(s, dtype=bool)
-    if s <= 1:
-        return vis
+    if s < 3:
+        return []
     A = g.sparse_adjacency()
     dist = np.asarray(o.dist)
     mem = np.asarray(members)
@@ -65,6 +74,7 @@ def _class_visibility(g: Graph, o: DistanceOracle, members: list[int]) -> np.nda
     in_set = np.zeros(g.n, dtype=bool)
     in_set[mem] = True
     allowed = ~in_set
+    vis = np.eye(s, dtype=bool)
     frontier = np.zeros((g.n, s), dtype=bool)
     frontier[mem, np.arange(s)] = True
     maxd = int(Dm.max())
@@ -76,21 +86,45 @@ def _class_visibility(g: Graph, o: DistanceOracle, members: list[int]) -> np.nda
         if not frontier.any():
             # remaining member pairs at larger distances are invisible
             break
-    return vis
+    return _violating_pairs(members, ~vis)
+
+
+def _scan_classes(
+    o: DistanceOracle, classes, violating_pairs, exhaustive: bool
+) -> ValidationReport:
+    """The class loop shared by every MV and GP check."""
+    o.require_connected_graph()
+    violations: list[tuple[int, int, int]] = []
+    checked = 0
+    for color, members in enumerate(classes):
+        s = len(members)
+        checked += s * (s - 1) // 2
+        violations.extend((u, v, color) for u, v in violating_pairs(members))
+        if violations and not exhaustive:
+            break
+    violations.sort(key=lambda t: (t[2], t[0], t[1]))
+    if violations and not exhaustive:
+        violations = violations[:1]
+    return ValidationReport(
+        valid=not violations,
+        violations=tuple(violations),
+        checked_pairs=checked,
+    )
+
+
+def _set_members(o: DistanceOracle, s) -> list[int]:
+    members = sorted(set(int(v) for v in s))
+    for v in members:
+        if not 0 <= v < o.n:
+            raise OutOfRangeVertexError(f"vertex {v} out of range")
+    return members
 
 
 def is_mv_set(g: Graph, o: DistanceOracle, s) -> bool:
     """True iff every pair in s sees each other avoiding s-internal vertices."""
-    members = sorted(set(int(v) for v in s))
-    for v in members:
-        if not 0 <= v < g.n:
-            raise OutOfRangeVertexError(f"vertex {v} out of range")
-    if len(members) <= 2 and all(
-        o.d(u, v) != UNREACHABLE for u in members for v in members
-    ):
-        # a geodesic's internals are never its endpoints
-        return True
-    return bool(_class_visibility(g, o, members).all())
+    return _scan_classes(
+        o, [_set_members(o, s)], lambda m: _mv_violating_pairs(g, o, m), False
+    ).valid
 
 
 def _require_total(g: Graph, c: Coloring) -> None:
@@ -110,39 +144,16 @@ def validate_mv_coloring(
     lexicographically by (color, u, v).
     """
     _require_total(g, c)
-    violations: list[tuple[int, int, int]] = []
-    checked = 0
-    for color, members in enumerate(c.color_classes()):
-        s = len(members)
-        checked += s * (s - 1) // 2
-        if s <= 2:
-            continue
-        vis = _class_visibility(g, o, members)
-        if vis.all():
-            continue
-        bad = np.argwhere(~vis)
-        for i, j in bad:
-            if i < j:
-                violations.append((members[i], members[j], color))
-        if not exhaustive:
-            break
-    violations.sort(key=lambda t: (t[2], t[0], t[1]))
-    if violations and not exhaustive:
-        violations = violations[:1]
-    return ValidationReport(
-        valid=not violations,
-        violations=tuple(violations),
-        checked_pairs=checked,
+    return _scan_classes(
+        o, c.color_classes(), lambda m: _mv_violating_pairs(g, o, m), exhaustive
     )
 
 
 def is_gp_set(o: DistanceOracle, s) -> bool:
     """True iff no three members of s lie on a common shortest path."""
-    members = sorted(set(int(v) for v in s))
-    for v in members:
-        if not 0 <= v < o.n:
-            raise OutOfRangeVertexError(f"vertex {v} out of range")
-    return not _gp_violating_pairs(o, members)
+    return _scan_classes(
+        o, [_set_members(o, s)], lambda m: _gp_violating_pairs(o, m), False
+    ).valid
 
 
 def _gp_violating_pairs(o: DistanceOracle, members: list[int]) -> list[tuple[int, int]]:
@@ -158,12 +169,7 @@ def _gp_violating_pairs(o: DistanceOracle, members: list[int]) -> list[tuple[int
         collinear[z, :] = False
         collinear[:, z] = False
         bad |= collinear
-    np.fill_diagonal(bad, False)
-    return [
-        (members[i], members[j])
-        for i, j in np.argwhere(bad)
-        if i < j
-    ]
+    return _violating_pairs(members, bad)
 
 
 def validate_gp_coloring(
@@ -171,22 +177,8 @@ def validate_gp_coloring(
 ) -> ValidationReport:
     """Check every color class for general position."""
     _require_total(g, c)
-    violations: list[tuple[int, int, int]] = []
-    checked = 0
-    for color, members in enumerate(c.color_classes()):
-        s = len(members)
-        checked += s * (s - 1) // 2
-        for u, v in _gp_violating_pairs(o, members):
-            violations.append((u, v, color))
-        if violations and not exhaustive:
-            break
-    violations.sort(key=lambda t: (t[2], t[0], t[1]))
-    if violations and not exhaustive:
-        violations = violations[:1]
-    return ValidationReport(
-        valid=not violations,
-        violations=tuple(violations),
-        checked_pairs=checked,
+    return _scan_classes(
+        o, c.color_classes(), lambda m: _gp_violating_pairs(o, m), exhaustive
     )
 
 

@@ -33,6 +33,12 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
     return graph_from_edge_list(n, sorted(edges))
 
 
+def k2_pendant(d: int) -> Graph:
+    """K_{2,d} with hubs 0 and 1, leaves 2..d+1, and a pendant d+2 on leaf 2."""
+    edges = [(h, 2 + i) for h in (0, 1) for i in range(d)]
+    return graph_from_edge_list(d + 3, edges + [(2, d + 2)])
+
+
 def enumerate_shortest_paths(g: Graph, u: int, v: int) -> list[tuple[int, ...]]:
     """All shortest u-v paths by exhaustive DFS (independent of the DAG code)."""
     from mvchroma import bfs_distances

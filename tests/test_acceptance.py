@@ -89,8 +89,8 @@ def test_acceptance_02_golden_colorings():
     start = time.perf_counter()
     t2 = build_glued_tree(2, 2)
     t3 = build_glued_tree(3, 2)
-    got2 = constructive_coloring(t2).coloring.colors
-    got3 = constructive_coloring(t3).coloring.colors
+    got2 = constructive_coloring(t2).colors
+    got3 = constructive_coloring(t3).colors
     elapsed = time.perf_counter() - start
     ok = (
         got2 == _golden_colors_gt2(t2)
@@ -116,9 +116,9 @@ def test_acceptance_03_upper_bound_sweep():
     for r, t in cases:
         tree = build_glued_tree(r, t)
         o = all_pairs_distances(tree.graph)
-        result = constructive_coloring(tree)
-        report = validate_mv_coloring(tree.graph, o, result.coloring, exhaustive=True)
-        if not report.valid or result.coloring.k != chi_mu_formula(r, t).value:
+        coloring = constructive_coloring(tree)
+        report = validate_mv_coloring(tree.graph, o, coloring, exhaustive=True)
+        if not report.valid or coloring.k != chi_mu_formula(r, t).value:
             violations += 1
     elapsed = time.perf_counter() - start
     ok = violations == 0 and elapsed <= 60.0
@@ -175,7 +175,7 @@ def test_acceptance_06_cycle_lemma():
                 continue
             tree = build_glued_tree(r, t)
             o = all_pairs_distances(tree.graph)
-            coloring = constructive_coloring(tree).coloring
+            coloring = constructive_coloring(tree)
             classes = [frozenset(members) for members in coloring.color_classes()]
             q = t**r
             for a, b in combinations(range(1, q + 1), 2):
@@ -201,14 +201,14 @@ def test_acceptance_07_gp_corollary():
     for r in (2, 4):
         tree = build_glued_tree(r, 2)
         o = all_pairs_distances(tree.graph)
-        coloring = constructive_coloring(tree).coloring
+        coloring = constructive_coloring(tree)
         gp_ok &= validate_gp_coloring(tree.graph, o, coloring, exhaustive=True).valid
         gp_ok &= validate_mv_coloring(tree.graph, o, coloring).valid
     # the excluded depth still yields a valid MV coloring; GP validity is
     # merely reported and does not gate the criterion
     tree3 = build_glued_tree(3, 2)
     o3 = all_pairs_distances(tree3.graph)
-    c3 = constructive_coloring(tree3).coloring
+    c3 = constructive_coloring(tree3)
     mv3 = validate_mv_coloring(tree3.graph, o3, c3).valid
     gp3 = validate_gp_coloring(tree3.graph, o3, c3).valid
     elapsed = time.perf_counter() - start

@@ -115,6 +115,18 @@ def test_validate_size_mismatch_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_validate_disconnected_exit_2(tmp_path, capsys):
+    gpath = tmp_path / "g.col"
+    cpath = tmp_path / "c.sol"
+    gpath.write_text("p edge 4 2\ne 1 2\ne 3 4\n")
+    cpath.write_text("s color 4 2\nv 1 1\nv 2 2\nv 3 1\nv 4 2\n")
+    code, _, err = run(
+        capsys, "validate", "--graph", str(gpath), "--coloring", str(cpath)
+    )
+    assert code == 2
+    assert "disconnected" in err
+
+
 def test_validate_gp_mode(tmp_path, capsys):
     gpath = tmp_path / "g.col"
     cpath = tmp_path / "c.sol"
@@ -244,6 +256,14 @@ def test_normalize_command(tmp_path, capsys):
     assert out.splitlines()[0] == "p nae3 3 2"
 
 
+def test_normalize_trivial_exit_3(tmp_path, capsys):
+    fpath = write_formula(tmp_path, TRIVIAL)
+    code, out, err = run(capsys, "normalize", "--formula", fpath)
+    assert code == 3
+    assert out == ""
+    assert "TRIVIALLY-UNSAT" in err
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "nae", "--formula", "/nonexistent/path.nae")
     assert code == 2
@@ -254,16 +274,6 @@ def test_bad_usage_exit_2(capsys):
     code = main(["solve"])  # missing required --graph
     capsys.readouterr()
     assert code == 2
-
-
-def test_threads_flag_does_not_change_output(tmp_path, capsys):
-    gpath = tmp_path / "g.col"
-    gpath.write_text("p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n")
-    _, out1, _ = run(capsys, "solve", "--graph", str(gpath), "--k", "2")
-    _, out2, _ = run(
-        capsys, "--threads", "4", "solve", "--graph", str(gpath), "--k", "2"
-    )
-    assert out1 == out2
 
 
 def test_deterministic_outputs(capsys):

@@ -200,39 +200,38 @@ def golden_colors_gt3(tree):
 
 def test_constructive_gt1():
     tree = build_glued_tree(1, 2)
-    result = constructive_coloring(tree)
-    assert result.coloring.k == 2
+    coloring = constructive_coloring(tree)
+    assert coloring.k == 2
     o = all_pairs_distances(tree.graph)
-    assert validate_mv_coloring(tree.graph, o, result.coloring).valid
+    assert validate_mv_coloring(tree.graph, o, coloring).valid
 
 
 def test_constructive_gt2_matches_golden():
     tree = build_glued_tree(2, 2)
-    result = constructive_coloring(tree)
-    assert result.coloring.colors == golden_colors_gt2(tree)
-    assert result.recolor_interpretation is None
+    assert constructive_coloring(tree).colors == golden_colors_gt2(tree)
 
 
 def test_constructive_gt3_matches_golden():
     tree = build_glued_tree(3, 2)
-    result = constructive_coloring(tree)
-    assert result.coloring.colors == golden_colors_gt3(tree)
-    assert result.recolor_interpretation == "side1"
+    assert constructive_coloring(tree).colors == golden_colors_gt3(tree)
 
 
 def test_constructive_uses_formula_count():
     for r, t in [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (2, 4), (3, 4)]:
         tree = build_glued_tree(r, t)
-        result = constructive_coloring(tree)
-        assert result.coloring.k == chi_mu_formula(r, t).value
+        assert constructive_coloring(tree).k == chi_mu_formula(r, t).value
 
 
 def test_constructive_validates():
-    for r, t in [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (2, 3), (2, 4)]:
+    # (3,2), (7,2), (4,3) and (4,4) sit at the second regime's minimum, where
+    # one side-1 vertex is recolored to the quasi-leaf color
+    cases = [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (7, 2), (2, 3), (4, 3),
+             (2, 4), (4, 4)]
+    for r, t in cases:
         tree = build_glued_tree(r, t)
         o = all_pairs_distances(tree.graph)
-        result = constructive_coloring(tree)
-        assert validate_mv_coloring(tree.graph, o, result.coloring).valid, (r, t)
+        coloring = constructive_coloring(tree)
+        assert validate_mv_coloring(tree.graph, o, coloring).valid, (r, t)
 
 
 def test_constructive_gap_rejected():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import DEFAULT_SEED, brute_chi_mu, random_connected_graph
+from conftest import DEFAULT_SEED, brute_chi_mu, k2_pendant, random_connected_graph
 from mvchroma import (
     Budget,
     Status,
@@ -114,6 +114,14 @@ def test_greedy_upper_bound_validates():
         k, coloring = greedy_upper_bound(g, o)
         assert coloring.k == k
         assert validate_mv_coloring(g, o, coloring).valid
+
+
+@pytest.mark.parametrize("d", [127, 128, 129])
+def test_greedy_upper_bound_high_degree_hubs(d):
+    # first fit puts the hubs and the pendant's leaf in one class, so the hubs
+    # see each other through d - 1 leaves of the other class: 128 from d = 129
+    k, coloring = greedy_upper_bound(k2_pendant(d))
+    assert (k, coloring.k) == (2, 2)
 
 
 def test_chi_mu_exact_c4():

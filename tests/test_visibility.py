@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from conftest import all_two_colorings, coloring_with_k
+from conftest import DEFAULT_SEED, all_two_colorings, coloring_with_k, k2_pendant
 from mvchroma import (
     Coloring,
     all_pairs_distances,
@@ -18,7 +19,8 @@ from mvchroma import (
     validate_gp_coloring,
     validate_mv_coloring,
 )
-from mvchroma.errors import ColoringNotTotalError
+from mvchroma.errors import ColoringNotTotalError, DisconnectedGraphError
+from mvchroma.visibility import pair_visible
 
 
 def c4():
@@ -163,11 +165,10 @@ def test_mv_monotone_under_subset_gt2():
 def test_validator_matches_classwise_mv_sets():
     # the coloring validator and is_mv_set are the same predicate per class
     tree, o = gt2()
-    result = constructive_coloring(tree)
-    report = validate_mv_coloring(tree.graph, o, result.coloring)
+    coloring = constructive_coloring(tree)
+    report = validate_mv_coloring(tree.graph, o, coloring)
     classwise = all(
-        is_mv_set(tree.graph, o, members)
-        for members in result.coloring.color_classes()
+        is_mv_set(tree.graph, o, members) for members in coloring.color_classes()
     )
     assert report.valid == classwise
 
@@ -185,3 +186,69 @@ def test_h2_exhaustive_lemma():
             leaf_colors = {colors[v] for v in legend.leaves}
             assert len(leaf_colors) == 2
     assert accepted > 0
+
+
+@pytest.mark.parametrize("d", [127, 128, 255, 256, 300])
+def test_hub_pair_sees_through_many_leaves(d):
+    # the hubs see each other through d unblocked leaves; from d = 128 on, an
+    # 8-bit count of those leaves would wrap to zero or below
+    g = k2_pendant(d)
+    o = all_pairs_distances(g)
+    pendant = d + 2
+    assert is_mv_set(g, o, [0, 1, pendant])
+    colors = [1] * g.n
+    colors[0] = colors[1] = colors[pendant] = 0
+    report = validate_mv_coloring(g, o, Coloring(tuple(colors), 2), exhaustive=True)
+    assert report.valid, report.violations[:3]
+
+
+def random_hub_graph(rng: random.Random, n: int, hubs: int):
+    """A random tree plus hubs 0..hubs-1, each joined to 128 or more non-hubs."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for h in range(hubs):
+        for v in rng.sample(range(hubs, n), rng.randrange(128, n - hubs + 1)):
+            edges.add((h, v))
+    return graph_from_edge_list(n, sorted(edges))
+
+
+def test_validator_matches_pair_visible_on_hub_graphs():
+    rng = random.Random(DEFAULT_SEED + 7)
+    for hubs in (2, 3, 4):
+        g = random_hub_graph(rng, 150, hubs)
+        o = all_pairs_distances(g)
+        # the hubs share class 0, so their common neighbours lie outside it
+        colors = [0] * hubs + [rng.randrange(1, 6) if rng.random() < 0.95 else 0
+                               for _ in range(hubs, g.n)]
+        c = coloring_with_k(colors)
+        expected = [
+            (u, v, color)
+            for color, members in enumerate(c.color_classes())
+            for i, u in enumerate(members)
+            for v in members[i + 1:]
+            if not pair_visible(g, o, u, v, members)
+        ]
+        report = validate_mv_coloring(g, o, c, exhaustive=True)
+        assert list(report.violations) == expected, hubs
+
+
+def test_every_check_rejects_a_disconnected_graph():
+    g = graph_from_edge_list(4, [(0, 1), (2, 3)])
+    o = all_pairs_distances(g)
+    c = Coloring((0, 1, 0, 1), 2)
+    for check in (
+        lambda: is_mv_set(g, o, [0, 2]),
+        lambda: is_gp_set(o, [0, 2]),
+        lambda: validate_mv_coloring(g, o, c),
+        lambda: validate_gp_coloring(g, o, c),
+    ):
+        with pytest.raises(DisconnectedGraphError):
+            check()
+
+
+def test_small_classes_agree_with_is_mv_set():
+    g = c4()
+    o = all_pairs_distances(g)
+    for colors in ((0, 1, 2, 3), (0, 1, 0, 1), (0, 0, 1, 2)):
+        c = Coloring(colors, max(colors) + 1)
+        classwise = all(is_mv_set(g, o, m) for m in c.color_classes())
+        assert validate_mv_coloring(g, o, c).valid == classwise
