@@ -120,11 +120,10 @@ def cmd_validate(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    o = all_pairs_distances(g)
     if args.mode == "mv":
-        report = validate_mv_coloring(g, o, coloring, exhaustive=True)
+        report = validate_mv_coloring(g, coloring, exhaustive=True)
     else:
-        report = validate_gp_coloring(g, o, coloring, exhaustive=True)
+        report = validate_gp_coloring(g, coloring, exhaustive=True)
     payload = {
         "valid": report.valid,
         "mode": args.mode,

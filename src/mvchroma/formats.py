@@ -12,6 +12,14 @@ from .graph import Graph, graph_from_edge_list
 from .visibility import Coloring
 
 
+def _ints(fields, line: str) -> list[int]:
+    """The integer fields of one line; a malformed field is a format error."""
+    try:
+        return [int(x) for x in fields]
+    except ValueError as e:
+        raise GraphFormatError(f"non-integer field in line {line!r}") from e
+
+
 def write_graph(g: Graph) -> str:
     lines = [f"p edge {g.n} {g.m}"]
     for u, v in g.edges():
@@ -32,17 +40,11 @@ def read_graph(text: str) -> Graph:
                 raise GraphFormatError("duplicate problem line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphFormatError(f"bad problem line: {line!r}")
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError as e:
-                raise GraphFormatError(str(e)) from e
+            n, m = _ints(parts[2:], line)
         elif parts[0] == "e":
             if len(parts) != 3:
                 raise GraphFormatError(f"bad edge line: {line!r}")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError as e:
-                raise GraphFormatError(str(e)) from e
+            u, v = _ints(parts[1:], line)
             edges.append((u - 1, v - 1))
         else:
             raise GraphFormatError(f"unknown line: {line!r}")
@@ -79,11 +81,11 @@ def read_coloring(text: str) -> tuple[Coloring, dict[int, int]]:
             if len(parts) != 4 or parts[1] != "color":
                 raise GraphFormatError(f"bad solution line: {line!r}")
             # the header's palette size describes the writer, not the classes
-            n, _ = int(parts[2]), int(parts[3])
+            n, _ = _ints(parts[2:], line)
         elif parts[0] == "v":
             if len(parts) != 3:
                 raise GraphFormatError(f"bad vertex line: {line!r}")
-            v, col = int(parts[1]), int(parts[2])
+            v, col = _ints(parts[1:], line)
             if v in raw_colors:
                 raise GraphFormatError(f"duplicate vertex {v}")
             raw_colors[v] = col
@@ -119,10 +121,10 @@ def read_labels(text: str) -> dict[int, Internal | QuasiLeaf]:
             continue
         parts = line.split()
         if parts[0] == "L" and len(parts) == 5:
-            vid, side, i, j = (int(x) for x in parts[1:])
+            vid, side, i, j = _ints(parts[1:], line)
             out[vid - 1] = Internal(side=side, i=i, j=j)
         elif parts[0] == "Q" and len(parts) == 3:
-            vid, a = int(parts[1]), int(parts[2])
+            vid, a = _ints(parts[1:], line)
             out[vid - 1] = QuasiLeaf(a=a)
         else:
             raise GraphFormatError(f"bad label line: {line!r}")

@@ -20,7 +20,7 @@ from .errors import (
     InvalidQuasiLeafError,
     SizeCapExceededError,
 )
-from .graph import DistanceOracle, Graph, all_pairs_distances, graph_from_edge_list
+from .graph import DistanceOracle, Graph, graph_from_edge_list
 from .visibility import Coloring, validate_mv_coloring
 
 DEFAULT_SIZE_CAP = 200_000
@@ -337,15 +337,14 @@ def verify_theorem(
             f"candidates {formula.candidates}"
         )
     tree = build_glued_tree(r, t)
-    oracle = all_pairs_distances(tree.graph)
     coloring = constructive_coloring(tree)
-    mv_valid = validate_mv_coloring(tree.graph, oracle, coloring).valid
+    mv_valid = validate_mv_coloring(tree.graph, coloring).valid
     gp_valid = None
     if gp:
-        gp_valid = validate_gp_coloring(tree.graph, oracle, coloring).valid
+        gp_valid = validate_gp_coloring(tree.graph, coloring).valid
     exact_value = None
     if exact:
-        exact_value, _ = chi_mu_exact(tree.graph, budget=budget, oracle=oracle)
+        exact_value, _ = chi_mu_exact(tree.graph, budget=budget)
     return TheoremReport(
         r=r,
         t=t,

@@ -7,6 +7,8 @@ matrix with -1 marking unreachable pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -43,19 +45,24 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 
-    def sparse_adjacency(self) -> csr_matrix:
-        """0/1 adjacency whose dtype holds the largest degree, so a product
-        with a 0/1 matrix counts neighbours without wrapping."""
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacency as compressed sparse rows ``(indptr, indices)``: the
+        neighbours of v are ``indices[indptr[v]:indptr[v + 1]]``, sorted."""
         indptr = np.zeros(self.n + 1, dtype=np.int64)
-        for v in range(self.n):
-            indptr[v + 1] = indptr[v] + len(self.adjacency[v])
+        np.cumsum([len(a) for a in self.adjacency], out=indptr[1:])
         indices = np.fromiter(
-            (w for v in range(self.n) for w in self.adjacency[v]),
-            dtype=np.int64,
-            count=int(indptr[-1]),
+            chain.from_iterable(self.adjacency), dtype=np.int64, count=int(indptr[-1])
         )
-        max_degree = max((len(a) for a in self.adjacency), default=0)
-        data = np.ones(len(indices), dtype=np.min_scalar_type(max_degree))
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return indptr, indices
+
+    def sparse_adjacency(self) -> csr_matrix:
+        """0/1 adjacency matrix in float64, the dtype scipy's csgraph
+        routines convert their input to."""
+        indptr, indices = self.csr
+        data = np.ones(len(indices))
         return csr_matrix((data, indices, indptr), shape=(self.n, self.n))
 
 
@@ -77,11 +84,6 @@ class DistanceOracle:
         if d == UNREACHABLE:
             raise UnreachablePairError(f"vertices {u} and {v} are not connected")
         return d
-
-    def require_connected_graph(self) -> None:
-        # a disconnected graph has an unreachable vertex in every distance row
-        if self.n and (self.dist[0] == UNREACHABLE).any():
-            raise DisconnectedGraphError("graph is disconnected")
 
 
 def _check_vertex(v: int, n: int) -> None:
@@ -111,6 +113,15 @@ def graph_from_edge_list(n: int, edges) -> Graph:
         adjacency=tuple(tuple(sorted(s)) for s in adj),
         m=len(seen),
     )
+
+
+def require_connected_graph(g: Graph) -> None:
+    """Raise DisconnectedGraphError unless every vertex reaches vertex 0.
+
+    Graphs with at most one vertex count as connected.
+    """
+    if g.n > 1 and UNREACHABLE in bfs_distances(g, 0):
+        raise DisconnectedGraphError("graph is disconnected")
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -148,11 +159,11 @@ def all_pairs_distances(g: Graph) -> DistanceOracle:
 
 def diameter(g: Graph, o: DistanceOracle | None = None) -> int:
     """Max hop distance; raises on disconnected input."""
-    if o is None:
-        o = all_pairs_distances(g)
     if g.n == 0:
         raise DisconnectedGraphError("empty graph has no diameter")
-    o.require_connected_graph()
+    require_connected_graph(g)
+    if o is None:
+        o = all_pairs_distances(g)
     return int(o.dist.max())
 
 

@@ -368,7 +368,7 @@ def verify_reduction(f: NaeFormula, budget: Budget | None = None) -> ReductionRe
     forward_valid = None
     if assignment is not None:
         forward = assignment_to_coloring(rg, assignment)
-        forward_valid = validate_mv_coloring(rg.graph, oracle, forward).valid
+        forward_valid = validate_mv_coloring(rg.graph, forward).valid
     return ReductionReport(
         trivially_unsat=False,
         nae_satisfiable=assignment is not None,

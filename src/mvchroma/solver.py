@@ -26,6 +26,7 @@ from .graph import (
     Graph,
     all_pairs_distances,
     geodesic_exists_avoiding,
+    require_connected_graph,
 )
 from .visibility import Coloring, validate_mv_coloring
 
@@ -197,8 +198,8 @@ def mv_k_colorable(
     """Decide whether g admits a mutual-visibility coloring with <= k colors."""
     if k < 1:
         raise InvalidParamsError("color budget must be >= 1")
+    require_connected_graph(g)
     o = oracle if oracle is not None else all_pairs_distances(g)
-    o.require_connected_graph()
     n = g.n
     order = solver_vertex_order(g)
     pv = _PairVisibility(g, o)
@@ -241,7 +242,7 @@ def mv_k_colorable(
             ok = _check_assignment(pv, color_members[c], v, color_masks[c])
             if ok and depth == n - 1:
                 candidate = Coloring(tuple(colors), max(colors) + 1)
-                if validate_mv_coloring(g, o, candidate).valid:
+                if validate_mv_coloring(g, candidate).valid:
                     return SearchOutcome(
                         Status.FEASIBLE, candidate, tracker.nodes, tracker.elapsed
                     )
@@ -273,8 +274,8 @@ def greedy_upper_bound(
     blocks classes of other colors), so the loop terminates with a valid
     coloring.
     """
+    require_connected_graph(g)
     o = oracle if oracle is not None else all_pairs_distances(g)
-    o.require_connected_graph()
     n = g.n
     if n == 0:
         return 0, Coloring((), 0)
@@ -298,7 +299,7 @@ def greedy_upper_bound(
             color_members.append([v])
             color_masks.append(1 << v)
     coloring = Coloring(tuple(colors), len(color_members))
-    report = validate_mv_coloring(g, o, coloring)
+    report = validate_mv_coloring(g, coloring)
     assert report.valid, "greedy invariant broken"
     return coloring.k, coloring
 

@@ -82,6 +82,17 @@ def brute_is_mv_set(g: Graph, s) -> bool:
     )
 
 
+def brute_is_gp_set(g: Graph, s) -> bool:
+    """No shortest path between two members has a third member inside, by
+    enumeration."""
+    s = set(s)
+    return not any(
+        any(w in s for w in p[1:-1])
+        for u, v in combinations(sorted(s), 2)
+        for p in enumerate_shortest_paths(g, u, v)
+    )
+
+
 def brute_coloring_valid(g: Graph, colors) -> bool:
     classes: dict[int, list[int]] = {}
     for v, c in enumerate(colors):

@@ -115,9 +115,8 @@ def test_acceptance_03_upper_bound_sweep():
     violations = 0
     for r, t in cases:
         tree = build_glued_tree(r, t)
-        o = all_pairs_distances(tree.graph)
         coloring = constructive_coloring(tree)
-        report = validate_mv_coloring(tree.graph, o, coloring, exhaustive=True)
+        report = validate_mv_coloring(tree.graph, coloring, exhaustive=True)
         if not report.valid or coloring.k != chi_mu_formula(r, t).value:
             violations += 1
     elapsed = time.perf_counter() - start
@@ -200,17 +199,15 @@ def test_acceptance_07_gp_corollary():
     gp_ok = True
     for r in (2, 4):
         tree = build_glued_tree(r, 2)
-        o = all_pairs_distances(tree.graph)
         coloring = constructive_coloring(tree)
-        gp_ok &= validate_gp_coloring(tree.graph, o, coloring, exhaustive=True).valid
-        gp_ok &= validate_mv_coloring(tree.graph, o, coloring).valid
+        gp_ok &= validate_gp_coloring(tree.graph, coloring, exhaustive=True).valid
+        gp_ok &= validate_mv_coloring(tree.graph, coloring).valid
     # the excluded depth still yields a valid MV coloring; GP validity is
     # merely reported and does not gate the criterion
     tree3 = build_glued_tree(3, 2)
-    o3 = all_pairs_distances(tree3.graph)
     c3 = constructive_coloring(tree3)
-    mv3 = validate_mv_coloring(tree3.graph, o3, c3).valid
-    gp3 = validate_gp_coloring(tree3.graph, o3, c3).valid
+    mv3 = validate_mv_coloring(tree3.graph, c3).valid
+    gp3 = validate_gp_coloring(tree3.graph, c3).valid
     elapsed = time.perf_counter() - start
     ok = gp_ok and mv3 and elapsed <= 30.0
     _report(
@@ -228,12 +225,11 @@ def test_acceptance_08_h_gadget_exhaustive():
     exact = True
     for n in (2, 3):
         g, legend = build_h_gadget(n)
-        o = all_pairs_distances(g)
         accepted = set()
         constrained = set()
         for colors in all_two_colorings(g.n):
             c = coloring_with_k(colors)
-            valid = validate_mv_coloring(g, o, c).valid
+            valid = validate_mv_coloring(g, c).valid
             meets = (
                 colors[legend.p] != colors[legend.c]
                 and colors[legend.p2] != colors[legend.c2]
@@ -312,7 +308,7 @@ def test_acceptance_10_reduction_equivalence():
             mismatches += 1
         if assignment is not None:
             coloring = assignment_to_coloring(rg, assignment)
-            if not validate_mv_coloring(rg.graph, o, coloring).valid:
+            if not validate_mv_coloring(rg.graph, coloring).valid:
                 forward_failures += 1
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and forward_failures == 0 and elapsed <= 600.0

@@ -127,6 +127,22 @@ def test_validate_disconnected_exit_2(tmp_path, capsys):
     assert "disconnected" in err
 
 
+@pytest.mark.parametrize("coloring", [
+    "s color 3 1\nv 1 x\nv 2 1\nv 3 1\n",
+    "s color x 1\nv 1 1\nv 2 1\nv 3 1\n",
+], ids=["vertex-line", "solution-line"])
+def test_validate_malformed_coloring_exit_2(tmp_path, capsys, coloring):
+    gpath = tmp_path / "g.col"
+    cpath = tmp_path / "c.sol"
+    gpath.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+    cpath.write_text(coloring)
+    code, _, err = run(
+        capsys, "validate", "--graph", str(gpath), "--coloring", str(cpath)
+    )
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_validate_gp_mode(tmp_path, capsys):
     gpath = tmp_path / "g.col"
     cpath = tmp_path / "c.sol"

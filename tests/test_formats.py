@@ -85,3 +85,5 @@ def test_labels_round_trip():
 def test_labels_bad_line():
     with pytest.raises(GraphFormatError):
         read_labels("L 1 1\n")
+    with pytest.raises(GraphFormatError):
+        read_labels("L 1 a 1 1\n")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_chi_mu,
+    brute_is_gp_set,
     brute_is_mv_set,
     brute_pair_visible,
     enumerate_shortest_paths,
@@ -60,31 +61,36 @@ def test_pair_visibility_matches_enumeration(g, seed):
 @given(connected_graphs(max_n=8), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_mv_set_matches_brute_force(g, seed):
-    o = all_pairs_distances(g)
     rng = random.Random(seed)
     s = [v for v in range(g.n) if rng.random() < 0.5]
-    assert is_mv_set(g, o, s) == brute_is_mv_set(g, s)
+    assert is_mv_set(g, s) == brute_is_mv_set(g, s)
+
+
+@given(connected_graphs(max_n=8), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_gp_set_matches_brute_force(g, seed):
+    rng = random.Random(seed)
+    s = [v for v in range(g.n) if rng.random() < 0.5]
+    assert is_gp_set(g, s) == brute_is_gp_set(g, s)
 
 
 @given(connected_graphs(max_n=8), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_mv_set_monotone_under_removal(g, seed):
-    o = all_pairs_distances(g)
     rng = random.Random(seed)
     s = [v for v in range(g.n) if rng.random() < 0.5]
-    if is_mv_set(g, o, s):
+    if is_mv_set(g, s):
         for drop in s:
-            assert is_mv_set(g, o, [v for v in s if v != drop])
+            assert is_mv_set(g, [v for v in s if v != drop])
 
 
 @given(connected_graphs(max_n=8), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_gp_implies_mv(g, seed):
-    o = all_pairs_distances(g)
     rng = random.Random(seed)
     s = [v for v in range(g.n) if rng.random() < 0.4]
-    if is_gp_set(o, s):
-        assert is_mv_set(g, o, s)
+    if is_gp_set(g, s):
+        assert is_mv_set(g, s)
 
 
 @given(connected_graphs(max_n=7))

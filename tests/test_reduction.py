@@ -6,7 +6,6 @@ from conftest import DEFAULT_SEED
 from mvchroma import (
     NaeAssignment,
     Status,
-    all_pairs_distances,
     assignment_to_coloring,
     build_h_gadget,
     build_reduction,
@@ -159,11 +158,10 @@ def test_legend_dict_one_based():
 def test_forward_coloring_validates():
     f = make_formula(3, [[(1, True), (2, True), (3, True)]])
     rg = build_reduction(f)
-    o = all_pairs_distances(rg.graph)
     a = nae_satisfiable(f)
     coloring = assignment_to_coloring(rg, a)
     assert coloring.k == 2
-    assert validate_mv_coloring(rg.graph, o, coloring).valid
+    assert validate_mv_coloring(rg.graph, coloring).valid
 
 
 def test_forward_coloring_partial_assignment():

@@ -6,7 +6,9 @@ import pytest
 from conftest import DEFAULT_SEED, all_two_colorings, coloring_with_k, k2_pendant
 from mvchroma import (
     Coloring,
+    ValidationReport,
     all_pairs_distances,
+    bfs_distances,
     build_glued_tree,
     build_h_gadget,
     coloring_from_list,
@@ -28,8 +30,7 @@ def c4():
 
 
 def gt2():
-    tree = build_glued_tree(2, 2)
-    return tree, all_pairs_distances(tree.graph)
+    return build_glued_tree(2, 2)
 
 
 def golden_coloring_gt2(tree) -> Coloring:
@@ -45,38 +46,43 @@ def golden_coloring_gt2(tree) -> Coloring:
 
 def test_small_sets_are_mv():
     g = c4()
-    o = all_pairs_distances(g)
-    assert is_mv_set(g, o, [])
-    assert is_mv_set(g, o, [0])
-    assert is_mv_set(g, o, [0, 2])
+    assert is_mv_set(g, [])
+    assert is_mv_set(g, [0])
+    assert is_mv_set(g, [0, 2])
+
+
+def test_one_vertex_graph_validates():
+    g = graph_from_edge_list(1, [])
+    c = Coloring((0,), 1)
+    for validate in (validate_mv_coloring, validate_gp_coloring):
+        for exhaustive in (False, True):
+            assert validate(g, c, exhaustive=exhaustive) == ValidationReport(True, (), 0)
 
 
 def test_full_c4_not_mv():
     g = c4()
-    o = all_pairs_distances(g)
-    assert not is_mv_set(g, o, [0, 1, 2, 3])
+    assert not is_mv_set(g, [0, 1, 2, 3])
 
 
 def test_gt2_quasi_leaves_are_mv():
-    tree, o = gt2()
-    assert is_mv_set(tree.graph, o, [tree.quasi(a) for a in range(1, 5)])
+    tree = gt2()
+    assert is_mv_set(tree.graph, [tree.quasi(a) for a in range(1, 5)])
 
 
 def test_golden_coloring_valid():
-    tree, o = gt2()
-    report = validate_mv_coloring(tree.graph, o, golden_coloring_gt2(tree))
+    tree = gt2()
+    report = validate_mv_coloring(tree.graph, golden_coloring_gt2(tree))
     assert report.valid
     assert report.violations == ()
 
 
 def test_h2_bad_coloring_violations():
     g, legend = build_h_gadget(2)
-    o = all_pairs_distances(g)
     # variable-gadget reading: u, ubar = identified leaves; a, b = second star
     colors = [0] * g.n
     for v in (*legend.leaves, legend.c2, legend.p2):
         colors[v] = 1
-    report = validate_mv_coloring(g, o, Coloring(tuple(colors), 2), exhaustive=True)
+    report = validate_mv_coloring(g, Coloring(tuple(colors), 2), exhaustive=True)
     assert not report.valid
     pairs = {(u, v) for u, v, _ in report.violations}
     # leaves cannot reach p2: the unique geodesics run through c2 (same class)
@@ -85,15 +91,15 @@ def test_h2_bad_coloring_violations():
 
 
 def test_all_distinct_coloring_valid():
-    tree, o = gt2()
+    tree = gt2()
     c = Coloring(tuple(range(10)), 10)
-    assert validate_mv_coloring(tree.graph, o, c).valid
+    assert validate_mv_coloring(tree.graph, c).valid
 
 
 def test_coloring_not_total():
-    tree, o = gt2()
+    tree = gt2()
     with pytest.raises(ColoringNotTotalError):
-        validate_mv_coloring(tree.graph, o, Coloring((0, 1), 2))
+        validate_mv_coloring(tree.graph, Coloring((0, 1), 2))
 
 
 def test_coloring_from_list_dense_check():
@@ -105,49 +111,47 @@ def test_coloring_from_list_dense_check():
 
 def test_violations_sorted_and_failfast():
     g = graph_from_edge_list(3, [(0, 1), (1, 2)])
-    o = all_pairs_distances(g)
     mono = Coloring((0, 0, 0), 1)
-    exhaustive = validate_mv_coloring(g, o, mono, exhaustive=True)
+    exhaustive = validate_mv_coloring(g, mono, exhaustive=True)
     assert list(exhaustive.violations) == sorted(exhaustive.violations)
-    fast = validate_mv_coloring(g, o, mono, exhaustive=False)
+    fast = validate_mv_coloring(g, mono, exhaustive=False)
     assert len(fast.violations) == 1
     assert fast.violations[0] == exhaustive.violations[0]
 
 
 def test_gp_set_path_triple():
     g = graph_from_edge_list(3, [(0, 1), (1, 2)])
-    o = all_pairs_distances(g)
-    assert not is_gp_set(o, [0, 1, 2])
-    assert is_gp_set(o, [0, 2])
+    assert not is_gp_set(g, [0, 1, 2])
+    assert is_gp_set(g, [0, 2])
+    assert is_gp_set(g, [])
 
 
 def test_gt2_quasi_leaves_gp():
-    tree, o = gt2()
-    assert is_gp_set(o, [tree.quasi(a) for a in range(1, 5)])
+    tree = gt2()
+    assert is_gp_set(tree.graph, [tree.quasi(a) for a in range(1, 5)])
 
 
 def test_gp_coloring_golden_valid():
-    tree, o = gt2()
-    assert validate_gp_coloring(tree.graph, o, golden_coloring_gt2(tree)).valid
+    tree = gt2()
+    assert validate_gp_coloring(tree.graph, golden_coloring_gt2(tree)).valid
 
 
 def test_gp_coloring_p3_mono_invalid():
     g = graph_from_edge_list(3, [(0, 1), (1, 2)])
-    o = all_pairs_distances(g)
-    report = validate_gp_coloring(g, o, Coloring((0, 0, 0), 1))
+    report = validate_gp_coloring(g, Coloring((0, 0, 0), 1))
     assert not report.valid
 
 
 def test_gp_all_distinct_valid():
-    tree, o = gt2()
+    tree = gt2()
     c = Coloring(tuple(range(10)), 10)
-    assert validate_gp_coloring(tree.graph, o, c).valid
+    assert validate_gp_coloring(tree.graph, c).valid
 
 
 def test_cycle_class_intersection():
-    tree, o = gt2()
+    tree = gt2()
     quasi = [tree.quasi(a) for a in range(1, 5)]
-    dec = cycle_vertices(tree, o, 1, 4)
+    dec = cycle_vertices(tree, all_pairs_distances(tree.graph), 1, 4)
     assert cycle_class_intersection(quasi, dec.all_vertices) == 2
     assert cycle_class_intersection([], dec.all_vertices) == 0
     assert cycle_class_intersection(dec.all_vertices, dec.all_vertices) == len(
@@ -156,30 +160,29 @@ def test_cycle_class_intersection():
 
 
 def test_mv_monotone_under_subset_gt2():
-    tree, o = gt2()
+    tree = gt2()
     full = [tree.quasi(a) for a in range(1, 5)]
     for drop in full:
-        assert is_mv_set(tree.graph, o, [v for v in full if v != drop])
+        assert is_mv_set(tree.graph, [v for v in full if v != drop])
 
 
 def test_validator_matches_classwise_mv_sets():
     # the coloring validator and is_mv_set are the same predicate per class
-    tree, o = gt2()
+    tree = gt2()
     coloring = constructive_coloring(tree)
-    report = validate_mv_coloring(tree.graph, o, coloring)
+    report = validate_mv_coloring(tree.graph, coloring)
     classwise = all(
-        is_mv_set(tree.graph, o, members) for members in coloring.color_classes()
+        is_mv_set(tree.graph, members) for members in coloring.color_classes()
     )
     assert report.valid == classwise
 
 
 def test_h2_exhaustive_lemma():
     g, legend = build_h_gadget(2)
-    o = all_pairs_distances(g)
     accepted = 0
     for colors in all_two_colorings(g.n):
         c = coloring_with_k(colors)
-        if validate_mv_coloring(g, o, c).valid:
+        if validate_mv_coloring(g, c).valid:
             accepted += 1
             assert colors[legend.p] != colors[legend.c]
             assert colors[legend.p2] != colors[legend.c2]
@@ -193,12 +196,11 @@ def test_hub_pair_sees_through_many_leaves(d):
     # the hubs see each other through d unblocked leaves; from d = 128 on, an
     # 8-bit count of those leaves would wrap to zero or below
     g = k2_pendant(d)
-    o = all_pairs_distances(g)
     pendant = d + 2
-    assert is_mv_set(g, o, [0, 1, pendant])
+    assert is_mv_set(g, [0, 1, pendant])
     colors = [1] * g.n
     colors[0] = colors[1] = colors[pendant] = 0
-    report = validate_mv_coloring(g, o, Coloring(tuple(colors), 2), exhaustive=True)
+    report = validate_mv_coloring(g, Coloring(tuple(colors), 2), exhaustive=True)
     assert report.valid, report.violations[:3]
 
 
@@ -213,33 +215,53 @@ def random_hub_graph(rng: random.Random, n: int, hubs: int):
 
 def test_validator_matches_pair_visible_on_hub_graphs():
     rng = random.Random(DEFAULT_SEED + 7)
-    for hubs in (2, 3, 4):
+    size_rng = random.Random(DEFAULT_SEED + 8)
+    # class 0 sizes on either side of the 64-bit word boundaries
+    for hubs, sizes in ((2, (63, 128)), (3, (64, 129)), (4, (65, 127))):
         g = random_hub_graph(rng, 150, hubs)
         o = all_pairs_distances(g)
+        rows = [bfs_distances(g, x) for x in range(g.n)]
         # the hubs share class 0, so their common neighbours lie outside it
         colors = [0] * hubs + [rng.randrange(1, 6) if rng.random() < 0.95 else 0
                                for _ in range(hubs, g.n)]
-        c = coloring_with_k(colors)
-        expected = [
-            (u, v, color)
-            for color, members in enumerate(c.color_classes())
-            for i, u in enumerate(members)
-            for v in members[i + 1:]
-            if not pair_visible(g, o, u, v, members)
-        ]
-        report = validate_mv_coloring(g, o, c, exhaustive=True)
-        assert list(report.violations) == expected, hubs
+        colorings = [(None, coloring_with_k(colors))]
+        for size in sizes:
+            colors = [size_rng.randrange(1, 6) for _ in range(g.n)]
+            for v in [*range(hubs), *size_rng.sample(range(hubs, g.n), size - hubs)]:
+                colors[v] = 0
+            colorings.append((size, coloring_with_k(colors)))
+        for size, c in colorings:
+            same_class = [
+                (u, v, color, members)
+                for color, members in enumerate(c.color_classes())
+                for i, u in enumerate(members)
+                for v in members[i + 1:]
+            ]
+            expected = [
+                (u, v, color)
+                for u, v, color, members in same_class
+                if not pair_visible(g, o, u, v, members)
+            ]
+            report = validate_mv_coloring(g, c, exhaustive=True)
+            assert list(report.violations) == expected, (hubs, size)
+            expected = [
+                (u, v, color)
+                for u, v, color, members in same_class
+                if any(rows[u][z] + rows[z][v] == rows[u][v]
+                       for z in members if z not in (u, v))
+            ]
+            report = validate_gp_coloring(g, c, exhaustive=True)
+            assert list(report.violations) == expected, (hubs, size)
 
 
 def test_every_check_rejects_a_disconnected_graph():
     g = graph_from_edge_list(4, [(0, 1), (2, 3)])
-    o = all_pairs_distances(g)
     c = Coloring((0, 1, 0, 1), 2)
     for check in (
-        lambda: is_mv_set(g, o, [0, 2]),
-        lambda: is_gp_set(o, [0, 2]),
-        lambda: validate_mv_coloring(g, o, c),
-        lambda: validate_gp_coloring(g, o, c),
+        lambda: is_mv_set(g, [0, 2]),
+        lambda: is_gp_set(g, [0, 2]),
+        lambda: validate_mv_coloring(g, c),
+        lambda: validate_gp_coloring(g, c),
     ):
         with pytest.raises(DisconnectedGraphError):
             check()
@@ -247,8 +269,7 @@ def test_every_check_rejects_a_disconnected_graph():
 
 def test_small_classes_agree_with_is_mv_set():
     g = c4()
-    o = all_pairs_distances(g)
     for colors in ((0, 1, 2, 3), (0, 1, 0, 1), (0, 0, 1, 2)):
         c = Coloring(colors, max(colors) + 1)
-        classwise = all(is_mv_set(g, o, m) for m in c.color_classes())
-        assert validate_mv_coloring(g, o, c).valid == classwise
+        classwise = all(is_mv_set(g, m) for m in c.color_classes())
+        assert validate_mv_coloring(g, c).valid == classwise
