@@ -4,7 +4,10 @@ the constructive coloring (and optionally the exact solver).
 
 Example:
     python scripts/theorem_sweep.py --max-n 2000
-    python scripts/theorem_sweep.py --max-n 200 --exact
+    python scripts/theorem_sweep.py --max-n 200 --exact --budget-secs 5
+
+When the exact solver runs out of budget the row prints ``budget [lo, hi]``
+and counts as a mismatch only if the formula lies outside those bounds.
 """
 
 import argparse
@@ -14,6 +17,7 @@ import time
 from dataclasses import dataclass
 
 from mvchroma import Budget, chi_mu_formula, glued_tree_order, verify_theorem
+from mvchroma.errors import BudgetExhaustedError
 
 
 @dataclass
@@ -65,16 +69,26 @@ def main() -> int:
             print(f"GT({r},{t}): formula gap, candidates {formula.candidates}")
             rows.append({"r": r, "t": t, "gap": True, "candidates": list(formula.candidates)})
             continue
-        budget = Budget(max_seconds=cfg.budget_secs) if cfg.budget_secs else None
-        report = verify_theorem(r, t, exact=cfg.exact, gp=cfg.gp, budget=budget)
-        mark = "ok" if report.agree else "MISMATCH"
-        if not report.agree:
+        budget = None if cfg.budget_secs is None else Budget(max_seconds=cfg.budget_secs)
+        bounds = None
+        try:
+            report = verify_theorem(r, t, exact=cfg.exact, gp=cfg.gp, budget=budget)
+        except BudgetExhaustedError as e:
+            bounds = [e.lo, e.hi]
+            report = verify_theorem(r, t, gp=cfg.gp)
+        agree = report.agree and (bounds is None or bounds[0] <= formula.value <= bounds[1])
+        mark = "ok" if agree else "MISMATCH"
+        if not agree:
             failures += 1
+        if bounds is not None:
+            exact = f" exact=budget [{bounds[0]}, {bounds[1]}]"
+        else:
+            exact = f" exact={report.exact}" if cfg.exact else ""
         n = glued_tree_order(r, t)
         print(
             f"GT({r},{t}): n={n} formula={formula.value} "
             f"construction={report.construction_colors} mv_valid={report.mv_valid}"
-            + (f" exact={report.exact}" if cfg.exact else "")
+            + exact
             + (f" gp_valid={report.gp_valid}" if cfg.gp else "")
             + f" [{mark}]"
         )
@@ -89,7 +103,8 @@ def main() -> int:
                 "mv_valid": report.mv_valid,
                 "gp_valid": report.gp_valid,
                 "exact": report.exact,
-                "agree": report.agree,
+                "bounds": bounds,
+                "agree": agree,
             }
         )
     elapsed = time.perf_counter() - start

@@ -25,7 +25,6 @@ from .gluedtrees import (
     chi_mu_formula,
     verify_theorem,
 )
-from .graph import all_pairs_distances
 from .reduction import (
     build_reduction,
     format_nae_formula,
@@ -141,10 +140,9 @@ def cmd_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     g = read_graph(_read(args.graph))
-    o = all_pairs_distances(g)
     budget = _budget(args)
     if args.k is not None:
-        outcome = mv_k_colorable(g, args.k, budget=budget, oracle=o)
+        outcome = mv_k_colorable(g, args.k, budget=budget)
         if outcome.status is Status.FEASIBLE:
             print(f"FEASIBLE {outcome.coloring.k}")
             if args.out:
@@ -156,7 +154,7 @@ def cmd_solve(args) -> int:
         print("BUDGET")
         return EXIT_BUDGET
     try:
-        k, coloring = chi_mu_exact(g, budget=budget, oracle=o)
+        k, coloring = chi_mu_exact(g, budget=budget)
     except MvChromaError as e:
         if hasattr(e, "lo"):
             print(f"BUDGET bounds [{e.lo}, {e.hi}]")

@@ -58,6 +58,12 @@ class Graph:
         indices.setflags(write=False)
         return indptr, indices
 
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Adjacency as Python-int bitmasks: bit w of ``neighbor_masks[v]``
+        is set iff w is a neighbour of v."""
+        return tuple(sum(1 << w for w in a) for a in self.adjacency)
+
     def sparse_adjacency(self) -> csr_matrix:
         """0/1 adjacency matrix in float64, the dtype scipy's csgraph
         routines convert their input to."""
@@ -202,6 +208,34 @@ def geodesic_count(g: Graph, o: DistanceOracle, u: int, v: int) -> int:
     return count.get(v, 0)
 
 
+def geodesic_avoids(g: Graph, layers: list[int], blocked: int) -> bool:
+    """True iff a path picks one unblocked vertex from each layer in turn,
+    consecutive picks adjacent.
+
+    ``layers`` are the internal levels 1..d-1 of a u-v geodesic DAG as
+    bitmasks, so such a path is a shortest u-v path that avoids the bitmask
+    ``blocked``; with no layers (d <= 1) it always exists.
+    """
+    if not layers:
+        return True
+    nbr = g.neighbor_masks
+    # reach: the level's vertices that end some geodesic prefix from u
+    # with no blocked vertex
+    reach = layers[0] & ~blocked
+    for layer in layers[1:]:
+        if not reach:
+            return False
+        rest = layer & ~blocked
+        nxt = 0
+        while rest:
+            low = rest & -rest
+            if nbr[low.bit_length() - 1] & reach:
+                nxt |= low
+            rest ^= low
+        reach = nxt
+    return reach != 0
+
+
 def geodesic_exists_avoiding(g: Graph, o: DistanceOracle, u: int, v: int, blocked) -> bool:
     """True iff some shortest u-v path has no internal vertex w with blocked(w).
 
@@ -210,27 +244,12 @@ def geodesic_exists_avoiding(g: Graph, o: DistanceOracle, u: int, v: int, blocke
     _check_vertex(u, g.n)
     _check_vertex(v, g.n)
     duv = o.require_connected(u, v)
-    if u == v or duv == 1:
-        return True
     du = o.dist[u]
-    dv = o.dist[v]
-    on_dag = sorted(
-        (
-            w
-            for w in range(g.n)
-            if du[w] != UNREACHABLE and du[w] + dv[w] == duv
-        ),
-        key=lambda w: int(du[w]),
-    )
-    # reach[w]: some geodesic prefix u..w with all strict internals unblocked
-    reach: set[int] = {u}
-    for w in on_dag:
-        if w == u:
-            continue
-        dw = int(du[w])
-        ok = any(x in reach for x in g.adjacency[w] if int(du[x]) == dw - 1)
-        if w == v:
-            return ok
-        if ok and not blocked(w):
-            reach.add(w)
-    return False
+    internal = np.flatnonzero((du > 0) & (du < duv) & (du + o.dist[v] == duv))
+    layers = [0] * max(duv - 1, 0)
+    blocked_mask = 0
+    for w, dw in zip(internal.tolist(), du[internal].tolist()):
+        layers[dw - 1] |= 1 << w
+        if blocked(w):
+            blocked_mask |= 1 << w
+    return geodesic_avoids(g, layers, blocked_mask)

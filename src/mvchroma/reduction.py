@@ -19,7 +19,7 @@ from .errors import (
     VariableOutOfRangeError,
     WrongColorCountError,
 )
-from .graph import Graph, all_pairs_distances, graph_from_edge_list
+from .graph import Graph, graph_from_edge_list
 from .solver import (
     Budget,
     NaeAssignment,
@@ -352,8 +352,7 @@ def verify_reduction(f: NaeFormula, budget: Budget | None = None) -> ReductionRe
     fn = outcome.formula
     assignment = nae_satisfiable(fn)
     rg = build_reduction(fn)
-    oracle = all_pairs_distances(rg.graph)
-    search: SearchOutcome = mv_k_colorable(rg.graph, 2, budget=budget, oracle=oracle)
+    search: SearchOutcome = mv_k_colorable(rg.graph, 2, budget=budget)
     if search.status is Status.BUDGET_EXHAUSTED:
         return ReductionReport(
             trivially_unsat=False,

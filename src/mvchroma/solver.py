@@ -1,5 +1,5 @@
 """Exact search for mutual-visibility colorability and the NAE3SAT brute-force
-oracle.
+scan.
 
 The backtracking solver assigns colors in a fixed vertex order (descending
 degree, ties by id), breaks color symmetry by allowing a new color id only
@@ -21,11 +21,9 @@ from .errors import (
     TooManyVariablesError,
 )
 from .graph import (
-    UNREACHABLE,
-    DistanceOracle,
     Graph,
-    all_pairs_distances,
-    geodesic_exists_avoiding,
+    bfs_distances,
+    geodesic_avoids,
     require_connected_graph,
 )
 from .visibility import Coloring, validate_mv_coloring
@@ -68,78 +66,45 @@ def solver_vertex_order(g: Graph) -> list[int]:
 
 
 class _PairVisibility:
-    """Cached per-pair geodesic data for the solver's visibility test.
+    """The solver's pair test, from one BFS row per vertex built on first use.
 
-    For each unordered pair the internal vertices of every geodesic are
-    enumerated as bitmasks; the pair is visible under a color mask iff some
-    geodesic mask misses it entirely. Pairs with too many geodesics fall back
-    to the DAG-reachability predicate.
+    A row keeps the vertex's distances and its distance levels as bitmasks;
+    the internal levels of the u-v geodesic DAG are then ``L_u[i] & L_v[d - i]``
+    for i in 1..d-1, and the pair is visible under a color mask iff the walk
+    over those levels finds a geodesic that avoids the mask.
     """
 
-    def __init__(self, g: Graph, o: DistanceOracle, mask_cap: int = 4096):
+    def __init__(self, g: Graph):
         self.g = g
-        self.o = o
-        self.mask_cap = mask_cap
-        self._cache: dict[tuple[int, int], tuple[tuple[int, ...] | None, int]] = {}
+        self._rows: list[tuple[list[int], list[int]] | None] = [None] * g.n
 
-    def _enumerate(self, u: int, v: int) -> tuple[tuple[int, ...] | None, int]:
-        g, o = self.g, self.o
-        du = o.dist[u]
-        dv = o.dist[v]
-        duv = int(du[v])
-        masks: set[int] = set()
-        union = 0
-        # iterative DFS over the u-v shortest-path DAG
-        stack: list[tuple[int, int]] = [(u, 0)]
-        steps = 0
-        while stack:
-            w, mask = stack.pop()
-            steps += 1
-            if steps > 64 * self.mask_cap or len(masks) > self.mask_cap:
-                return None, self._union_via_scan(u, v)
-            dw = int(du[w])
-            for x in g.adjacency[w]:
-                if int(du[x]) != dw + 1 or int(du[x]) + int(dv[x]) != duv:
-                    continue
-                if x == v:
-                    masks.add(mask)
-                else:
-                    stack.append((x, mask | (1 << x)))
-        for m in masks:
-            union |= m
-        return tuple(sorted(masks)), union
+    def _row(self, u: int) -> tuple[list[int], list[int]]:
+        row = self._rows[u]
+        if row is None:
+            dist = bfs_distances(self.g, u)
+            levels = [0] * (max(dist) + 1)
+            for w, d in enumerate(dist):
+                levels[d] |= 1 << w
+            row = self._rows[u] = (dist, levels)
+        return row
 
-    def _union_via_scan(self, u: int, v: int) -> int:
-        du = self.o.dist[u]
-        dv = self.o.dist[v]
-        duv = int(du[v])
-        union = 0
-        for w in range(self.g.n):
-            if w in (u, v):
-                continue
-            if int(du[w]) != UNREACHABLE and int(du[w]) + int(dv[w]) == duv:
-                union |= 1 << w
-        return union
-
-    def _info(self, u: int, v: int) -> tuple[tuple[int, ...] | None, int]:
-        key = (u, v) if u < v else (v, u)
-        info = self._cache.get(key)
-        if info is None:
-            info = self._enumerate(*key)
-            self._cache[key] = info
-        return info
-
-    def union_mask(self, u: int, v: int) -> int:
-        return self._info(u, v)[1]
+    def through(self, x: int, v: int) -> int:
+        """Bitmask of the vertices y with v on some shortest x-y path, that is
+        with d(x, v) + d(v, y) == d(x, y)."""
+        dx, lx = self._row(x)
+        lv = self._row(v)[1]
+        shift = dx[v]
+        mask = 0
+        for j in range(min(len(lv), len(lx) - shift)):
+            mask |= lv[j] & lx[shift + j]
+        return mask
 
     def visible(self, u: int, v: int, color_mask: int) -> bool:
-        masks, union = self._info(u, v)
-        if masks is not None:
-            if union & color_mask == 0:
-                return True
-            return any(m & color_mask == 0 for m in masks)
-        return geodesic_exists_avoiding(
-            self.g, self.o, u, v, lambda w: (color_mask >> w) & 1 == 1
+        du, lu = self._row(u)
+        lv = self._row(v)[1]
+        d = du[v]
+        return geodesic_avoids(
+            self.g, [lu[i] & lv[d - i] for i in range(1, d)], color_mask
         )
 
 
@@ -172,20 +137,20 @@ def _check_assignment(
     color_mask: int,
 ) -> bool:
     """Partial-validity of the class after adding v, rechecking affected pairs."""
-    bit = 1 << v
-    for i, u in enumerate(members):
-        if u == v:
-            continue
-        if not pv.visible(u, v, color_mask):
+    for u in members:
+        if u != v and not pv.visible(u, v, color_mask):
             return False
-    for i, x in enumerate(members):
+    others = color_mask & ~(1 << v)
+    for x in members:
         if x == v:
             continue
-        for y in members[i + 1:]:
-            if y == v:
-                continue
-            if pv.union_mask(x, y) & bit and not pv.visible(x, y, color_mask):
+        # pairs (x, y) through v, each once: y above x
+        rest = pv.through(x, v) & (others >> (x + 1) << (x + 1))
+        while rest:
+            low = rest & -rest
+            if not pv.visible(x, low.bit_length() - 1, color_mask):
                 return False
+            rest ^= low
     return True
 
 
@@ -193,16 +158,14 @@ def mv_k_colorable(
     g: Graph,
     k: int,
     budget: Budget | None = None,
-    oracle: DistanceOracle | None = None,
 ) -> SearchOutcome:
     """Decide whether g admits a mutual-visibility coloring with <= k colors."""
     if k < 1:
         raise InvalidParamsError("color budget must be >= 1")
     require_connected_graph(g)
-    o = oracle if oracle is not None else all_pairs_distances(g)
     n = g.n
     order = solver_vertex_order(g)
-    pv = _PairVisibility(g, o)
+    pv = _PairVisibility(g)
     tracker = _BudgetTracker(budget)
 
     colors = [-1] * n
@@ -265,9 +228,7 @@ def mv_k_colorable(
             )
 
 
-def greedy_upper_bound(
-    g: Graph, oracle: DistanceOracle | None = None
-) -> tuple[int, Coloring]:
+def greedy_upper_bound(g: Graph) -> tuple[int, Coloring]:
     """First-fit over the solver's vertex order; the result always validates.
 
     A fresh color is always safe (its class is a singleton and a vertex never
@@ -275,11 +236,10 @@ def greedy_upper_bound(
     coloring.
     """
     require_connected_graph(g)
-    o = oracle if oracle is not None else all_pairs_distances(g)
     n = g.n
     if n == 0:
         return 0, Coloring((), 0)
-    pv = _PairVisibility(g, o)
+    pv = _PairVisibility(g)
     colors = [-1] * n
     color_masks: list[int] = []
     color_members: list[list[int]] = []
@@ -304,18 +264,13 @@ def greedy_upper_bound(
     return coloring.k, coloring
 
 
-def chi_mu_exact(
-    g: Graph,
-    budget: Budget | None = None,
-    oracle: DistanceOracle | None = None,
-) -> tuple[int, Coloring]:
+def chi_mu_exact(g: Graph, budget: Budget | None = None) -> tuple[int, Coloring]:
     """Smallest k with a feasible mutual-visibility coloring, swept upward.
 
     Raises BudgetExhaustedError with the best known bounds [lo, hi] when the
     budget runs out before the sweep settles.
     """
-    o = oracle if oracle is not None else all_pairs_distances(g)
-    ub, greedy_coloring = greedy_upper_bound(g, o)
+    ub, greedy_coloring = greedy_upper_bound(g)
     tracker = _BudgetTracker(budget)
     for k in range(1, ub):
         remaining = None
@@ -332,7 +287,7 @@ def chi_mu_exact(
                     else None
                 ),
             )
-        outcome = mv_k_colorable(g, k, budget=remaining, oracle=o)
+        outcome = mv_k_colorable(g, k, budget=remaining)
         tracker.nodes += outcome.nodes_explored
         if outcome.status is Status.FEASIBLE:
             return k, outcome.coloring

@@ -302,8 +302,7 @@ def test_acceptance_10_reduction_equivalence():
         f = make_formula(3, clauses)
         assignment = nae_satisfiable(f)
         rg = build_reduction(f)
-        o = all_pairs_distances(rg.graph)
-        outcome = mv_k_colorable(rg.graph, 2, oracle=o)
+        outcome = mv_k_colorable(rg.graph, 2)
         if (assignment is not None) != (outcome.status is Status.FEASIBLE):
             mismatches += 1
         if assignment is not None:

@@ -303,3 +303,24 @@ def test_version_flag(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.strip()
+
+
+def test_no_command_builds_all_pairs_distances(tmp_path, capsys, monkeypatch):
+    def no_apsp(*args, **kwargs):
+        raise AssertionError("dense all-pairs distances were built")
+
+    monkeypatch.setattr("mvchroma.graph.shortest_path", no_apsp)
+    gpath = tmp_path / "g.col"
+    gpath.write_text(write_graph(build_glued_tree(2, 2).graph))
+    cpath = tmp_path / "c.sol"
+    fpath = write_formula(tmp_path, SAT_1)
+    code, out, _ = run(capsys, "solve", "--graph", str(gpath), "--out", str(cpath))
+    assert (code, out.strip()) == (0, "CHI 3")
+    code, out, _ = run(capsys, "solve", "--graph", str(gpath), "--k", "2")
+    assert (code, out.strip()) == (3, "INFEASIBLE")
+    code, _, _ = run(capsys, "reduce-verify", "--formula", fpath)
+    assert code == 0
+    code, _, _ = run(capsys, "theorem", "--r", "2", "--t", "2", "--exact", "--gp")
+    assert code == 0
+    code, _, _ = run(capsys, "validate", "--graph", str(gpath), "--coloring", str(cpath))
+    assert code == 0

@@ -23,6 +23,7 @@ from mvchroma import (
     is_mv_set,
     mv_k_colorable,
 )
+from mvchroma.solver import _PairVisibility
 
 
 @st.composite
@@ -56,6 +57,23 @@ def test_pair_visibility_matches_enumeration(g, seed):
                 g, o, u, v, lambda w: w in blocked and w not in (u, v)
             )
             assert got == expected
+
+
+@given(connected_graphs(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_solver_pair_test_matches_enumeration(g, seed):
+    rng = random.Random(seed)
+    blocked = {v for v in range(g.n) if rng.random() < 0.4}
+    # the solver's mask holds the whole class, endpoints included
+    mask = sum(1 << v for v in blocked)
+    pv = _PairVisibility(g)
+    for x in range(g.n):
+        paths = {y: enumerate_shortest_paths(g, x, y) for y in range(g.n)}
+        for y in range(g.n):
+            assert pv.visible(x, y, mask) == brute_pair_visible(g, x, y, blocked - {x, y})
+        for v in range(g.n):
+            expected = sum(1 << y for y in range(g.n) if any(v in p for p in paths[y]))
+            assert pv.through(x, v) == expected
 
 
 @given(connected_graphs(max_n=8), st.integers(min_value=0, max_value=2**32 - 1))
