@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass
 
 from mvchroma import Budget, chi_mu_formula, glued_tree_order, verify_theorem
-from mvchroma.errors import BudgetExhaustedError
 
 
 @dataclass
@@ -70,13 +69,9 @@ def main() -> int:
             rows.append({"r": r, "t": t, "gap": True, "candidates": list(formula.candidates)})
             continue
         budget = None if cfg.budget_secs is None else Budget(max_seconds=cfg.budget_secs)
-        bounds = None
-        try:
-            report = verify_theorem(r, t, exact=cfg.exact, gp=cfg.gp, budget=budget)
-        except BudgetExhaustedError as e:
-            bounds = [e.lo, e.hi]
-            report = verify_theorem(r, t, gp=cfg.gp)
-        agree = report.agree and (bounds is None or bounds[0] <= formula.value <= bounds[1])
+        report = verify_theorem(r, t, exact=cfg.exact, gp=cfg.gp, budget=budget)
+        bounds = None if report.bounds is None else list(report.bounds)
+        agree = report.agree
         mark = "ok" if agree else "MISMATCH"
         if not agree:
             failures += 1

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import GapInputError, MvChromaError
+from .errors import BudgetExhaustedError, GapInputError, MvChromaError
 from .formats import (
     read_coloring,
     read_graph,
@@ -106,8 +106,14 @@ def cmd_theorem(args) -> int:
         "gp_valid": report.gp_valid,
         "exact": report.exact,
     }
+    code = EXIT_OK if report.agree else EXIT_NEGATIVE
+    if report.bounds is not None:
+        lo, hi = report.bounds
+        payload.update(status="budget", bounds=[lo, hi])
+        print(f"BUDGET bounds [{lo}, {hi}]", file=sys.stderr)
+        code = EXIT_BUDGET
     _write(args.json, _json_report(payload, args))
-    return EXIT_OK if report.agree else EXIT_NEGATIVE
+    return code
 
 
 def cmd_validate(args) -> int:
@@ -155,11 +161,9 @@ def cmd_solve(args) -> int:
         return EXIT_BUDGET
     try:
         k, coloring = chi_mu_exact(g, budget=budget)
-    except MvChromaError as e:
-        if hasattr(e, "lo"):
-            print(f"BUDGET bounds [{e.lo}, {e.hi}]")
-            return EXIT_BUDGET
-        raise
+    except BudgetExhaustedError as e:
+        print(f"BUDGET bounds [{e.lo}, {e.hi}]")
+        return EXIT_BUDGET
     print(f"CHI {k}")
     if args.out:
         _write(args.out, write_coloring(coloring))
@@ -305,9 +309,6 @@ def main(argv=None) -> int:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE
     except (MvChromaError, OSError) as e:
-        if hasattr(e, "lo"):
-            print(f"BUDGET bounds [{e.lo}, {e.hi}]", file=sys.stderr)
-            return EXIT_BUDGET
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

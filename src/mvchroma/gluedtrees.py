@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (
+    BudgetExhaustedError,
     GapInputError,
     InvalidParamsError,
     InvalidQuasiLeafError,
@@ -310,12 +311,16 @@ class TheoremReport:
     mv_valid: bool
     gp_valid: bool | None
     exact: int | None
+    # [lo, hi] from the exact solver when its budget ran out (exact is None)
+    bounds: tuple[int, int] | None = None
 
     @property
     def agree(self) -> bool:
         ok = self.mv_valid and self.construction_colors == self.formula.value
         if self.exact is not None:
             ok = ok and self.exact == self.formula.value
+        if self.bounds is not None:
+            ok = ok and self.bounds[0] <= self.formula.value <= self.bounds[1]
         return ok
 
 
@@ -326,7 +331,11 @@ def verify_theorem(
     gp: bool = False,
     budget=None,
 ) -> TheoremReport:
-    """Build GT(r, t), run the constructive coloring, validate, compare counts."""
+    """Build GT(r, t), run the constructive coloring, validate, compare counts.
+
+    When the exact solver's budget runs out, ``exact`` stays None and
+    ``bounds`` holds its [lo, hi].
+    """
     from .solver import chi_mu_exact
     from .visibility import validate_gp_coloring
 
@@ -343,8 +352,12 @@ def verify_theorem(
     if gp:
         gp_valid = validate_gp_coloring(tree.graph, coloring).valid
     exact_value = None
+    bounds = None
     if exact:
-        exact_value, _ = chi_mu_exact(tree.graph, budget=budget)
+        try:
+            exact_value, _ = chi_mu_exact(tree.graph, budget=budget)
+        except BudgetExhaustedError as e:
+            bounds = (e.lo, e.hi)
     return TheoremReport(
         r=r,
         t=t,
@@ -353,4 +366,5 @@ def verify_theorem(
         mv_valid=mv_valid,
         gp_valid=gp_valid,
         exact=exact_value,
+        bounds=bounds,
     )

@@ -14,6 +14,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import and_, or_
 
 from .errors import (
     BudgetExhaustedError,
@@ -71,7 +73,9 @@ class _PairVisibility:
     A row keeps the vertex's distances and its distance levels as bitmasks;
     the internal levels of the u-v geodesic DAG are then ``L_u[i] & L_v[d - i]``
     for i in 1..d-1, and the pair is visible under a color mask iff the walk
-    over those levels finds a geodesic that avoids the mask.
+    over those levels finds a geodesic that avoids the mask. Pairs at distance
+    <= 1 are always visible, and a pair at distance 2 needs one common
+    neighbour outside the mask, so only pairs at distance >= 3 walk.
     """
 
     def __init__(self, g: Graph):
@@ -91,21 +95,38 @@ class _PairVisibility:
     def through(self, x: int, v: int) -> int:
         """Bitmask of the vertices y with v on some shortest x-y path, that is
         with d(x, v) + d(v, y) == d(x, y)."""
-        dx, lx = self._row(x)
-        lv = self._row(v)[1]
-        shift = dx[v]
-        mask = 0
-        for j in range(min(len(lv), len(lx) - shift)):
-            mask |= lv[j] & lx[shift + j]
-        return mask
+        rows = self._rows
+        dx, lx = rows[x] or self._row(x)
+        lv = (rows[v] or self._row(v))[1]
+        return reduce(or_, map(and_, lv, lx[dx[v]:]))
 
-    def visible(self, u: int, v: int, color_mask: int) -> bool:
-        du, lu = self._row(u)
-        lv = self._row(v)[1]
-        d = du[v]
-        return geodesic_avoids(
-            self.g, [lu[i] & lv[d - i] for i in range(1, d)], color_mask
-        )
+    def sees(self, x: int, targets: int, blocked: int) -> bool:
+        """True iff x sees every vertex of the bitmask ``targets`` along a
+        geodesic with no vertex of ``blocked`` inside."""
+        dx, lx = self._row(x)
+        if len(lx) <= 2:
+            return True
+        nbr = self.g.neighbor_masks
+        ring = lx[1] & ~blocked
+        rest = targets & lx[2]
+        while rest:
+            low = rest & -rest
+            if not nbr[low.bit_length() - 1] & ring:
+                return False
+            rest ^= low
+        rest = targets & ~(lx[0] | lx[1] | lx[2])
+        rows = self._rows
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            lu = (rows[u] or self._row(u))[1]
+            d = dx[u]
+            if not geodesic_avoids(
+                self.g, [lu[i] & lx[d - i] for i in range(1, d)], blocked
+            ):
+                return False
+            rest ^= low
+        return True
 
 
 class _BudgetTracker:
@@ -120,8 +141,9 @@ class _BudgetTracker:
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             return True
-        if self.max_seconds is not None and self.nodes % 256 == 0:
-            if time.perf_counter() - self.start > self.max_seconds:
+        # the clock is read on the first node and every 256 after it
+        if self.max_seconds is not None and self.nodes & 255 == 1:
+            if time.perf_counter() - self.start >= self.max_seconds:
                 return True
         return False
 
@@ -137,20 +159,17 @@ def _check_assignment(
     color_mask: int,
 ) -> bool:
     """Partial-validity of the class after adding v, rechecking affected pairs."""
-    for u in members:
-        if u != v and not pv.visible(u, v, color_mask):
-            return False
+    if not pv.sees(v, color_mask, color_mask):
+        return False
     others = color_mask & ~(1 << v)
     for x in members:
-        if x == v:
-            continue
         # pairs (x, y) through v, each once: y above x
-        rest = pv.through(x, v) & (others >> (x + 1) << (x + 1))
-        while rest:
-            low = rest & -rest
-            if not pv.visible(x, low.bit_length() - 1, color_mask):
-                return False
-            rest ^= low
+        above = others >> (x + 1) << (x + 1)
+        if x == v or not above:
+            continue
+        rest = pv.through(x, v) & above
+        if rest and not pv.sees(x, rest, color_mask):
+            return False
     return True
 
 

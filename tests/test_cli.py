@@ -64,6 +64,23 @@ def test_theorem_agree(tmp_path, capsys):
     assert payload["mv_valid"] is True
     assert "tool_version" in payload
     assert payload["config"]["r"] == 2
+    assert "status" not in payload and "bounds" not in payload
+
+
+def test_theorem_budget_writes_report_exit_4(tmp_path, capsys):
+    jpath = tmp_path / "report.json"
+    code, _, err = run(
+        capsys, "theorem", "--r", "3", "--t", "2", "--exact",
+        "--budget-nodes", "1", "--json", str(jpath),
+    )
+    assert code == 4
+    assert "BUDGET bounds [1, 4]" in err
+    payload = json.loads(jpath.read_text())
+    assert payload["exact"] is None
+    assert payload["status"] == "budget"
+    assert payload["bounds"] == [1, 4]
+    assert payload["construction_colors"] == 4
+    assert payload["mv_valid"] is True
 
 
 def test_theorem_gap_exit_2(capsys):

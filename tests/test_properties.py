@@ -23,7 +23,7 @@ from mvchroma import (
     is_mv_set,
     mv_k_colorable,
 )
-from mvchroma.solver import _PairVisibility
+from mvchroma.solver import _PairVisibility, _check_assignment
 
 
 @st.composite
@@ -69,11 +69,36 @@ def test_solver_pair_test_matches_enumeration(g, seed):
     pv = _PairVisibility(g)
     for x in range(g.n):
         paths = {y: enumerate_shortest_paths(g, x, y) for y in range(g.n)}
+        seen = 0
         for y in range(g.n):
-            assert pv.visible(x, y, mask) == brute_pair_visible(g, x, y, blocked - {x, y})
+            visible = brute_pair_visible(g, x, y, blocked - {x, y})
+            assert pv.sees(x, 1 << y, mask) == visible
+            seen |= visible << y
+        targets = rng.getrandbits(g.n)
+        assert pv.sees(x, targets, mask) == (targets & ~seen == 0)
         for v in range(g.n):
             expected = sum(1 << y for y in range(g.n) if any(v in p for p in paths[y]))
             assert pv.through(x, v) == expected
+
+
+@given(connected_graphs(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_check_assignment_matches_enumeration(g, seed):
+    # the solver's class test: with S minus v already an MV set, adding v
+    # keeps S an MV set iff every pair of S still sees past S
+    rng = random.Random(seed)
+    order = list(range(g.n))
+    rng.shuffle(order)
+    v = order.pop()
+    base = []
+    for w in order:
+        if rng.random() < 0.6 and brute_is_mv_set(g, base + [w]):
+            base.append(w)
+    members = base + [v]
+    rng.shuffle(members)
+    mask = sum(1 << w for w in members)
+    expected = brute_is_mv_set(g, members)
+    assert _check_assignment(_PairVisibility(g), members, v, mask) == expected
 
 
 @given(connected_graphs(max_n=8), st.integers(min_value=0, max_value=2**32 - 1))

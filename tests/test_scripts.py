@@ -7,18 +7,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_theorem_sweep_reports_budget_bounds(tmp_path):
-    jpath = tmp_path / "sweep.json"
-    proc = subprocess.run(
-        [
-            sys.executable, str(ROOT / "scripts" / "theorem_sweep.py"),
-            "--max-n", "50", "--exact", "--budget-secs", "0.001", "--json", str(jpath),
-        ],
+def run_sweep(*argv):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "theorem_sweep.py"), *argv],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_theorem_sweep_reports_budget_bounds(tmp_path):
+    jpath = tmp_path / "sweep.json"
+    proc = run_sweep("--max-n", "50", "--exact", "--budget-secs", "0.001", "--json", str(jpath))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
     assert "budget [" in proc.stdout
@@ -29,3 +30,14 @@ def test_theorem_sweep_reports_budget_bounds(tmp_path):
         lo, hi = row["bounds"]
         assert row["exact"] is None
         assert row["agree"] == (lo <= row["formula"] <= hi)
+
+
+def test_theorem_sweep_zero_seconds_bounds_every_search(tmp_path):
+    # a zero time budget stops the solver on its first node, however small
+    # the search
+    jpath = tmp_path / "sweep.json"
+    proc = run_sweep("--max-n", "12", "--exact", "--budget-secs", "0", "--json", str(jpath))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = {(row["r"], row["t"]): row for row in json.loads(jpath.read_text())["rows"]}
+    assert rows[1, 2]["exact"] is None and rows[1, 2]["bounds"] == [1, 2]
+    assert rows[2, 2]["exact"] is None and rows[2, 2]["bounds"] == [1, 3]

@@ -1,10 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 
 from conftest import DEFAULT_SEED, brute_chi_mu, k2_pendant, random_connected_graph
 from mvchroma import (
     Budget,
+    Coloring,
     Status,
     build_glued_tree,
     build_reduction,
@@ -97,6 +99,13 @@ def test_node_budget_exhausts():
     assert outcome.nodes_explored <= 2
 
 
+def test_zero_second_budget_stops_on_first_node():
+    tree = build_glued_tree(2, 2)
+    outcome = mv_k_colorable(tree.graph, 2, Budget(max_seconds=0))
+    assert outcome.status is Status.BUDGET_EXHAUSTED
+    assert outcome.nodes_explored == 1
+
+
 def test_gt3_three_colors_infeasible():
     tree = build_glued_tree(3, 2)
     outcome = mv_k_colorable(tree.graph, 3, budget=Budget(max_seconds=900))
@@ -118,6 +127,12 @@ def test_greedy_upper_bound_high_degree_hubs(d):
     # see each other through d - 1 leaves of the other class: 128 from d = 129
     k, coloring = greedy_upper_bound(k2_pendant(d))
     assert (k, coloring.k) == (2, 2)
+
+
+@pytest.mark.parametrize("d", [127, 128, 129])
+def test_greedy_upper_bound_golden(d):
+    # recorded before the pair test moved onto the BFS level masks
+    assert greedy_upper_bound(k2_pendant(d)) == (2, Coloring((0, 0, 0) + (1,) * d, 2))
 
 
 def test_chi_mu_exact_c4():
@@ -207,3 +222,40 @@ def test_symmetry_breaking_node_counts_reasonable():
     outcome = mv_k_colorable(rg.graph, 2)
     assert outcome.status is Status.FEASIBLE
     assert outcome.nodes_explored < 50_000
+
+
+Q3_CLAUSES = [list(zip((1, 2, 3), pols)) for pols in product((False, True), repeat=3)]
+
+# (seed, node budget) -> (status, nodes_explored, colors), recorded before the
+# pair test moved onto the BFS level masks; a change to the pair test must
+# leave the search itself alone
+GOLDEN_SEARCHES = {
+    (0, 5000): ("budget", 5001, None),
+    (0, None): ("infeasible", 64921, None),
+    (4, 5000): ("feasible", 2470, (1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)),
+    (4, None): ("feasible", 2470, (1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)),
+    (5, 5000): ("budget", 5001, None),
+    (5, None): (
+        "feasible",
+        13887,
+        (1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1),
+    ),
+    (9, 5000): ("budget", 5001, None),
+    (9, None): (
+        "feasible",
+        7324,
+        (1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed, max_nodes", GOLDEN_SEARCHES)
+def test_reduction_search_golden(seed, max_nodes):
+    rng = random.Random(seed)
+    f = make_formula(3, rng.sample(Q3_CLAUSES, rng.randrange(1, 6)))
+    budget = None if max_nodes is None else Budget(max_nodes=max_nodes)
+    outcome = mv_k_colorable(build_reduction(f).graph, 2, budget)
+    colors = None if outcome.coloring is None else outcome.coloring.colors
+    assert (outcome.status.value, outcome.nodes_explored, colors) == GOLDEN_SEARCHES[
+        seed, max_nodes
+    ]
