@@ -8,6 +8,9 @@ Example:
 
 When the exact solver runs out of budget the row prints ``budget [lo, hi]``
 and counts as a mismatch only if the formula lies outside those bounds.
+With --gp, a row also counts as a mismatch when the construction's general
+position verdict differs from the expected one: valid except at the second
+regime's smallest depth (``at_second_regime_min``).
 """
 
 import argparse
@@ -16,7 +19,13 @@ import sys
 import time
 from dataclasses import dataclass
 
-from mvchroma import Budget, chi_mu_formula, glued_tree_order, verify_theorem
+from mvchroma import (
+    Budget,
+    at_second_regime_min,
+    chi_mu_formula,
+    glued_tree_order,
+    verify_theorem,
+)
 
 
 @dataclass
@@ -71,7 +80,8 @@ def main() -> int:
         budget = None if cfg.budget_secs is None else Budget(max_seconds=cfg.budget_secs)
         report = verify_theorem(r, t, exact=cfg.exact, gp=cfg.gp, budget=budget)
         bounds = None if report.bounds is None else list(report.bounds)
-        agree = report.agree
+        gp_expected = not at_second_regime_min(r, t) if cfg.gp else None
+        agree = report.agree and report.gp_valid == gp_expected
         mark = "ok" if agree else "MISMATCH"
         if not agree:
             failures += 1
@@ -97,6 +107,7 @@ def main() -> int:
                 "construction": report.construction_colors,
                 "mv_valid": report.mv_valid,
                 "gp_valid": report.gp_valid,
+                "gp_expected": gp_expected,
                 "exact": report.exact,
                 "bounds": bounds,
                 "agree": agree,

@@ -14,7 +14,6 @@ from .graph import (
     bfs_distances,
     diameter,
     geodesic_count,
-    geodesic_exists_avoiding,
     graph_from_edge_list,
     on_some_geodesic,
 )
@@ -47,6 +46,7 @@ from .gluedtrees import (
     LabeledGluedTree,
     QuasiLeaf,
     TheoremReport,
+    at_second_regime_min,
     build_glued_tree,
     chi_mu_formula,
     constructive_coloring,

@@ -200,10 +200,12 @@ def cmd_reduce_verify(args) -> int:
         "solver_nodes": report.solver_nodes,
         "solver_budget_exhausted": report.solver_budget_exhausted,
     }
-    _write(args.json, _json_report(payload, args))
+    code = EXIT_OK if report.agree else EXIT_NEGATIVE
     if report.solver_budget_exhausted:
-        return EXIT_BUDGET
-    return EXIT_OK if report.agree else EXIT_NEGATIVE
+        payload["status"] = "budget"
+        code = EXIT_BUDGET
+    _write(args.json, _json_report(payload, args))
+    return code
 
 
 def cmd_nae(args) -> int:

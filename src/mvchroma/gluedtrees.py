@@ -21,7 +21,7 @@ from .errors import (
     InvalidQuasiLeafError,
     SizeCapExceededError,
 )
-from .graph import DistanceOracle, Graph, graph_from_edge_list
+from .graph import Graph, graph_from_edge_list
 from .visibility import Coloring, validate_mv_coloring
 
 DEFAULT_SIZE_CAP = 200_000
@@ -161,9 +161,7 @@ def _ancestor_positions(a: int, r: int, t: int) -> list[int]:
     return positions
 
 
-def cycle_vertices(
-    tree: LabeledGluedTree, o: DistanceOracle, a: int, b: int
-) -> CycleDecomposition:
+def cycle_vertices(tree: LabeledGluedTree, a: int, b: int) -> CycleDecomposition:
     """The two tree-side geodesics between quasi-leaves a and b, via LCA walks."""
     r, t = tree.r, tree.t
     q = t**r
@@ -185,10 +183,7 @@ def cycle_vertices(
         path.append(tree.quasi(b))
         return tuple(path)
 
-    dec = CycleDecomposition(a=a, b=b, p_side1=side_path(1), p_side2=side_path(2))
-    dist = o.require_connected(tree.quasi(a), tree.quasi(b))
-    assert len(dec.p_side1) == len(dec.p_side2) == dist + 1
-    return dec
+    return CycleDecomposition(a=a, b=b, p_side1=side_path(1), p_side2=side_path(2))
 
 
 def chi_mu_formula(r: int, t: int) -> FormulaResult:
@@ -219,6 +214,26 @@ def chi_mu_formula(r: int, t: int) -> FormulaResult:
     return FormulaResult(
         i=i, value=None, gap=True, candidates=(2 * (r - i) + 2, 2 * (r - i) + 3)
     )
+
+
+def at_second_regime_min(r: int, t: int) -> bool:
+    """True iff r is the smallest depth of the second value regime for arity
+    t, with r >= 2 and no gap.
+
+    There the constructive coloring gives one side-1 internal vertex the
+    quasi-leaf color, and it lies inside the side-1 geodesic between two
+    quasi-leaves below it, so the construction is not in general position.
+    On every other non-gap tree up to n = 2000 it is
+    (``scripts/theorem_sweep.py --gp``).
+    """
+    formula = chi_mu_formula(r, t)
+    if r == 1 or formula.gap:
+        return False
+    i = formula.i
+    a_i = _internal_per_side(i - 1, t)
+    # second regime: r >= B + i - 1, with 2B = 2 A_i + t^(i-1)
+    b2 = 2 * a_i + t ** (i - 1)
+    return formula.value == 2 * (r - i) + 2 and r == (b2 + 1) // 2 + i - 1
 
 
 def _side1_sequence(tree: LabeledGluedTree, count: int) -> list[int]:
@@ -270,8 +285,6 @@ def constructive_coloring(tree: LabeledGluedTree) -> Coloring:
     a_i = _internal_per_side(i - 1, t)
     first_regime = formula.value == 2 * (r - i) + 3
     at_first_min = first_regime and r == a_i + i - 1
-    b2 = 2 * a_i + t ** (i - 1)
-    at_second_min = (not first_regime) and r == (b2 + 1) // 2 + i - 1
     big_k = r - i + 1 if at_first_min else r - i
 
     colors = [-1] * n
@@ -293,7 +306,7 @@ def constructive_coloring(tree: LabeledGluedTree) -> Coloring:
             if colors[v] == -1:
                 second = first_regime and tree.coord_of[v].side == 2
                 colors[v] = 2 * (r - i) + (2 if second else 1)
-        if at_second_min:
+        if at_second_regime_min(r, t):
             # the one side-1 vertex recolored back to the quasi-leaf color
             colors[tree.internal(1, i, r - i - a_i + 1)] = 0
     assert all(c != -1 for c in colors)

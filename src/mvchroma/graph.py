@@ -1,18 +1,17 @@
 """Immutable simple undirected graphs, BFS distances and geodesic primitives.
 
-Vertex ids are dense 0-based integers. Distances are stored as a dense
-matrix with -1 marking unreachable pairs.
+Vertex ids are dense 0-based integers. Distances come from one BFS row per
+source vertex, built on first use, with -1 marking unreachable vertices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import chain
+from operator import and_, or_
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import (
     DisconnectedGraphError,
@@ -63,33 +62,6 @@ class Graph:
         """Adjacency as Python-int bitmasks: bit w of ``neighbor_masks[v]``
         is set iff w is a neighbour of v."""
         return tuple(sum(1 << w for w in a) for a in self.adjacency)
-
-    def sparse_adjacency(self) -> csr_matrix:
-        """0/1 adjacency matrix in float64, the dtype scipy's csgraph
-        routines convert their input to."""
-        indptr, indices = self.csr
-        data = np.ones(len(indices))
-        return csr_matrix((data, indices, indptr), shape=(self.n, self.n))
-
-
-@dataclass(frozen=True)
-class DistanceOracle:
-    """All-pairs hop distances; dist[u, v] == -1 when unreachable."""
-
-    dist: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.dist.shape[0]
-
-    def d(self, u: int, v: int) -> int:
-        return int(self.dist[u, v])
-
-    def require_connected(self, u: int, v: int) -> int:
-        d = int(self.dist[u, v])
-        if d == UNREACHABLE:
-            raise UnreachablePairError(f"vertices {u} and {v} are not connected")
-        return d
 
 
 def _check_vertex(v: int, n: int) -> None:
@@ -149,63 +121,6 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
-def all_pairs_distances(g: Graph) -> DistanceOracle:
-    """Dense all-pairs BFS distance matrix."""
-    if g.n == 0:
-        return DistanceOracle(dist=np.zeros((0, 0), dtype=np.int32))
-    if g.m == 0:
-        dist = np.full((g.n, g.n), UNREACHABLE, dtype=np.int32)
-        np.fill_diagonal(dist, 0)
-        return DistanceOracle(dist=dist)
-    d = shortest_path(g.sparse_adjacency(), method="auto", unweighted=True)
-    dist = np.where(np.isinf(d), UNREACHABLE, d).astype(np.int32)
-    dist.setflags(write=False)
-    return DistanceOracle(dist=dist)
-
-
-def diameter(g: Graph, o: DistanceOracle | None = None) -> int:
-    """Max hop distance; raises on disconnected input."""
-    if g.n == 0:
-        raise DisconnectedGraphError("empty graph has no diameter")
-    require_connected_graph(g)
-    if o is None:
-        o = all_pairs_distances(g)
-    return int(o.dist.max())
-
-
-def on_some_geodesic(o: DistanceOracle, u: int, w: int, v: int) -> bool:
-    """True iff w lies on some shortest u-v path."""
-    for x in (u, w, v):
-        _check_vertex(x, o.n)
-    duv = o.require_connected(u, v)
-    duw = o.d(u, w)
-    dwv = o.d(w, v)
-    if duw == UNREACHABLE or dwv == UNREACHABLE:
-        return False
-    return duw + dwv == duv
-
-
-def geodesic_count(g: Graph, o: DistanceOracle, u: int, v: int) -> int:
-    """Number of shortest u-v paths (exact, arbitrary precision)."""
-    _check_vertex(u, g.n)
-    _check_vertex(v, g.n)
-    duv = o.require_connected(u, v)
-    if u == v:
-        return 1
-    # vertices on the u-v shortest-path DAG, processed by distance from u
-    du = o.dist[u]
-    dv = o.dist[v]
-    on_dag = [w for w in range(g.n) if du[w] != UNREACHABLE and du[w] + dv[w] == duv]
-    on_dag.sort(key=lambda w: int(du[w]))
-    count: dict[int, int] = {u: 1}
-    for w in on_dag:
-        if w == u:
-            continue
-        dw = int(du[w])
-        count[w] = sum(
-            count.get(x, 0) for x in g.adjacency[w] if int(du[x]) == dw - 1 and x in count
-        )
-    return count.get(v, 0)
 
 
 def geodesic_avoids(g: Graph, layers: list[int], blocked: int) -> bool:
@@ -236,20 +151,123 @@ def geodesic_avoids(g: Graph, layers: list[int], blocked: int) -> bool:
     return reach != 0
 
 
-def geodesic_exists_avoiding(g: Graph, o: DistanceOracle, u: int, v: int, blocked) -> bool:
-    """True iff some shortest u-v path has no internal vertex w with blocked(w).
+class DistanceOracle:
+    """Hop distances from one BFS row per vertex, built on first use.
 
-    Endpoints are always admitted. ``blocked`` is a predicate over vertex ids.
+    A row keeps the vertex's distances and its distance levels as bitmasks;
+    unreachable vertices lie in no level. The internal levels of the u-v
+    geodesic DAG are then ``L_u[i] & L_v[d - i]`` for i in 1..d-1, and u sees
+    v past a bitmask iff the walk over those levels finds a geodesic that
+    avoids it. Pairs at distance <= 1 always see each other, and a pair at
+    distance 2 needs one common neighbour outside the mask, so only pairs at
+    distance >= 3 walk.
+
+    ``through`` and ``sees`` answer for connected pairs only; the callers
+    check connectivity first.
     """
-    _check_vertex(u, g.n)
-    _check_vertex(v, g.n)
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self._rows: list[tuple[list[int], list[int]] | None] = [None] * g.n
+
+    def _row(self, u: int) -> tuple[list[int], list[int]]:
+        row = self._rows[u]
+        if row is None:
+            dist = bfs_distances(self.g, u)
+            # a spare last level takes the unreachable vertices (index -1)
+            levels = [0] * (max(dist) + 2)
+            for w, d in enumerate(dist):
+                levels[d] |= 1 << w
+            levels.pop()
+            row = self._rows[u] = (dist, levels)
+        return row
+
+    def d(self, u: int, v: int) -> int:
+        _check_vertex(u, self.g.n)
+        _check_vertex(v, self.g.n)
+        return self._row(u)[0][v]
+
+    def require_connected(self, u: int, v: int) -> int:
+        d = self.d(u, v)
+        if d == UNREACHABLE:
+            raise UnreachablePairError(f"vertices {u} and {v} are not connected")
+        return d
+
+    def through(self, x: int, v: int) -> int:
+        """Bitmask of the vertices y with v on some shortest x-y path, that is
+        with d(x, v) + d(v, y) == d(x, y)."""
+        rows = self._rows
+        dx, lx = rows[x] or self._row(x)
+        lv = (rows[v] or self._row(v))[1]
+        return reduce(or_, map(and_, lv, lx[dx[v]:]))
+
+    def sees(self, x: int, targets: int, blocked: int) -> bool:
+        """True iff x sees every vertex of the bitmask ``targets`` along a
+        geodesic with no vertex of ``blocked`` inside."""
+        dx, lx = self._row(x)
+        if len(lx) <= 2:
+            return True
+        nbr = self.g.neighbor_masks
+        ring = lx[1] & ~blocked
+        rest = targets & lx[2]
+        while rest:
+            low = rest & -rest
+            if not nbr[low.bit_length() - 1] & ring:
+                return False
+            rest ^= low
+        rest = targets & ~(lx[0] | lx[1] | lx[2])
+        rows = self._rows
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            lu = (rows[u] or self._row(u))[1]
+            d = dx[u]
+            if not geodesic_avoids(
+                self.g, [lu[i] & lx[d - i] for i in range(1, d)], blocked
+            ):
+                return False
+            rest ^= low
+        return True
+
+
+def all_pairs_distances(g: Graph) -> DistanceOracle:
+    """The distance oracle of g; its rows are built as they are asked for.
+
+    The name is older than the lazy oracle: ``perfbench`` calls and traces
+    this function under it.
+    """
+    return DistanceOracle(g)
+
+
+def diameter(g: Graph) -> int:
+    """Max hop distance; raises on disconnected input."""
+    if g.n == 0:
+        raise DisconnectedGraphError("empty graph has no diameter")
+    require_connected_graph(g)
+    return max(max(bfs_distances(g, s)) for s in range(g.n))
+
+
+def on_some_geodesic(o: DistanceOracle, u: int, w: int, v: int) -> bool:
+    """True iff w lies on some shortest u-v path."""
     duv = o.require_connected(u, v)
-    du = o.dist[u]
-    internal = np.flatnonzero((du > 0) & (du < duv) & (du + o.dist[v] == duv))
-    layers = [0] * max(duv - 1, 0)
-    blocked_mask = 0
-    for w, dw in zip(internal.tolist(), du[internal].tolist()):
-        layers[dw - 1] |= 1 << w
-        if blocked(w):
-            blocked_mask |= 1 << w
-    return geodesic_avoids(g, layers, blocked_mask)
+    # w unreachable from u and v sums to -2, never a distance
+    return o.d(u, w) + o.d(v, w) == duv
+
+
+def geodesic_count(g: Graph, o: DistanceOracle, u: int, v: int) -> int:
+    """Number of shortest u-v paths (exact, arbitrary precision)."""
+    duv = o.require_connected(u, v)
+    lu = o._row(u)[1]
+    lv = o._row(v)[1]
+    # paths from u to each vertex of one level of the u-v geodesic DAG
+    count = {u: 1}
+    for i in range(1, duv + 1):
+        layer = lu[i] & lv[duv - i]
+        nxt = {}
+        while layer:
+            low = layer & -layer
+            w = low.bit_length() - 1
+            nxt[w] = sum(count.get(x, 0) for x in g.adjacency[w])
+            layer ^= low
+        count = nxt
+    return count[v]

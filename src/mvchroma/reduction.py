@@ -330,7 +330,8 @@ class ReductionReport:
     trivially_unsat: bool
     nae_satisfiable: bool | None
     mv_two_colorable: bool | None
-    agree: bool
+    # None when the solver's budget ran out before it decided
+    agree: bool | None
     forward_coloring_validates: bool | None
     solver_nodes: int
     solver_budget_exhausted: bool
@@ -358,7 +359,7 @@ def verify_reduction(f: NaeFormula, budget: Budget | None = None) -> ReductionRe
             trivially_unsat=False,
             nae_satisfiable=assignment is not None,
             mv_two_colorable=None,
-            agree=False,
+            agree=None,
             forward_coloring_validates=None,
             solver_nodes=search.nodes_explored,
             solver_budget_exhausted=True,

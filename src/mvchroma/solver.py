@@ -14,20 +14,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from operator import and_, or_
 
 from .errors import (
     BudgetExhaustedError,
     InvalidParamsError,
     TooManyVariablesError,
 )
-from .graph import (
-    Graph,
-    bfs_distances,
-    geodesic_avoids,
-    require_connected_graph,
-)
+from .graph import DistanceOracle, Graph, require_connected_graph
 from .visibility import Coloring, validate_mv_coloring
 
 
@@ -67,68 +60,6 @@ def solver_vertex_order(g: Graph) -> list[int]:
     return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
 
 
-class _PairVisibility:
-    """The solver's pair test, from one BFS row per vertex built on first use.
-
-    A row keeps the vertex's distances and its distance levels as bitmasks;
-    the internal levels of the u-v geodesic DAG are then ``L_u[i] & L_v[d - i]``
-    for i in 1..d-1, and the pair is visible under a color mask iff the walk
-    over those levels finds a geodesic that avoids the mask. Pairs at distance
-    <= 1 are always visible, and a pair at distance 2 needs one common
-    neighbour outside the mask, so only pairs at distance >= 3 walk.
-    """
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self._rows: list[tuple[list[int], list[int]] | None] = [None] * g.n
-
-    def _row(self, u: int) -> tuple[list[int], list[int]]:
-        row = self._rows[u]
-        if row is None:
-            dist = bfs_distances(self.g, u)
-            levels = [0] * (max(dist) + 1)
-            for w, d in enumerate(dist):
-                levels[d] |= 1 << w
-            row = self._rows[u] = (dist, levels)
-        return row
-
-    def through(self, x: int, v: int) -> int:
-        """Bitmask of the vertices y with v on some shortest x-y path, that is
-        with d(x, v) + d(v, y) == d(x, y)."""
-        rows = self._rows
-        dx, lx = rows[x] or self._row(x)
-        lv = (rows[v] or self._row(v))[1]
-        return reduce(or_, map(and_, lv, lx[dx[v]:]))
-
-    def sees(self, x: int, targets: int, blocked: int) -> bool:
-        """True iff x sees every vertex of the bitmask ``targets`` along a
-        geodesic with no vertex of ``blocked`` inside."""
-        dx, lx = self._row(x)
-        if len(lx) <= 2:
-            return True
-        nbr = self.g.neighbor_masks
-        ring = lx[1] & ~blocked
-        rest = targets & lx[2]
-        while rest:
-            low = rest & -rest
-            if not nbr[low.bit_length() - 1] & ring:
-                return False
-            rest ^= low
-        rest = targets & ~(lx[0] | lx[1] | lx[2])
-        rows = self._rows
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            lu = (rows[u] or self._row(u))[1]
-            d = dx[u]
-            if not geodesic_avoids(
-                self.g, [lu[i] & lx[d - i] for i in range(1, d)], blocked
-            ):
-                return False
-            rest ^= low
-        return True
-
-
 class _BudgetTracker:
     def __init__(self, budget: Budget | None):
         self.max_nodes = budget.max_nodes if budget else None
@@ -153,13 +84,13 @@ class _BudgetTracker:
 
 
 def _check_assignment(
-    pv: _PairVisibility,
+    o: DistanceOracle,
     members: list[int],
     v: int,
     color_mask: int,
 ) -> bool:
     """Partial-validity of the class after adding v, rechecking affected pairs."""
-    if not pv.sees(v, color_mask, color_mask):
+    if not o.sees(v, color_mask, color_mask):
         return False
     others = color_mask & ~(1 << v)
     for x in members:
@@ -167,8 +98,8 @@ def _check_assignment(
         above = others >> (x + 1) << (x + 1)
         if x == v or not above:
             continue
-        rest = pv.through(x, v) & above
-        if rest and not pv.sees(x, rest, color_mask):
+        rest = o.through(x, v) & above
+        if rest and not o.sees(x, rest, color_mask):
             return False
     return True
 
@@ -184,7 +115,7 @@ def mv_k_colorable(
     require_connected_graph(g)
     n = g.n
     order = solver_vertex_order(g)
-    pv = _PairVisibility(g)
+    o = DistanceOracle(g)
     tracker = _BudgetTracker(budget)
 
     colors = [-1] * n
@@ -221,7 +152,7 @@ def mv_k_colorable(
                     Status.BUDGET_EXHAUSTED, None, tracker.nodes, tracker.elapsed
                 )
             _assign(v, c)
-            ok = _check_assignment(pv, color_members[c], v, color_masks[c])
+            ok = _check_assignment(o, color_members[c], v, color_masks[c])
             if ok and depth == n - 1:
                 candidate = Coloring(tuple(colors), max(colors) + 1)
                 if validate_mv_coloring(g, candidate).valid:
@@ -258,7 +189,7 @@ def greedy_upper_bound(g: Graph) -> tuple[int, Coloring]:
     n = g.n
     if n == 0:
         return 0, Coloring((), 0)
-    pv = _PairVisibility(g)
+    o = DistanceOracle(g)
     colors = [-1] * n
     color_masks: list[int] = []
     color_members: list[list[int]] = []
@@ -267,7 +198,7 @@ def greedy_upper_bound(g: Graph) -> tuple[int, Coloring]:
         for c in range(len(color_members)):
             mask = color_masks[c] | (1 << v)
             color_members[c].append(v)
-            if _check_assignment(pv, color_members[c], v, mask):
+            if _check_assignment(o, color_members[c], v, mask):
                 colors[v] = c
                 color_masks[c] = mask
                 placed = True

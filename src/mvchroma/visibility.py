@@ -7,12 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ColoringNotTotalError, OutOfRangeVertexError
-from .graph import (
-    DistanceOracle,
-    Graph,
-    geodesic_exists_avoiding,
-    require_connected_graph,
-)
+from .graph import DistanceOracle, Graph, require_connected_graph
 
 
 @dataclass(frozen=True)
@@ -214,6 +209,10 @@ def cycle_class_intersection(s, cycle) -> int:
 
 
 def pair_visible(g: Graph, o: DistanceOracle, u: int, v: int, same_class) -> bool:
-    """Single-pair view of the class check, for cross-validation in tests."""
-    blocked = set(same_class) - {u, v}
-    return geodesic_exists_avoiding(g, o, u, v, lambda w: w in blocked)
+    """Single-pair view of the class check, for cross-validation in tests:
+    True iff some shortest u-v path has no vertex of ``same_class`` inside.
+
+    ``o`` is g's distance oracle; u and v must be connected.
+    """
+    o.require_connected(u, v)
+    return o.sees(u, 1 << v, sum(1 << w for w in set(same_class)))

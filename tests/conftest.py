@@ -7,7 +7,6 @@ from itertools import combinations, product
 
 from mvchroma import (
     Coloring,
-    DistanceOracle,
     Graph,
     graph_from_edge_list,
 )

@@ -173,12 +173,11 @@ def test_acceptance_06_cycle_lemma():
             if chi_mu_formula(r, t).gap:
                 continue
             tree = build_glued_tree(r, t)
-            o = all_pairs_distances(tree.graph)
             coloring = constructive_coloring(tree)
             classes = [frozenset(members) for members in coloring.color_classes()]
             q = t**r
             for a, b in combinations(range(1, q + 1), 2):
-                cyc = cycle_vertices(tree, o, a, b).all_vertices
+                cyc = cycle_vertices(tree, a, b).all_vertices
                 for members in classes:
                     checked += 1
                     if cycle_class_intersection(members, cyc) > 3:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,7 @@ def write_formula(tmp_path, text, name="f.nae"):
 SAT_1 = "p nae3 3 1\n1 2 3 0\n"
 UNSAT_4 = "p nae3 3 4\n1 2 3 0\n1 -2 -3 0\n-1 2 -3 0\n-1 -2 3 0\n"
 TRIVIAL = "p nae3 1 1\n1 1 1 0\n"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_gen_tree_stdout(capsys):
@@ -245,7 +250,23 @@ def test_reduce_verify_sat(tmp_path, capsys):
     assert payload["agree"] is True
     assert payload["nae_satisfiable"] is True
     assert payload["mv_two_colorable"] is True
+    assert "status" not in payload
     assert payload["forward_coloring_validates"] is True
+
+
+def test_reduce_verify_budget_is_undecided(tmp_path, capsys):
+    fpath = write_formula(tmp_path, SAT_1)
+    jpath = tmp_path / "r.json"
+    code, _, _ = run(
+        capsys, "reduce-verify", "--formula", fpath, "--budget-nodes", "1",
+        "--json", str(jpath),
+    )
+    assert code == 4
+    payload = json.loads(jpath.read_text())
+    assert payload["status"] == "budget"
+    assert payload["agree"] is None
+    assert payload["mv_two_colorable"] is None
+    assert payload["solver_budget_exhausted"] is True
 
 
 def test_reduce_verify_unsat_agrees(tmp_path, capsys):
@@ -322,22 +343,37 @@ def test_version_flag(capsys):
     assert out.strip()
 
 
-def test_no_command_builds_all_pairs_distances(tmp_path, capsys, monkeypatch):
-    def no_apsp(*args, **kwargs):
-        raise AssertionError("dense all-pairs distances were built")
-
-    monkeypatch.setattr("mvchroma.graph.shortest_path", no_apsp)
+def test_no_command_imports_scipy(tmp_path):
+    # a fresh interpreter, so that no other test's imports are counted
     gpath = tmp_path / "g.col"
     gpath.write_text(write_graph(build_glued_tree(2, 2).graph))
     cpath = tmp_path / "c.sol"
     fpath = write_formula(tmp_path, SAT_1)
-    code, out, _ = run(capsys, "solve", "--graph", str(gpath), "--out", str(cpath))
-    assert (code, out.strip()) == (0, "CHI 3")
-    code, out, _ = run(capsys, "solve", "--graph", str(gpath), "--k", "2")
-    assert (code, out.strip()) == (3, "INFEASIBLE")
-    code, _, _ = run(capsys, "reduce-verify", "--formula", fpath)
-    assert code == 0
-    code, _, _ = run(capsys, "theorem", "--r", "2", "--t", "2", "--exact", "--gp")
-    assert code == 0
-    code, _, _ = run(capsys, "validate", "--graph", str(gpath), "--coloring", str(cpath))
-    assert code == 0
+    jpath = str(tmp_path / "r.json")
+    runs = [
+        ["solve", "--graph", str(gpath), "--out", str(cpath)],
+        ["solve", "--graph", str(gpath), "--k", "2"],
+        ["reduce-verify", "--formula", fpath, "--json", jpath],
+        ["theorem", "--r", "2", "--t", "2", "--exact", "--gp", "--json", jpath],
+        ["validate", "--graph", str(gpath), "--coloring", str(cpath), "--json", jpath],
+    ]
+    script = (
+        "import json, sys\n"
+        "from mvchroma.cli import main\n"
+        f"codes = [main(argv) for argv in {runs!r}]\n"
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([codes, scipy]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["CHI 3", "INFEASIBLE"]
+    codes, scipy = json.loads(lines[-1])
+    assert codes == [0, 3, 0, 0, 0]
+    assert scipy == []

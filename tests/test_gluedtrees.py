@@ -78,8 +78,7 @@ def test_diameter_is_2r():
 
 def test_cycle_vertices_adjacent_leaves():
     tree = build_glued_tree(2, 2)
-    o = all_pairs_distances(tree.graph)
-    dec = cycle_vertices(tree, o, 1, 2)
+    dec = cycle_vertices(tree, 1, 2)
     # siblings: geodesics go through the level-2 parents only
     assert dec.p_side1 == (tree.quasi(1), tree.internal(1, 2, 1), tree.quasi(2))
     assert dec.p_side2 == (tree.quasi(1), tree.internal(2, 2, 1), tree.quasi(2))
@@ -88,8 +87,7 @@ def test_cycle_vertices_adjacent_leaves():
 
 def test_cycle_vertices_far_leaves():
     tree = build_glued_tree(2, 2)
-    o = all_pairs_distances(tree.graph)
-    dec = cycle_vertices(tree, o, 1, 4)
+    dec = cycle_vertices(tree, 1, 4)
     assert dec.p_side1 == (
         tree.quasi(1),
         tree.internal(1, 2, 1),
@@ -107,22 +105,21 @@ def test_cycle_paths_are_geodesics():
     g = tree.graph
     for a in range(1, 9):
         for b in range(a + 1, 9):
-            dec = cycle_vertices(tree, o, a, b)
+            dec = cycle_vertices(tree, a, b)
             for path in (dec.p_side1, dec.p_side2):
-                assert len(path) - 1 == o.dist[tree.quasi(a), tree.quasi(b)]
+                assert len(path) - 1 == o.d(tree.quasi(a), tree.quasi(b))
                 for u, v in zip(path, path[1:]):
                     assert g.has_edge(u, v)
 
 
 def test_cycle_vertices_bad_indices():
     tree = build_glued_tree(2, 2)
-    o = all_pairs_distances(tree.graph)
     with pytest.raises(InvalidQuasiLeafError):
-        cycle_vertices(tree, o, 1, 1)
+        cycle_vertices(tree, 1, 1)
     with pytest.raises(InvalidQuasiLeafError):
-        cycle_vertices(tree, o, 0, 2)
+        cycle_vertices(tree, 0, 2)
     with pytest.raises(InvalidQuasiLeafError):
-        cycle_vertices(tree, o, 1, 5)
+        cycle_vertices(tree, 1, 5)
 
 
 def test_formula_known_values():

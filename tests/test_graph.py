@@ -7,7 +7,6 @@ from mvchroma import (
     build_glued_tree,
     diameter,
     geodesic_count,
-    geodesic_exists_avoiding,
     graph_from_edge_list,
     on_some_geodesic,
 )
@@ -79,22 +78,23 @@ def test_all_pairs_matches_bfs():
     g = c4()
     o = all_pairs_distances(g)
     for s in range(g.n):
-        assert list(o.dist[s]) == bfs_distances(g, s)
-    assert o.dist.max() == 2
+        assert [o.d(s, v) for v in range(g.n)] == bfs_distances(g, s)
+    assert max(o.d(u, v) for u in range(g.n) for v in range(g.n)) == 2
 
 
 def test_all_pairs_single_vertex():
     g = graph_from_edge_list(1, [])
     o = all_pairs_distances(g)
-    assert o.dist.shape == (1, 1)
-    assert o.dist[0, 0] == 0
+    assert o.d(0, 0) == 0
+    with pytest.raises(OutOfRangeVertexError):
+        o.d(0, 1)
 
 
 def test_oracle_invariants_gt2():
     tree = build_glued_tree(2, 2)
     g = tree.graph
     o = all_pairs_distances(g)
-    d = o.dist
+    d = np.array([[o.d(u, v) for v in range(g.n)] for u in range(g.n)])
     assert (d == d.T).all()
     assert (np.diag(d) == 0).all()
     assert d.max() == 4
@@ -157,23 +157,20 @@ def test_geodesic_count_gt2():
     assert geodesic_count(g, o, tree.internal(1, 1, 1), tree.internal(2, 1, 1)) == 4
 
 
-def test_geodesic_exists_avoiding_c4():
-    g = c4()
+def test_geodesic_count_unreachable():
+    g = graph_from_edge_list(4, [(0, 1), (2, 3)])
     o = all_pairs_distances(g)
-    assert geodesic_exists_avoiding(g, o, 0, 2, lambda w: w == 1)
-    assert not geodesic_exists_avoiding(g, o, 0, 2, lambda w: w in (1, 3))
+    assert geodesic_count(g, o, 0, 1) == 1
+    with pytest.raises(UnreachablePairError):
+        geodesic_count(g, o, 0, 2)
 
 
-def test_geodesic_exists_avoiding_adjacent():
-    g = c4()
+def test_oracle_rows_leave_unreachable_vertices_out():
+    # the path 0-1-2 and the edge 3-4: vertices 3 and 4 lie on no geodesic
+    # from the path's vertices
+    g = graph_from_edge_list(5, [(0, 1), (1, 2), (3, 4)])
     o = all_pairs_distances(g)
-    # adjacent pair has no internal vertices
-    assert geodesic_exists_avoiding(g, o, 0, 1, lambda w: True)
-
-
-def test_geodesic_exists_avoiding_never_blocked():
-    g = build_glued_tree(2, 2).graph
-    o = all_pairs_distances(g)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            assert geodesic_exists_avoiding(g, o, u, v, lambda w: False)
+    assert o.d(0, 3) == -1
+    assert o.through(0, 1) == 0b110
+    assert o.through(2, 1) == 0b011
+    assert o.through(3, 4) == 0b10000

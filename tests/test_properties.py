@@ -15,15 +15,16 @@ from conftest import (
 )
 from mvchroma import (
     Status,
+    DistanceOracle,
     all_pairs_distances,
     chi_mu_formula,
     geodesic_count,
-    geodesic_exists_avoiding,
     is_gp_set,
     is_mv_set,
     mv_k_colorable,
 )
-from mvchroma.solver import _PairVisibility, _check_assignment
+from mvchroma.solver import _check_assignment
+from mvchroma.visibility import pair_visible
 
 
 @st.composite
@@ -53,9 +54,7 @@ def test_pair_visibility_matches_enumeration(g, seed):
     for u in range(g.n):
         for v in range(u + 1, g.n):
             expected = brute_pair_visible(g, u, v, blocked - {u, v})
-            got = geodesic_exists_avoiding(
-                g, o, u, v, lambda w: w in blocked and w not in (u, v)
-            )
+            got = pair_visible(g, o, u, v, blocked)
             assert got == expected
 
 
@@ -66,7 +65,7 @@ def test_solver_pair_test_matches_enumeration(g, seed):
     blocked = {v for v in range(g.n) if rng.random() < 0.4}
     # the solver's mask holds the whole class, endpoints included
     mask = sum(1 << v for v in blocked)
-    pv = _PairVisibility(g)
+    pv = DistanceOracle(g)
     for x in range(g.n):
         paths = {y: enumerate_shortest_paths(g, x, y) for y in range(g.n)}
         seen = 0
@@ -98,7 +97,7 @@ def test_check_assignment_matches_enumeration(g, seed):
     rng.shuffle(members)
     mask = sum(1 << w for w in members)
     expected = brute_is_mv_set(g, members)
-    assert _check_assignment(_PairVisibility(g), members, v, mask) == expected
+    assert _check_assignment(DistanceOracle(g), members, v, mask) == expected
 
 
 @given(connected_graphs(max_n=8), st.integers(min_value=0, max_value=2**32 - 1))

@@ -41,3 +41,16 @@ def test_theorem_sweep_zero_seconds_bounds_every_search(tmp_path):
     rows = {(row["r"], row["t"]): row for row in json.loads(jpath.read_text())["rows"]}
     assert rows[1, 2]["exact"] is None and rows[1, 2]["bounds"] == [1, 2]
     assert rows[2, 2]["exact"] is None and rows[2, 2]["bounds"] == [1, 3]
+
+
+def test_theorem_sweep_gp_verdicts_match_expected(tmp_path):
+    # GT(3, 2) is the smallest second-regime minimum: its construction is
+    # not in general position, and the sweep expects exactly that
+    jpath = tmp_path / "sweep.json"
+    proc = run_sweep("--max-n", "100", "--gp", "--json", str(jpath))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert " 0 mismatches" in proc.stdout
+    rows = {(row["r"], row["t"]): row for row in json.loads(jpath.read_text())["rows"]}
+    assert rows[3, 2]["gp_expected"] is False and rows[3, 2]["gp_valid"] is False
+    assert all(row["gp_valid"] == row["gp_expected"] for row in rows.values())
+    assert sum(row["gp_expected"] for row in rows.values()) == len(rows) - 1

@@ -21,7 +21,11 @@ from mvchroma import (
     validate_gp_coloring,
     validate_mv_coloring,
 )
-from mvchroma.errors import ColoringNotTotalError, DisconnectedGraphError
+from mvchroma.errors import (
+    ColoringNotTotalError,
+    DisconnectedGraphError,
+    UnreachablePairError,
+)
 from mvchroma.visibility import pair_visible
 
 
@@ -151,7 +155,7 @@ def test_gp_all_distinct_valid():
 def test_cycle_class_intersection():
     tree = gt2()
     quasi = [tree.quasi(a) for a in range(1, 5)]
-    dec = cycle_vertices(tree, all_pairs_distances(tree.graph), 1, 4)
+    dec = cycle_vertices(tree, 1, 4)
     assert cycle_class_intersection(quasi, dec.all_vertices) == 2
     assert cycle_class_intersection([], dec.all_vertices) == 0
     assert cycle_class_intersection(dec.all_vertices, dec.all_vertices) == len(
@@ -273,3 +277,33 @@ def test_small_classes_agree_with_is_mv_set():
         c = Coloring(colors, max(colors) + 1)
         classwise = all(is_mv_set(g, m) for m in c.color_classes())
         assert validate_mv_coloring(g, c).valid == classwise
+
+
+def test_pair_visible_c4():
+    g = c4()
+    o = all_pairs_distances(g)
+    assert pair_visible(g, o, 0, 2, [0, 1, 2])
+    assert not pair_visible(g, o, 0, 2, [1, 3])
+
+
+def test_pair_visible_adjacent():
+    g = c4()
+    o = all_pairs_distances(g)
+    # adjacent pair has no internal vertices
+    assert pair_visible(g, o, 0, 1, range(g.n))
+
+
+def test_pair_visible_never_blocked():
+    g = build_glued_tree(2, 2).graph
+    o = all_pairs_distances(g)
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            assert pair_visible(g, o, u, v, [u, v])
+
+
+def test_pair_visible_unreachable():
+    g = graph_from_edge_list(4, [(0, 1), (2, 3)])
+    o = all_pairs_distances(g)
+    assert pair_visible(g, o, 0, 1, [0, 1, 2, 3])
+    with pytest.raises(UnreachablePairError):
+        pair_visible(g, o, 0, 2, [])
