@@ -330,6 +330,9 @@ class TheoremReport:
     @property
     def agree(self) -> bool:
         ok = self.mv_valid and self.construction_colors == self.formula.value
+        # when checked, GP holds except at the second regime's smallest depth
+        if self.gp_valid is not None:
+            ok = ok and self.gp_valid == (not at_second_regime_min(self.r, self.t))
         if self.exact is not None:
             ok = ok and self.exact == self.formula.value
         if self.bounds is not None:
@@ -346,6 +349,9 @@ def verify_theorem(
 ) -> TheoremReport:
     """Build GT(r, t), run the constructive coloring, validate, compare counts.
 
+    With ``gp`` the coloring is checked for general position first, and MV
+    only when that fails: every GP set is an MV set.
+
     When the exact solver's budget runs out, ``exact`` stays None and
     ``bounds`` holds its [lo, hi].
     """
@@ -360,10 +366,10 @@ def verify_theorem(
         )
     tree = build_glued_tree(r, t)
     coloring = constructive_coloring(tree)
-    mv_valid = validate_mv_coloring(tree.graph, coloring).valid
     gp_valid = None
     if gp:
         gp_valid = validate_gp_coloring(tree.graph, coloring).valid
+    mv_valid = gp_valid or validate_mv_coloring(tree.graph, coloring).valid
     exact_value = None
     bounds = None
     if exact:

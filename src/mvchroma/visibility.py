@@ -46,19 +46,23 @@ class ValidationReport:
     checked_pairs: int
 
 
-def _violating_pairs(members: list[int], bad: np.ndarray) -> list[tuple[int, int]]:
-    """Member pairs (x, y), x < y, marked in the s x s matrix ``bad``."""
-    # most classes are clean; any() costs far less than argwhere on large s
-    if not bad.any():
-        return []
-    return [(members[i], members[j]) for i, j in np.argwhere(bad) if i < j]
+# Sources per multi-source BFS. A batch holds O(m * BATCH_SOURCES / 8) bytes
+# of state, however large the class it comes from.
+BATCH_SOURCES = 1024
 
 
 def _bit_matrix(rows: np.ndarray, s: int) -> np.ndarray:
-    """Unpack s rows of uint64 words into an s x s bool matrix, bit i of a
-    row (word i // 64, bit i % 64) becoming column i."""
+    """Unpack rows of uint64 words into a bool matrix of s columns, bit i of
+    a row (word i // 64, bit i % 64) becoming column i."""
     octets = rows.astype("<u8", copy=False).view(np.uint8)
     return np.unpackbits(octets, axis=1, count=s, bitorder="little").view(bool)
+
+
+def _bit_range(lo: int, hi: int, words: int) -> np.ndarray:
+    """One row of uint64 words with bits lo..hi-1 set."""
+    flags = np.zeros(words * 64, dtype=bool)
+    flags[lo:hi] = True
+    return np.packbits(flags, bitorder="little").view("<u8").astype(np.uint64)
 
 
 def _degree_blocks(g: Graph) -> tuple[np.ndarray, list[tuple[int, int, np.ndarray]]]:
@@ -85,75 +89,133 @@ def _degree_blocks(g: Graph) -> tuple[np.ndarray, list[tuple[int, int, np.ndarra
     ]
 
 
-def _class_sweep(g: Graph, members: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Bit-parallel BFS from every member at once, one bit per source (after
-    Akiba, Iwata and Yoshida, SIGMOD 2013). The graph must be connected with
-    n >= 2.
+def _batches(classes):
+    """The classes of three or more members, in colour order, as batches of
+    at most BATCH_SOURCES sources: whole classes packed while they fit, and
+    a larger class cut into chunks of BATCH_SOURCES members, one batch each.
+    A batch entry ``(color, members, lo, hi)`` takes members[lo:hi] as its
+    sources and all of members as its targets.
 
-    Returns two symmetric s x s bool matrices over the members:
-    ``hidden[i, j]`` when no members[i]-members[j] geodesic avoids the members
-    as strict internal vertices (an MV violation), and ``crossed[i, j]`` when
-    some geodesic has a member as a strict internal vertex (a GP violation).
+    Two members of a connected graph see each other, with no third member to
+    lie between them, so a smaller class needs no sweep.
+    """
+    batch: list[tuple[int, list[int], int, int]] = []
+    size = 0
+    for color, members in enumerate(classes):
+        s = len(members)
+        if s < 3:
+            continue
+        if batch and size + s > BATCH_SOURCES:
+            yield batch
+            batch, size = [], 0
+        if s > BATCH_SOURCES:
+            for lo in range(0, s, BATCH_SOURCES):
+                yield [(color, members, lo, min(lo + BATCH_SOURCES, s))]
+        else:
+            batch.append((color, members, 0, s))
+            size += s
+    if batch:
+        yield batch
+
+
+def _class_sweep(n: int, rank: np.ndarray, blocks, batch) -> tuple[np.ndarray, np.ndarray]:
+    """Bit-parallel BFS from every source of a batch at once, one bit per
+    source (after Akiba, Iwata and Yoshida, SIGMOD 2013). The graph must be
+    connected; ``rank`` and ``blocks`` come from ``_degree_blocks``.
+
+    The entries' sources take consecutive bits, and their targets
+    consecutive rows. A target's ``own`` row holds the bits of the sources
+    in its class. Returns two target x word arrays, both masked by ``own``:
+    ``hidden`` has bit x when no geodesic from source x avoids the class as
+    strict internal vertices (an MV violation), and ``crossed`` when some
+    geodesic has a member strictly inside (a GP violation).
 
     A vertex reached from source x at level d holds bit x in ``clean`` when
-    some geodesic from x has no member strictly inside, and in ``dirty`` when
-    some geodesic has one; every geodesic is one or the other, so the two
-    together are the BFS frontier. A member past level 0 passes no ``clean``
-    bit on and turns every bit it was reached by ``dirty``. Costs
-    O(levels * m * s / 64) word operations and O(m * s / 8) bytes.
+    some geodesic from x has no member of x's class strictly inside, and in
+    ``dirty`` when some geodesic has one; every geodesic is one or the other,
+    so the two together are the BFS frontier. A target passes the bits of
+    its own class on dirty (``dirty |= clean & own; clean &= ~own``) and
+    every other bit as it came, so the classes of a batch do not interact.
+    The sweep ends when every target has been reached from every source of
+    its class. Costs O(levels * m * b / 64) word operations and
+    O(m * b / 8) bytes for b <= BATCH_SOURCES sources.
     """
-    rank, blocks = _degree_blocks(g)
-    s = len(members)
-    words = (s + 63) // 64
-    mem = rank[members]
-    src = np.arange(s)
-    is_member = np.zeros(g.n, dtype=bool)
-    is_member[mem] = True
+    bits = sum(hi - lo for _, _, lo, hi in batch)
+    words = (bits + 63) // 64
+    tgt = np.concatenate([rank[members] for _, members, _, _ in batch])
+    own, b0 = [], 0
+    for _, members, lo, hi in batch:
+        own.append(np.broadcast_to(_bit_range(b0, b0 + hi - lo, words), (len(members), words)))
+        b0 += hi - lo
+    own = np.concatenate(own)
+    src = np.concatenate([rank[members[lo:hi]] for _, members, lo, hi in batch])
+    bit = np.arange(bits)
     # state[v] = (clean, dirty) as passed on to v's neighbours
-    state = np.zeros((g.n, 2, words), dtype=np.uint64)
-    state[mem, 0, src // 64] = np.uint64(1) << (src % 64).astype(np.uint64)
+    state = np.zeros((n, 2, words), dtype=np.uint64)
+    state[src, 0, bit // 64] = np.uint64(1) << (bit % 64).astype(np.uint64)
     seen = state[:, 0].copy()
-    visible = seen[mem]
+    visible = seen[tgt]
     crossed = np.zeros_like(visible)
-    everyone = np.bitwise_or.reduce(visible, axis=0)  # bits 0..s-1
-    while not (seen[mem] == everyone).all():
+    while not ((seen[tgt] & own) == own).all():
         reached = np.empty_like(state)
         for lo, hi, neighbours in blocks:
             np.bitwise_or.reduce(state[neighbours], axis=1, out=reached[lo:hi])
         front = (reached[:, 0] | reached[:, 1]) & ~seen
         seen |= front
         reached &= front[:, None, :]
-        visible |= reached[mem, 0]
-        crossed |= reached[mem, 1]
-        reached[is_member, 0] = 0
-        reached[is_member, 1] = front[is_member]
+        visible |= reached[tgt, 0]
+        crossed |= reached[tgt, 1]
+        reached[tgt, 1] |= reached[tgt, 0] & own
+        reached[tgt, 0] &= ~own
         state = reached
-    return ~_bit_matrix(visible, s), _bit_matrix(crossed, s)
+    return own & ~visible, own & crossed
+
+
+def _batch_violations(n, rank, blocks, batch, mode: str, exhaustive: bool):
+    """The violating pairs (u, v, color), u < v, of one batch, each listed
+    once with its source first: all of them, or only the smallest when not
+    exhaustive."""
+    hidden, crossed = _class_sweep(n, rank, blocks, batch)
+    bad = hidden if mode == "mv" else crossed
+    found: list[tuple[int, int, int]] = []
+    row = b0 = 0
+    for color, members, lo, hi in batch:
+        s, b1 = len(members), b0 + hi - lo
+        rows = bad[row : row + s]
+        # most classes are clean; any() costs far less than unpacking
+        if rows.any():
+            # pairs[i, t]: source members[lo + i] against target members[t],
+            # kept when the source comes first (members ascend)
+            pairs = _bit_matrix(rows, b1)[:, b0:].T
+            pairs &= np.arange(lo, hi)[:, None] < np.arange(s)
+            if exhaustive:
+                found.extend((members[lo + i], members[t], color) for i, t in zip(*np.nonzero(pairs)))
+            elif pairs.any():
+                i = int(pairs.any(axis=1).argmax())
+                return [(members[lo + i], members[int(pairs[i].argmax())], color)]
+        row, b0 = row + s, b1
+    return found
 
 
 def _scan_classes(g: Graph, classes, mode: str, exhaustive: bool) -> ValidationReport:
-    """The class loop shared by every MV and GP check."""
+    """The class loop shared by every MV and GP check. Without exhaustive,
+    the first violating batch stops the scan, and ``checked_pairs`` counts
+    the classes up to and including the first violating colour."""
     require_connected_graph(g)
     violations: list[tuple[int, int, int]] = []
-    checked = 0
-    for color, members in enumerate(classes):
-        s = len(members)
-        checked += s * (s - 1) // 2
-        # two members of a connected graph see each other, with no third
-        # member to lie between them
-        if s >= 3:
-            hidden, crossed = _class_sweep(g, members)
-            bad = hidden if mode == "mv" else crossed
-            violations.extend((u, v, color) for u, v in _violating_pairs(members, bad))
+    batches = list(_batches(classes))
+    if batches:
+        rank, blocks = _degree_blocks(g)
+    for batch in batches:
+        violations += _batch_violations(g.n, rank, blocks, batch, mode, exhaustive)
         if violations and not exhaustive:
             break
     violations.sort(key=lambda t: (t[2], t[0], t[1]))
-    if violations and not exhaustive:
-        violations = violations[:1]
+    last = violations[0][2] if violations and not exhaustive else len(classes) - 1
     return ValidationReport(
         valid=not violations,
         violations=tuple(violations),
-        checked_pairs=checked,
+        checked_pairs=sum(len(m) * (len(m) - 1) // 2 for m in classes[: last + 1]),
     )
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import mvchroma.visibility as visibility
 from mvchroma import build_glued_tree, read_coloring, read_graph, write_graph
 from mvchroma.cli import main
 
@@ -70,6 +71,18 @@ def test_theorem_agree(tmp_path, capsys):
     assert "tool_version" in payload
     assert payload["config"]["r"] == 2
     assert "status" not in payload and "bounds" not in payload
+
+
+def test_theorem_unexpected_gp_verdict_exits_3(monkeypatch, capsys):
+    # GT(2, 2) is not a second-regime minimum, so its construction must be
+    # in general position; a GP failure there is a disagreement
+    monkeypatch.setattr(
+        visibility,
+        "validate_gp_coloring",
+        lambda g, c, exhaustive=False: visibility.ValidationReport(False, ((0, 1, 0),), 1),
+    )
+    code, _, _ = run(capsys, "theorem", "--r", "2", "--t", "2", "--gp", "--json", os.devnull)
+    assert code == 3
 
 
 def test_theorem_budget_writes_report_exit_4(tmp_path, capsys):

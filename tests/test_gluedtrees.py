@@ -242,6 +242,21 @@ def test_verify_theorem_agrees():
     assert report.gp_valid
 
 
+def test_verify_theorem_gp_decides_mv():
+    # with gp, a GP-valid construction skips the MV check: every GP set is
+    # an MV set, so the verdict must match a direct MV validation
+    t = 2
+    while glued_tree_order(1, t) <= 400:
+        r = 1
+        while glued_tree_order(r, t) <= 400:
+            if not chi_mu_formula(r, t).gap:
+                tree = build_glued_tree(r, t)
+                direct = validate_mv_coloring(tree.graph, constructive_coloring(tree))
+                assert verify_theorem(r, t, gp=True).mv_valid == direct.valid, (r, t)
+            r += 1
+        t += 1
+
+
 def test_verify_theorem_no_exact():
     report = verify_theorem(4, 2)
     assert report.exact is None

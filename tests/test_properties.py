@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from conftest import (
     brute_is_gp_set,
     brute_is_mv_set,
     brute_pair_visible,
+    coloring_with_k,
     enumerate_shortest_paths,
     random_connected_graph,
 )
@@ -19,10 +21,14 @@ from mvchroma import (
     all_pairs_distances,
     chi_mu_formula,
     geodesic_count,
+    graph_from_edge_list,
     is_gp_set,
     is_mv_set,
     mv_k_colorable,
+    validate_gp_coloring,
+    validate_mv_coloring,
 )
+import mvchroma.visibility as visibility
 from mvchroma.solver import _check_assignment
 from mvchroma.visibility import pair_visible
 
@@ -133,6 +139,57 @@ def test_gp_implies_mv(g, seed):
     s = [v for v in range(g.n) if rng.random() < 0.4]
     if is_gp_set(g, s):
         assert is_mv_set(g, s)
+
+
+@st.composite
+def hub_colorings(draw):
+    """A few hubs joined in a random tree, every other vertex a leaf on one
+    hub, and up to three extra edges; colored with one class of more than 64
+    members, mostly leaves (so often an MV and a GP set), and the remaining
+    vertices in classes of one to eight."""
+    n = draw(st.integers(min_value=68, max_value=90))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    hubs = rng.randrange(1, 4)
+    edges = {(rng.randrange(v), v) for v in range(1, hubs)}
+    edges |= {(rng.randrange(hubs), v) for v in range(hubs, n)}
+    for _ in range(rng.randrange(4)):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    leaves = list(range(hubs, n))
+    rng.shuffle(leaves)
+    big = leaves[: rng.randrange(65, len(leaves) + 1)]
+    if rng.random() < 0.3:
+        big[0] = rng.randrange(hubs)
+    rest = [v for v in range(n) if v not in big]
+    rng.shuffle(rest)
+    colors = [0] * n
+    color = 1
+    while rest:
+        size = rng.randrange(1, 9)
+        for v in rest[:size]:
+            colors[v] = color
+        rest, color = rest[size:], color + 1
+    return graph_from_edge_list(n, sorted(edges)), coloring_with_k(colors)
+
+
+@given(hub_colorings())
+@settings(max_examples=25, deadline=None)
+def test_batched_sweeps_match_brute_force(case):
+    # at 64 sources per sweep, the big class runs in two chunks and the small
+    # ones share sweeps; the reports must match those at the default width
+    # and, class by class, the brute-force oracles
+    g, c = case
+    checks = (validate_mv_coloring, validate_gp_coloring)
+    default = [check(g, c, exhaustive=ex) for check in checks for ex in (False, True)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(visibility, "BATCH_SOURCES", 64)
+        narrow = [check(g, c, exhaustive=ex) for check in checks for ex in (False, True)]
+    assert narrow == default
+    classes = c.color_classes()
+    assert max(map(len, classes)) > 64
+    for report, brute in ((narrow[1], brute_is_mv_set), (narrow[3], brute_is_gp_set)):
+        failing = {color for _, _, color in report.violations}
+        assert failing == {i for i, m in enumerate(classes) if not brute(g, m)}
 
 
 @given(connected_graphs(max_n=7))
