@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Write a BENCH_<n>.json record: the benchmark's medians on one checkout.
 
-    python scripts/bench.py [--root CHECKOUT] [--out PATH]
+    python scripts/bench.py [--root CHECKOUT]
 
 Runs ``perfbench/run.py`` from the root of CHECKOUT (default: this one) on
 every workload in its BENCHMARK.json, once with ``--trace 0`` (end-to-end
@@ -9,8 +9,8 @@ metrics) and once with ``--trace 1`` (per-layer metrics), for each of SEEDS
 at the run length BENCHMARK.json sets. The record holds the host, the
 Python and numpy versions, the checkout's commit (marked ``+modified`` when
 tracked files differ from it), each run's failed and attempted op counts,
-and per workload the median of each metric over the seeds. Without --out
-it goes to the first free BENCH_<n>.json in CHECKOUT.
+and per workload the median of each metric over the seeds. It goes to the
+first free BENCH_<n>.json in CHECKOUT.
 """
 
 import argparse
@@ -57,17 +57,14 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to measure")
-    parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args()
     root = args.root.resolve()
     spec = json.loads((root / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    out = args.out
-    if out is None:
-        n = 0
-        while (root / f"BENCH_{n}.json").exists():
-            n += 1
-        out = root / f"BENCH_{n}.json"
+    n = 0
+    while (root / f"BENCH_{n}.json").exists():
+        n += 1
+    out = root / f"BENCH_{n}.json"
 
     info = {}
     workloads = {}

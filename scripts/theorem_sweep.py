@@ -10,7 +10,7 @@ When the exact solver runs out of budget the row prints ``budget [lo, hi]``
 and counts as a mismatch only if the formula lies outside those bounds.
 With --gp, a row also counts as a mismatch when the construction's general
 position verdict differs from the expected one (``TheoremReport.agree``):
-valid except at the second regime's smallest depth (``at_second_regime_min``).
+valid except at the second regime's smallest depth (``TheoremReport.gp_expected``).
 """
 
 import argparse
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from mvchroma import (
     Budget,
-    at_second_regime_min,
     chi_mu_formula,
     glued_tree_order,
     verify_theorem,
@@ -80,7 +79,6 @@ def main() -> int:
         budget = None if cfg.budget_secs is None else Budget(max_seconds=cfg.budget_secs)
         report = verify_theorem(r, t, exact=cfg.exact, gp=cfg.gp, budget=budget)
         bounds = None if report.bounds is None else list(report.bounds)
-        gp_expected = not at_second_regime_min(r, t) if cfg.gp else None
         mark = "ok" if report.agree else "MISMATCH"
         if not report.agree:
             failures += 1
@@ -106,7 +104,7 @@ def main() -> int:
                 "construction": report.construction_colors,
                 "mv_valid": report.mv_valid,
                 "gp_valid": report.gp_valid,
-                "gp_expected": gp_expected,
+                "gp_expected": report.gp_expected,
                 "exact": report.exact,
                 "bounds": bounds,
                 "agree": report.agree,

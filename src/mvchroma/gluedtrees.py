@@ -328,11 +328,18 @@ class TheoremReport:
     bounds: tuple[int, int] | None = None
 
     @property
+    def gp_expected(self) -> bool | None:
+        """The expected GP verdict when GP was checked: it holds except at
+        the second regime's smallest depth."""
+        if self.gp_valid is None:
+            return None
+        return not at_second_regime_min(self.r, self.t)
+
+    @property
     def agree(self) -> bool:
         ok = self.mv_valid and self.construction_colors == self.formula.value
-        # when checked, GP holds except at the second regime's smallest depth
         if self.gp_valid is not None:
-            ok = ok and self.gp_valid == (not at_second_regime_min(self.r, self.t))
+            ok = ok and self.gp_valid == self.gp_expected
         if self.exact is not None:
             ok = ok and self.exact == self.formula.value
         if self.bounds is not None:
