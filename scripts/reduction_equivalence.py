@@ -13,26 +13,16 @@ import argparse
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 from mvchroma import make_formula, verify_reduction
 
 
-@dataclass
-class RunConfig:
-    count: int = 50
-    seed: int = 20240817
-    max_q: int = 5
-    max_clauses: int = 6
-    allow_degenerate: bool = True
-
-
-def random_formula(rng: random.Random, cfg: RunConfig):
-    q = rng.randrange(3, cfg.max_q + 1)
-    m = rng.randrange(1, cfg.max_clauses + 1)
+def random_formula(rng: random.Random, max_q: int, max_clauses: int):
+    q = rng.randrange(3, max_q + 1)
+    m = rng.randrange(1, max_clauses + 1)
     clauses = []
     for _ in range(m):
-        if cfg.allow_degenerate and rng.random() < 0.2:
+        if rng.random() < 0.2:
             # repeated or opposing literals exercise normalization
             v = rng.randrange(1, q + 1)
             w = rng.randrange(1, q + 1)
@@ -51,21 +41,13 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=20240817)
     parser.add_argument("--max-q", type=int, default=5)
     parser.add_argument("--max-clauses", type=int, default=6)
-    parser.add_argument("--no-degenerate", action="store_true")
     args = parser.parse_args()
-    cfg = RunConfig(
-        count=args.count,
-        seed=args.seed,
-        max_q=args.max_q,
-        max_clauses=args.max_clauses,
-        allow_degenerate=not args.no_degenerate,
-    )
 
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     disagreements = 0
     start = time.perf_counter()
-    for idx in range(cfg.count):
-        f = random_formula(rng, cfg)
+    for idx in range(args.count):
+        f = random_formula(rng, args.max_q, args.max_clauses)
         report = verify_reduction(f)
         tag = "trivial" if report.trivially_unsat else (
             "sat" if report.nae_satisfiable else "unsat"
@@ -78,7 +60,7 @@ def main() -> int:
             f"nodes={report.solver_nodes} [{mark}]"
         )
     elapsed = time.perf_counter() - start
-    print(f"{cfg.count} instances, {disagreements} disagreements, {elapsed:.1f} s")
+    print(f"{args.count} instances, {disagreements} disagreements, {elapsed:.1f} s")
     return 0 if disagreements == 0 else 1
 
 

@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from mvchroma import (
     Budget,
@@ -27,22 +26,12 @@ from mvchroma import (
 )
 
 
-@dataclass
-class SweepConfig:
-    max_n: int = 2000
-    min_r: int = 1
-    exact: bool = False
-    gp: bool = False
-    include_odd_t: bool = False
-    budget_secs: float | None = None
-
-
-def covered_instances(cfg: SweepConfig):
+def covered_instances(args: argparse.Namespace):
     t = 2
-    while glued_tree_order(cfg.min_r, t) <= cfg.max_n:
-        if t % 2 == 0 or cfg.include_odd_t:
-            r = cfg.min_r
-            while glued_tree_order(r, t) <= cfg.max_n:
+    while glued_tree_order(1, t) <= args.max_n:
+        if t % 2 == 0 or args.include_odd_t:
+            r = 1
+            while glued_tree_order(r, t) <= args.max_n:
                 yield r, t
                 r += 1
         t += 1
@@ -51,33 +40,24 @@ def covered_instances(cfg: SweepConfig):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=2000)
-    parser.add_argument("--min-r", type=int, default=1)
     parser.add_argument("--exact", action="store_true", help="also run the exact solver")
     parser.add_argument("--gp", action="store_true", help="also validate general position")
     parser.add_argument("--include-odd-t", action="store_true")
     parser.add_argument("--budget-secs", type=float, default=None)
     parser.add_argument("--json", default=None, help="write a JSON summary here")
     args = parser.parse_args()
-    cfg = SweepConfig(
-        max_n=args.max_n,
-        min_r=args.min_r,
-        exact=args.exact,
-        gp=args.gp,
-        include_odd_t=args.include_odd_t,
-        budget_secs=args.budget_secs,
-    )
 
     rows = []
     failures = 0
     start = time.perf_counter()
-    for r, t in covered_instances(cfg):
+    for r, t in covered_instances(args):
         formula = chi_mu_formula(r, t)
         if formula.gap:
             print(f"GT({r},{t}): formula gap, candidates {formula.candidates}")
             rows.append({"r": r, "t": t, "gap": True, "candidates": list(formula.candidates)})
             continue
-        budget = None if cfg.budget_secs is None else Budget(max_seconds=cfg.budget_secs)
-        report = verify_theorem(r, t, exact=cfg.exact, gp=cfg.gp, budget=budget)
+        budget = None if args.budget_secs is None else Budget(max_seconds=args.budget_secs)
+        report = verify_theorem(r, t, exact=args.exact, gp=args.gp, budget=budget)
         bounds = None if report.bounds is None else list(report.bounds)
         mark = "ok" if report.agree else "MISMATCH"
         if not report.agree:
@@ -85,13 +65,13 @@ def main() -> int:
         if bounds is not None:
             exact = f" exact=budget [{bounds[0]}, {bounds[1]}]"
         else:
-            exact = f" exact={report.exact}" if cfg.exact else ""
+            exact = f" exact={report.exact}" if args.exact else ""
         n = glued_tree_order(r, t)
         print(
             f"GT({r},{t}): n={n} formula={formula.value} "
             f"construction={report.construction_colors} mv_valid={report.mv_valid}"
             + exact
-            + (f" gp_valid={report.gp_valid}" if cfg.gp else "")
+            + (f" gp_valid={report.gp_valid}" if args.gp else "")
             + f" [{mark}]"
         )
         rows.append(

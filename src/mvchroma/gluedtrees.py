@@ -102,12 +102,14 @@ def glued_tree_order(r: int, t: int) -> int:
     return 2 * _internal_per_side(r + 1, t) - t**r
 
 
-def build_glued_tree(r: int, t: int, size_cap: int = DEFAULT_SIZE_CAP) -> LabeledGluedTree:
+def build_glued_tree(r: int, t: int) -> LabeledGluedTree:
     if r < 1 or t < 2:
         raise InvalidParamsError(f"need r >= 1 and t >= 2, got r={r}, t={t}")
     n = glued_tree_order(r, t)
-    if n > size_cap:
-        raise SizeCapExceededError(f"GT({r},{t}) has {n} vertices, cap is {size_cap}")
+    if n > DEFAULT_SIZE_CAP:
+        raise SizeCapExceededError(
+            f"GT({r},{t}) has {n} vertices, cap is {DEFAULT_SIZE_CAP}"
+        )
 
     per_side = _internal_per_side(r, t)
     id_of: dict[TreeCoordinate, int] = {}

@@ -246,7 +246,6 @@ def build_reduction(f: NaeFormula) -> ReductionGraph:
         clause_gadgets.append(ClauseGadget(v=vj, w=wj, T=t))
         edges.append((vj, wj))
         for x in t:
-            edges.append((c, x))  # already present; deduped by the constructor
             edges.append((vj, x))
     for hub in (z, zp):
         for vg in var_gadgets:
@@ -262,19 +261,19 @@ def build_reduction(f: NaeFormula) -> ReductionGraph:
     )
 
 
-def legend_to_dict(legend: ReductionLegend, one_based: bool = True) -> dict:
-    off = 1 if one_based else 0
+def legend_to_dict(legend: ReductionLegend) -> dict:
+    """The legend with 1-based vertex ids, as the file formats write them."""
     return {
-        "p": legend.p + off,
-        "c": legend.c + off,
-        "z": legend.z + off,
-        "zp": legend.zp + off,
+        "p": legend.p + 1,
+        "c": legend.c + 1,
+        "z": legend.z + 1,
+        "zp": legend.zp + 1,
         "vars": [
-            {"u": vg.u + off, "ubar": vg.ubar + off, "a": vg.a + off, "b": vg.b + off}
+            {"u": vg.u + 1, "ubar": vg.ubar + 1, "a": vg.a + 1, "b": vg.b + 1}
             for vg in legend.vars
         ],
         "clauses": [
-            {"v": cg.v + off, "w": cg.w + off, "T": [x + off for x in cg.T]}
+            {"v": cg.v + 1, "w": cg.w + 1, "T": [x + 1 for x in cg.T]}
             for cg in legend.clauses
         ],
     }

@@ -6,7 +6,11 @@ degree, ties by id), breaks color symmetry by allowing a new color id only
 when all smaller ids are in use, and prunes with the pair visibility test:
 after each assignment every same-colored pair that could be affected must
 still have a geodesic whose assigned internal vertices avoid that color.
-Unassigned vertices never block, so the rule is sound along a branch.
+Unassigned vertices never block, so the rule is sound along a branch. A
+color class is held as the bitmask of its members and nothing else.
+
+The greedy bound is the same search with no color limit: a fresh color
+always passes, so its first descent never backtracks and is first fit.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from .errors import (
 )
 from .graph import DistanceOracle, Graph, require_connected_graph
 from .visibility import Coloring, validate_mv_coloring
+
+# the brute-force NAE3SAT scan tries 2^q assignments
+NAE_VARIABLE_CAP = 24
 
 
 class Status(Enum):
@@ -83,22 +90,18 @@ class _BudgetTracker:
         return time.perf_counter() - self.start
 
 
-def _check_assignment(
-    o: DistanceOracle,
-    members: list[int],
-    v: int,
-    color_mask: int,
-) -> bool:
+def _check_assignment(o: DistanceOracle, v: int, color_mask: int) -> bool:
     """Partial-validity of the class after adding v, rechecking affected pairs."""
     if not o.sees(v, color_mask, color_mask):
         return False
-    others = color_mask & ~(1 << v)
-    for x in members:
-        # pairs (x, y) through v, each once: y above x
-        above = others >> (x + 1) << (x + 1)
-        if x == v or not above:
-            continue
-        rest = o.through(x, v) & above
+    # pairs (x, y) through v, each once: x is the lowest member left and
+    # y one of the members above it, so the last member starts no pair
+    left = color_mask & ~(1 << v)
+    while left & (left - 1):
+        low = left & -left
+        left ^= low
+        x = low.bit_length() - 1
+        rest = o.through(x, v) & left
         if rest and not o.sees(x, rest, color_mask):
             return False
     return True
@@ -112,37 +115,32 @@ def mv_k_colorable(
     """Decide whether g admits a mutual-visibility coloring with <= k colors."""
     if k < 1:
         raise InvalidParamsError("color budget must be >= 1")
+    return _search(g, k, budget)
+
+
+def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
+    """The backtracking loop: at most k colors, counted against budget."""
     require_connected_graph(g)
     n = g.n
     order = solver_vertex_order(g)
     o = DistanceOracle(g)
     tracker = _BudgetTracker(budget)
 
-    colors = [-1] * n
-    color_masks = [0] * k
-    color_members: list[list[int]] = [[] for _ in range(k)]
-
     if n == 0:
         return SearchOutcome(Status.FEASIBLE, Coloring((), 0), 0, tracker.elapsed)
 
-    def _assign(v: int, c: int) -> None:
-        colors[v] = c
-        color_masks[c] |= 1 << v
-        color_members[c].append(v)
-
-    def _undo(v: int, c: int) -> None:
-        colors[v] = -1
-        color_masks[c] &= ~(1 << v)
-        color_members[c].remove(v)
-
+    # only a leaf reads colors, and there every entry is the current choice
+    colors = [-1] * n
+    color_masks = [0] * k
     # iterative backtracking; choice[d] is the color currently held at depth d
     choice = [-1] * n
     used = [0] * (n + 1)  # colors in use entering depth d
     depth = 0
     while True:
         v = order[depth]
+        bit = 1 << v
         if choice[depth] >= 0:
-            _undo(v, choice[depth])
+            color_masks[choice[depth]] &= ~bit
         c = choice[depth] + 1
         limit = min(used[depth] + 1, k)
         descended = False
@@ -151,8 +149,9 @@ def mv_k_colorable(
                 return SearchOutcome(
                     Status.BUDGET_EXHAUSTED, None, tracker.nodes, tracker.elapsed
                 )
-            _assign(v, c)
-            ok = _check_assignment(o, color_members[c], v, color_masks[c])
+            colors[v] = c
+            color_masks[c] |= bit
+            ok = _check_assignment(o, v, color_masks[c])
             if ok and depth == n - 1:
                 candidate = Coloring(tuple(colors), max(colors) + 1)
                 if validate_mv_coloring(g, candidate).valid:
@@ -166,7 +165,7 @@ def mv_k_colorable(
                 depth += 1
                 descended = True
                 break
-            _undo(v, c)
+            color_masks[c] &= ~bit
             c += 1
         if descended:
             continue
@@ -179,38 +178,14 @@ def mv_k_colorable(
 
 
 def greedy_upper_bound(g: Graph) -> tuple[int, Coloring]:
-    """First-fit over the solver's vertex order; the result always validates.
+    """First-fit over the solver's vertex order: the search's first descent
+    with no color limit.
 
-    A fresh color is always safe (its class is a singleton and a vertex never
-    blocks classes of other colors), so the loop terminates with a valid
-    coloring.
+    A fresh color always passes (its class is a singleton and a vertex never
+    blocks classes of other colors), so the search never backtracks and its
+    first leaf, validated like any other, is the first-fit coloring.
     """
-    require_connected_graph(g)
-    n = g.n
-    if n == 0:
-        return 0, Coloring((), 0)
-    o = DistanceOracle(g)
-    colors = [-1] * n
-    color_masks: list[int] = []
-    color_members: list[list[int]] = []
-    for v in solver_vertex_order(g):
-        placed = False
-        for c in range(len(color_members)):
-            mask = color_masks[c] | (1 << v)
-            color_members[c].append(v)
-            if _check_assignment(o, color_members[c], v, mask):
-                colors[v] = c
-                color_masks[c] = mask
-                placed = True
-                break
-            color_members[c].pop()
-        if not placed:
-            colors[v] = len(color_members)
-            color_members.append([v])
-            color_masks.append(1 << v)
-    coloring = Coloring(tuple(colors), len(color_members))
-    report = validate_mv_coloring(g, coloring)
-    assert report.valid, "greedy invariant broken"
+    coloring = _search(g, max(g.n, 1), None).coloring
     return coloring.k, coloring
 
 
@@ -246,15 +221,15 @@ def chi_mu_exact(g: Graph, budget: Budget | None = None) -> tuple[int, Coloring]
     return ub, greedy_coloring
 
 
-def nae_satisfiable(f, variable_cap: int = 24) -> NaeAssignment | None:
+def nae_satisfiable(f) -> NaeAssignment | None:
     """Exhaustive NAE3SAT scan in increasing binary order, x_1 most significant.
 
     Accepts any formula object exposing ``q`` and ``clauses`` (each clause an
     iterable of (variable, positive) literals).
     """
     q = f.q
-    if q > variable_cap:
-        raise TooManyVariablesError(f"{q} variables exceeds cap {variable_cap}")
+    if q > NAE_VARIABLE_CAP:
+        raise TooManyVariablesError(f"{q} variables exceeds cap {NAE_VARIABLE_CAP}")
     clauses = [tuple(cl) for cl in f.clauses]
     for bits in range(1 << q):
         values = tuple(bool((bits >> (q - i)) & 1) for i in range(1, q + 1))

@@ -150,6 +150,22 @@ def test_validate_size_mismatch_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("mode", ["mv", "gp"])
+def test_validate_partial_coloring_reports_coverage(tmp_path, capsys, mode):
+    # the validators reject a coloring of n - 1 vertices before any report
+    gpath = tmp_path / "g.col"
+    cpath = tmp_path / "c.sol"
+    gpath.write_text("p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n")
+    cpath.write_text("s color 3 2\nv 1 1\nv 2 2\nv 3 1\n")
+    code, out, err = run(
+        capsys, "validate", "--graph", str(gpath), "--coloring", str(cpath),
+        "--mode", mode,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: coloring covers 3 vertices")
+
+
 def test_validate_disconnected_exit_2(tmp_path, capsys):
     gpath = tmp_path / "g.col"
     cpath = tmp_path / "c.sol"

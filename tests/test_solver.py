@@ -3,7 +3,13 @@ from itertools import product
 
 import pytest
 
-from conftest import DEFAULT_SEED, brute_chi_mu, k2_pendant, random_connected_graph
+from conftest import (
+    DEFAULT_SEED,
+    brute_chi_mu,
+    brute_is_mv_set,
+    k2_pendant,
+    random_connected_graph,
+)
 from mvchroma import (
     Budget,
     Coloring,
@@ -119,6 +125,27 @@ def test_greedy_upper_bound_validates():
         k, coloring = greedy_upper_bound(g)
         assert coloring.k == k
         assert validate_mv_coloring(g, coloring).valid
+
+
+def test_greedy_upper_bound_is_first_fit():
+    # oracle: first fit in the solver's vertex order on the brute-force MV
+    # test; v joins the smallest class that stays an MV set, else a new one
+    rng = random.Random(DEFAULT_SEED + 3)
+    for _ in range(30):
+        g = random_connected_graph(rng, rng.randrange(2, 11))
+        classes: list[list[int]] = []
+        colors = [-1] * g.n
+        for v in solver_vertex_order(g):
+            c = next(
+                (c for c, cls in enumerate(classes) if brute_is_mv_set(g, cls + [v])),
+                len(classes),
+            )
+            if c == len(classes):
+                classes.append([])
+            classes[c].append(v)
+            colors[v] = c
+        k = len(classes)
+        assert greedy_upper_bound(g) == (k, Coloring(tuple(colors), k))
 
 
 @pytest.mark.parametrize("d", [127, 128, 129, 255, 256, 300])
