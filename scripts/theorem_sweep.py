@@ -29,11 +29,10 @@ from mvchroma import (
 def covered_instances(args: argparse.Namespace):
     t = 2
     while glued_tree_order(1, t) <= args.max_n:
-        if t % 2 == 0 or args.include_odd_t:
-            r = 1
-            while glued_tree_order(r, t) <= args.max_n:
-                yield r, t
-                r += 1
+        r = 1
+        while glued_tree_order(r, t) <= args.max_n:
+            yield r, t
+            r += 1
         t += 1
 
 
@@ -42,7 +41,6 @@ def main() -> int:
     parser.add_argument("--max-n", type=int, default=2000)
     parser.add_argument("--exact", action="store_true", help="also run the exact solver")
     parser.add_argument("--gp", action="store_true", help="also validate general position")
-    parser.add_argument("--include-odd-t", action="store_true")
     parser.add_argument("--budget-secs", type=float, default=None)
     parser.add_argument("--json", default=None, help="write a JSON summary here")
     args = parser.parse_args()

@@ -105,7 +105,7 @@ def write_labels(tree: LabeledGluedTree) -> str:
     """Label sidecar: `L <id> <side> <i> <j>` and `Q <id> <a>`, 1-based ids."""
     lines = []
     for vid in range(tree.graph.n):
-        coord = tree.coord_of[vid]
+        coord = tree.coord(vid)
         if isinstance(coord, Internal):
             lines.append(f"L {vid + 1} {coord.side} {coord.i} {coord.j}")
         else:

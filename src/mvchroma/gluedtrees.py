@@ -12,13 +12,17 @@ level order, then side-2 internals in level order, then quasi-leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from itertools import chain, pairwise
+from typing import NamedTuple
 
 from .errors import (
     BudgetExhaustedError,
     GapInputError,
     InvalidParamsError,
     InvalidQuasiLeafError,
+    OutOfRangeVertexError,
     SizeCapExceededError,
 )
 from .graph import Graph, graph_from_edge_list
@@ -44,21 +48,49 @@ TreeCoordinate = Internal | QuasiLeaf
 
 @dataclass(frozen=True)
 class LabeledGluedTree:
+    """GT(r, t) with its vertex ids in heap order.
+
+    Within a side, the internal vertex with local index x (level by level,
+    left to right) has the local children t*x + 1 .. t*x + t; a local child
+    index c >= (t^r - 1)/(t - 1), the internal count per side, is the
+    quasi-leaf with id (t^r - 1)/(t - 1) + c. Ids and coordinates are
+    computed from this layout in both directions.
+    """
+
     graph: Graph
     r: int
     t: int
-    coord_of: dict[int, TreeCoordinate] = field(repr=False)
-    id_of: dict[TreeCoordinate, int] = field(repr=False)
 
     @property
     def num_quasi_leaves(self) -> int:
         return self.t**self.r
 
     def internal(self, side: int, i: int, j: int) -> int:
-        return self.id_of[Internal(side, i, j)]
+        r, t = self.r, self.t
+        if side not in (1, 2) or not 1 <= i <= r or not 1 <= j <= t ** (i - 1):
+            raise InvalidParamsError(f"GT({r},{t}) has no internal vertex {(side, i, j)}")
+        return (side - 1) * _internal_per_side(r, t) + _internal_per_side(i - 1, t) + j - 1
 
     def quasi(self, a: int) -> int:
-        return self.id_of[QuasiLeaf(a)]
+        q = self.num_quasi_leaves
+        if not 1 <= a <= q:
+            raise InvalidQuasiLeafError(f"need a quasi-leaf index in 1..{q}")
+        return 2 * _internal_per_side(self.r, self.t) + a - 1
+
+    def coord(self, v: int) -> TreeCoordinate:
+        """The coordinates of vertex id v; the inverse of ``internal`` and
+        ``quasi``."""
+        if not 0 <= v < self.graph.n:
+            raise OutOfRangeVertexError(f"vertex {v} out of range 0..{self.graph.n - 1}")
+        per_side = _internal_per_side(self.r, self.t)
+        if v >= 2 * per_side:
+            return QuasiLeaf(v - 2 * per_side + 1)
+        side, x = divmod(v, per_side)
+        # x lies in level i, whose local indices start at `first`
+        i, first, width = 1, 0, 1
+        while x >= first + width:
+            i, first, width = i + 1, first + width, width * self.t
+        return Internal(side + 1, i, x - first + 1)
 
 
 @dataclass(frozen=True)
@@ -105,51 +137,21 @@ def glued_tree_order(r: int, t: int) -> int:
 def build_glued_tree(r: int, t: int) -> LabeledGluedTree:
     if r < 1 or t < 2:
         raise InvalidParamsError(f"need r >= 1 and t >= 2, got r={r}, t={t}")
-    n = glued_tree_order(r, t)
-    if n > DEFAULT_SIZE_CAP:
+    # n > t^r, so a t^r past 2^64 is over the cap without computing n,
+    # whose decimal form may be too long to print
+    if r * math.log2(t) > 64 or glued_tree_order(r, t) > DEFAULT_SIZE_CAP:
         raise SizeCapExceededError(
-            f"GT({r},{t}) has {n} vertices, cap is {DEFAULT_SIZE_CAP}"
+            f"GT({r},{t}) has more than {DEFAULT_SIZE_CAP} vertices"
         )
-
+    # heap order: local index x has the local children c = t*x+1 .. t*x+t.
+    # A side-2 vertex's id is per_side plus its local index, and so is the
+    # id of the quasi-leaf a side reaches at local index c >= per_side
     per_side = _internal_per_side(r, t)
-    id_of: dict[TreeCoordinate, int] = {}
-    coord_of: dict[int, TreeCoordinate] = {}
-
-    def level_offset(i: int) -> int:
-        return _internal_per_side(i - 1, t)
-
-    for side in (1, 2):
-        base = 0 if side == 1 else per_side
-        for i in range(1, r + 1):
-            for j in range(1, t ** (i - 1) + 1):
-                vid = base + level_offset(i) + j - 1
-                coord = Internal(side, i, j)
-                id_of[coord] = vid
-                coord_of[vid] = coord
-    for a in range(1, t**r + 1):
-        vid = 2 * per_side + a - 1
-        coord = QuasiLeaf(a)
-        id_of[coord] = vid
-        coord_of[vid] = coord
-
-    edges: list[tuple[int, int]] = []
-    for side in (1, 2):
-        for i in range(1, r):
-            for j in range(1, t ** (i - 1) + 1):
-                parent = id_of[Internal(side, i, j)]
-                for k in range(1, t + 1):
-                    edges.append((parent, id_of[Internal(side, i + 1, t * (j - 1) + k)]))
-        for j in range(1, t ** (r - 1) + 1):
-            parent = id_of[Internal(side, r, j)]
-            for k in range(1, t + 1):
-                edges.append((parent, id_of[QuasiLeaf(t * (j - 1) + k)]))
-
+    children = [(x, c) for x in range(per_side) for c in range(t * x + 1, t * x + t + 1)]
+    edges = [(x, c if c < per_side else per_side + c) for x, c in children]
+    edges += [(per_side + x, per_side + c) for x, c in children]
     return LabeledGluedTree(
-        graph=graph_from_edge_list(n, edges),
-        r=r,
-        t=t,
-        coord_of=coord_of,
-        id_of=id_of,
+        graph=graph_from_edge_list(glued_tree_order(r, t), edges), r=r, t=t
     )
 
 
@@ -188,39 +190,51 @@ def cycle_vertices(tree: LabeledGluedTree, a: int, b: int) -> CycleDecomposition
     return CycleDecomposition(a=a, b=b, p_side1=side_path(1), p_side2=side_path(2))
 
 
+class _Interval(NamedTuple):
+    i: int  # interval index
+    a_i: int  # A_i = (t^(i-1) - 1)/(t - 1)
+    first_max: int  # the first regime's largest depth
+    second_min: int  # the second regime's smallest depth
+
+
+def _interval(r: int, t: int) -> _Interval:
+    """Where depth r lies for arity t.
+
+    The interval index is the unique i with A_i + i - 1 <= r <= A_{i+1} + i - 1.
+    With the split point B = A_i + t^(i-1)/2, the first regime (2(r - i) + 3
+    colors) runs up to depth floor(B) + i - 2 and the second (2(r - i) + 2)
+    starts at ceil(B) + i - 1, so for odd t one depth per interval lies
+    between them.
+    """
+    if r < 1 or t < 2:
+        raise InvalidParamsError(f"need r >= 1 and t >= 2, got r={r}, t={t}")
+    i = 1
+    while _internal_per_side(i, t) + i - 1 < r:
+        i += 1
+    a_i = _internal_per_side(i - 1, t)
+    # 2B stays integral
+    b2 = 2 * a_i + t ** (i - 1)
+    return _Interval(i, a_i, b2 // 2 + i - 2, (b2 + 1) // 2 + i - 1)
+
+
 def chi_mu_formula(r: int, t: int) -> FormulaResult:
     """Closed-form mutual-visibility chromatic number of GT(r, t).
 
     For odd t the two value regimes provably miss one r per interval index;
     those inputs are reported as an explicit gap with both candidate counts.
     """
-    if r < 1 or t < 2:
-        raise InvalidParamsError(f"need r >= 1 and t >= 2, got r={r}, t={t}")
-    if r == 1:
-        return FormulaResult(i=1, value=2, gap=False, candidates=())
-
-    # interval index: unique i with A_i + i - 1 <= r <= A_{i+1} + i - 1,
-    # where A_i = (t^(i-1) - 1)/(t - 1)
-    i = 1
-    while _internal_per_side(i, t) + i - 1 < r:
-        i += 1
-    a_i = _internal_per_side(i - 1, t)
-    assert a_i + i - 1 <= r <= _internal_per_side(i, t) + i - 1
-
-    # regime split point B = A_i + t^(i-1)/2, tracked as 2B to stay integral
-    b2 = 2 * a_i + t ** (i - 1)
-    if r <= b2 // 2 + i - 2:
-        return FormulaResult(i=i, value=2 * (r - i) + 3, gap=False, candidates=())
-    if r >= (b2 + 1) // 2 + i - 1:
-        return FormulaResult(i=i, value=2 * (r - i) + 2, gap=False, candidates=())
-    return FormulaResult(
-        i=i, value=None, gap=True, candidates=(2 * (r - i) + 2, 2 * (r - i) + 3)
-    )
+    i, _, first_max, second_min = _interval(r, t)
+    low = 2 * (r - i) + 2
+    if r <= first_max:
+        return FormulaResult(i=i, value=low + 1, gap=False, candidates=())
+    if r >= second_min:
+        return FormulaResult(i=i, value=low, gap=False, candidates=())
+    return FormulaResult(i=i, value=None, gap=True, candidates=(low, low + 1))
 
 
 def at_second_regime_min(r: int, t: int) -> bool:
     """True iff r is the smallest depth of the second value regime for arity
-    t, with r >= 2 and no gap.
+    t, with r >= 2.
 
     There the constructive coloring gives one side-1 internal vertex the
     quasi-leaf color, and it lies inside the side-1 geodesic between two
@@ -228,40 +242,7 @@ def at_second_regime_min(r: int, t: int) -> bool:
     On every other non-gap tree up to n = 2000 it is
     (``scripts/theorem_sweep.py --gp``).
     """
-    formula = chi_mu_formula(r, t)
-    if r == 1 or formula.gap:
-        return False
-    i = formula.i
-    a_i = _internal_per_side(i - 1, t)
-    # second regime: r >= B + i - 1, with 2B = 2 A_i + t^(i-1)
-    b2 = 2 * a_i + t ** (i - 1)
-    return formula.value == 2 * (r - i) + 2 and r == (b2 + 1) // 2 + i - 1
-
-
-def _side1_sequence(tree: LabeledGluedTree, count: int) -> list[int]:
-    """Level order, positions descending within each level: v_{1,1}, v_{2,t}, ..."""
-    out = []
-    i = 1
-    while len(out) < count:
-        for j in range(tree.t ** (i - 1), 0, -1):
-            out.append(tree.internal(1, i, j))
-            if len(out) == count:
-                break
-        i += 1
-    return out
-
-
-def _side2_sequence(tree: LabeledGluedTree, count: int) -> list[int]:
-    """Level order, positions ascending: v'_{1,1}, v'_{2,1}, v'_{2,2}, ..."""
-    out = []
-    i = 1
-    while len(out) < count:
-        for j in range(1, tree.t ** (i - 1) + 1):
-            out.append(tree.internal(2, i, j))
-            if len(out) == count:
-                break
-        i += 1
-    return out
+    return r == _interval(r, t).second_min and r > 1
 
 
 def constructive_coloring(tree: LabeledGluedTree) -> Coloring:
@@ -274,39 +255,32 @@ def constructive_coloring(tree: LabeledGluedTree) -> Coloring:
     formula = chi_mu_formula(r, t)
     if formula.gap:
         raise GapInputError(f"chi_mu formula has a gap at (r={r}, t={t})")
-    n = tree.graph.n
-
-    if r == 1:
-        # GT(1, t) = K_{2,t}: roots one color, quasi-leaves the other
-        colors = [0] * n
-        colors[tree.internal(1, 1, 1)] = 1
-        colors[tree.internal(2, 1, 1)] = 1
-        return Coloring(colors=tuple(colors), k=2)
-
-    i = formula.i
-    a_i = _internal_per_side(i - 1, t)
-    first_regime = formula.value == 2 * (r - i) + 3
-    at_first_min = first_regime and r == a_i + i - 1
+    i, a_i, first_max, _ = _interval(r, t)
+    first_regime = r <= first_max
+    # the interval's smallest depth, which for r >= 2 is in the first regime
+    at_first_min = r == a_i + i - 1
     big_k = r - i + 1 if at_first_min else r - i
 
-    colors = [-1] * n
-    for a in range(1, t**r + 1):
-        colors[tree.quasi(a)] = 0
-    seq1 = _side1_sequence(tree, big_k)
-    seq2 = _side2_sequence(tree, big_k)
-    for k in range(1, big_k + 1):
-        depth = r - k  # level index depth+1
-        for j in range(1, t**depth + 1):
-            colors[tree.internal(1, depth + 1, j)] = 2 * k - 1
-            colors[tree.internal(2, depth + 1, j)] = 2 * k
-        colors[seq2[k - 1]] = 2 * k - 1
-        colors[seq1[k - 1]] = 2 * k
+    # side-1 level l has the ids offsets[l-1] .. offsets[l]-1, side 2's
+    # are per_side higher, and the quasi-leaves come last
+    offsets = [_internal_per_side(level, t) for level in range(r + 1)]
+    per_side = offsets[r]
+    colors = [-1] * (2 * per_side) + [0] * t**r
+    # side 1's vertices from the root down, right to left within a level
+    top1 = chain.from_iterable(reversed(range(lo, hi)) for lo, hi in pairwise(offsets))
+    for k, top in zip(range(1, big_k + 1), top1):
+        lo, hi = offsets[r - k], offsets[r - k + 1]  # level r - k + 1
+        colors[lo:hi] = [2 * k - 1] * (hi - lo)
+        colors[per_side + lo : per_side + hi] = [2 * k] * (hi - lo)
+        # side 2's vertices from the root down, left to right
+        colors[per_side + k - 1] = 2 * k - 1
+        colors[top] = 2 * k
     if not at_first_min:
         # leftover internals: side-2 ones get their own color in the first
         # regime, share side 1's in the second
-        for v in range(n):
+        for v in range(2 * per_side):
             if colors[v] == -1:
-                second = first_regime and tree.coord_of[v].side == 2
+                second = first_regime and v >= per_side
                 colors[v] = 2 * (r - i) + (2 if second else 1)
         if at_second_regime_min(r, t):
             # the one side-1 vertex recolored back to the quasi-leaf color

@@ -63,6 +63,12 @@ class Graph:
         is set iff w is a neighbour of v."""
         return tuple(sum(1 << w for w in a) for a in self.adjacency)
 
+    @cached_property
+    def oracle(self) -> DistanceOracle:
+        """The graph's one distance oracle, so its BFS rows are built once
+        however many searches read them."""
+        return DistanceOracle(self)
+
 
 def _check_vertex(v: int, n: int) -> None:
     if not 0 <= v < n:
@@ -73,32 +79,28 @@ def graph_from_edge_list(n: int, edges) -> Graph:
     """Build a canonical simple graph; duplicate edges collapse, self-loops raise."""
     if n < 0:
         raise OutOfRangeVertexError("vertex count must be non-negative")
-    seen: set[tuple[int, int]] = set()
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         _check_vertex(u, n)
         _check_vertex(v, n)
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            continue
-        seen.add(key)
         adj[u].add(v)
         adj[v].add(u)
     return Graph(
         n=n,
         adjacency=tuple(tuple(sorted(s)) for s in adj),
-        m=len(seen),
+        m=sum(map(len, adj)) // 2,
     )
 
 
 def require_connected_graph(g: Graph) -> None:
     """Raise DisconnectedGraphError unless every vertex reaches vertex 0.
 
-    Graphs with at most one vertex count as connected.
+    Graphs with at most one vertex count as connected. The BFS row of
+    vertex 0 is the oracle's, so repeated checks build it once.
     """
-    if g.n > 1 and UNREACHABLE in bfs_distances(g, 0):
+    if g.n > 1 and UNREACHABLE in g.oracle._row(0)[0]:
         raise DisconnectedGraphError("graph is disconnected")
 
 

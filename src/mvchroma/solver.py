@@ -123,7 +123,7 @@ def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
     require_connected_graph(g)
     n = g.n
     order = solver_vertex_order(g)
-    o = DistanceOracle(g)
+    o = g.oracle
     tracker = _BudgetTracker(budget)
 
     if n == 0:

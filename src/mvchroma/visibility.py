@@ -237,6 +237,8 @@ def _require_total(g: Graph, c: Coloring) -> None:
         raise ColoringNotTotalError(
             f"coloring covers {c.n} vertices, graph has {g.n}"
         )
+    if c.colors and not 0 <= min(c.colors) <= max(c.colors) < c.k:
+        raise ColoringNotTotalError(f"color ids outside 0..{c.k - 1}")
 
 
 def validate_mv_coloring(

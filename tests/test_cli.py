@@ -166,6 +166,15 @@ def test_validate_partial_coloring_reports_coverage(tmp_path, capsys, mode):
     assert err.startswith("error: coloring covers 3 vertices")
 
 
+@pytest.mark.parametrize("command", ["gen-tree", "theorem"])
+def test_oversized_tree_exit_2(capsys, command):
+    # n has over 4300 digits, more than Python will turn into a string
+    code, out, err = run(capsys, command, "--r", "3000", "--t", "3000")
+    assert code == 2
+    assert out == ""
+    assert err == "error: GT(3000,3000) has more than 200000 vertices\n"
+
+
 def test_validate_disconnected_exit_2(tmp_path, capsys):
     gpath = tmp_path / "g.col"
     cpath = tmp_path / "c.sol"

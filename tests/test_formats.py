@@ -77,7 +77,7 @@ def test_labels_round_trip():
     tree = build_glued_tree(2, 2)
     text = write_labels(tree)
     labels = read_labels(text)
-    assert labels == tree.coord_of
+    assert labels == {v: tree.coord(v) for v in range(tree.graph.n)}
     assert labels[tree.internal(1, 2, 2)] == Internal(1, 2, 2)
     assert labels[tree.quasi(3)] == QuasiLeaf(3)
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from mvchroma import (
@@ -13,13 +15,29 @@ from mvchroma import (
     glued_tree_order,
     validate_mv_coloring,
     verify_theorem,
+    write_graph,
+    write_labels,
 )
 from mvchroma.errors import (
     GapInputError,
     InvalidParamsError,
     InvalidQuasiLeafError,
+    OutOfRangeVertexError,
     SizeCapExceededError,
 )
+
+GOLDEN_LAYOUT_DIGEST = "d5af4c060fd07c80fd537694210928ec6b56da5fe9e91e79c91f56c6f76e1a4d"
+
+
+def trees_up_to(max_n):
+    """Every (r, t) with |V(GT(r, t))| <= max_n, by t and then r."""
+    t = 2
+    while glued_tree_order(1, t) <= max_n:
+        r = 1
+        while glued_tree_order(r, t) <= max_n:
+            yield r, t
+            r += 1
+        t += 1
 
 
 def test_order_formula():
@@ -63,12 +81,76 @@ def test_build_gt2_structure():
 
 def test_labels_cover_all_vertices():
     tree = build_glued_tree(3, 3)
-    assert len(tree.coord_of) == tree.graph.n
-    assert len(tree.id_of) == tree.graph.n
-    quasi = [c for c in tree.coord_of.values() if isinstance(c, QuasiLeaf)]
+    coords = [tree.coord(v) for v in range(tree.graph.n)]
+    assert len(set(coords)) == tree.graph.n
+    quasi = [c for c in coords if isinstance(c, QuasiLeaf)]
     assert len(quasi) == 27
-    internals = [c for c in tree.coord_of.values() if isinstance(c, Internal)]
+    internals = [c for c in coords if isinstance(c, Internal)]
     assert len(internals) == 2 * (1 + 3 + 9)
+
+
+def is_parent(p, c, r, t):
+    """True iff c is a child of p under the module's coordinates: (side,
+    i, j) has children (side, i + 1, t(j - 1) + k) for 1 <= k <= t, and
+    the level-r vertices have the quasi-leaves t(j - 1) + k instead."""
+    if not isinstance(p, Internal):
+        return False
+    first = t * (p.j - 1) + 1
+    if isinstance(c, QuasiLeaf):
+        return p.i == r and first <= c.a < first + t
+    return c.side == p.side and c.i == p.i + 1 and first <= c.j < first + t
+
+
+def test_edges_join_parents_to_children():
+    for r, t in trees_up_to(2000):
+        tree = build_glued_tree(r, t)
+        g = tree.graph
+        coords = [tree.coord(v) for v in range(g.n)]
+        for v, c in enumerate(coords):
+            if isinstance(c, QuasiLeaf):
+                assert 1 <= c.a <= t**r and tree.quasi(c.a) == v
+            else:
+                assert c.side in (1, 2) and 1 <= c.i <= r and 1 <= c.j <= t ** (c.i - 1)
+                assert tree.internal(c.side, c.i, c.j) == v
+        # every internal vertex has t children, one edge each
+        assert g.m == 2 * t * (t**r - 1) // (t - 1)
+        for u, v in g.edges():
+            cu, cv = coords[u], coords[v]
+            assert is_parent(cu, cv, r, t) or is_parent(cv, cu, r, t), (r, t, cu, cv)
+
+
+def test_coordinates_out_of_range_rejected():
+    tree = build_glued_tree(2, 3)
+    for bad in [(0, 1, 1), (3, 1, 1), (1, 0, 1), (1, 3, 1), (1, 2, 0), (1, 2, 4)]:
+        with pytest.raises(InvalidParamsError):
+            tree.internal(*bad)
+    for a in (0, 10):
+        with pytest.raises(InvalidQuasiLeafError):
+            tree.quasi(a)
+    for v in (-1, tree.graph.n):
+        with pytest.raises(OutOfRangeVertexError):
+            tree.coord(v)
+
+
+def layout_digest(trees):
+    """SHA-256 over each tree's graph file, label sidecar and constructive
+    colours."""
+    h = hashlib.sha256()
+    for r, t in trees:
+        tree = build_glued_tree(r, t)
+        colors = constructive_coloring(tree).colors
+        h.update(f"GT({r},{t})\n".encode())
+        h.update(write_graph(tree.graph).encode())
+        h.update(write_labels(tree).encode())
+        h.update((" ".join(map(str, colors)) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_layout_golden_digest():
+    # recorded when the vertex ids still came from coordinate dictionaries
+    trees = [rt for rt in trees_up_to(600) if not chi_mu_formula(*rt).gap]
+    assert len(trees) == 631
+    assert layout_digest(trees + [(10, 2)]) == GOLDEN_LAYOUT_DIGEST
 
 
 def test_diameter_is_2r():
@@ -245,16 +327,11 @@ def test_verify_theorem_agrees():
 def test_verify_theorem_gp_decides_mv():
     # with gp, a GP-valid construction skips the MV check: every GP set is
     # an MV set, so the verdict must match a direct MV validation
-    t = 2
-    while glued_tree_order(1, t) <= 400:
-        r = 1
-        while glued_tree_order(r, t) <= 400:
-            if not chi_mu_formula(r, t).gap:
-                tree = build_glued_tree(r, t)
-                direct = validate_mv_coloring(tree.graph, constructive_coloring(tree))
-                assert verify_theorem(r, t, gp=True).mv_valid == direct.valid, (r, t)
-            r += 1
-        t += 1
+    for r, t in trees_up_to(400):
+        if not chi_mu_formula(r, t).gap:
+            tree = build_glued_tree(r, t)
+            direct = validate_mv_coloring(tree.graph, constructive_coloring(tree))
+            assert verify_theorem(r, t, gp=True).mv_valid == direct.valid, (r, t)
 
 
 def test_verify_theorem_no_exact():

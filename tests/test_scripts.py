@@ -23,7 +23,7 @@ def test_theorem_sweep_reports_budget_bounds(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
     assert "budget [" in proc.stdout
-    rows = json.loads(jpath.read_text())["rows"]
+    rows = [row for row in json.loads(jpath.read_text())["rows"] if not row["gap"]]
     budget_rows = [row for row in rows if row["bounds"] is not None]
     assert budget_rows
     for row in budget_rows:
@@ -50,7 +50,12 @@ def test_theorem_sweep_gp_verdicts_match_expected(tmp_path):
     proc = run_sweep("--max-n", "100", "--gp", "--json", str(jpath))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert " 0 mismatches" in proc.stdout
-    rows = {(row["r"], row["t"]): row for row in json.loads(jpath.read_text())["rows"]}
+    assert "GT(3,3): formula gap" in proc.stdout
+    rows = {
+        (row["r"], row["t"]): row
+        for row in json.loads(jpath.read_text())["rows"]
+        if not row["gap"]
+    }
     assert rows[3, 2]["gp_expected"] is False and rows[3, 2]["gp_valid"] is False
     assert all(row["gp_valid"] == row["gp_expected"] for row in rows.values())
     assert sum(row["gp_expected"] for row in rows.values()) == len(rows) - 1

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import mvchroma.graph as graph_module
 from conftest import (
     DEFAULT_SEED,
     brute_chi_mu,
@@ -172,6 +173,22 @@ def test_chi_mu_exact_gt2():
     tree = build_glued_tree(2, 2)
     k, _ = chi_mu_exact(tree.graph)
     assert k == 3
+
+
+def test_chi_mu_exact_builds_each_bfs_row_once(monkeypatch):
+    # greedy and the k = 1..3 searches share the graph's oracle; each search
+    # adds only its connectivity check's BFS
+    calls = []
+    bfs = graph_module.bfs_distances
+
+    def counting_bfs(g, source):
+        calls.append(source)
+        return bfs(g, source)
+
+    monkeypatch.setattr(graph_module, "bfs_distances", counting_bfs)
+    tree = build_glued_tree(3, 2)
+    assert chi_mu_exact(tree.graph)[0] == 4
+    assert len(calls) <= tree.graph.n + 4
 
 
 def test_chi_mu_exact_matches_naive():

@@ -106,6 +106,17 @@ def test_coloring_not_total():
         validate_mv_coloring(tree.graph, Coloring((0, 1), 2))
 
 
+@pytest.mark.parametrize(
+    "validate", [validate_mv_coloring, validate_gp_coloring], ids=["mv", "gp"]
+)
+@pytest.mark.parametrize("colors, k", [((0, -1, 0), 1), ((0, 0, 3), 2)])
+def test_color_ids_outside_range_rejected(validate, colors, k):
+    # a negative id would index a class from the end, a large one past it
+    g = graph_from_edge_list(3, [(0, 1), (1, 2)])
+    with pytest.raises(ColoringNotTotalError):
+        validate(g, Coloring(colors, k))
+
+
 def test_coloring_from_list_dense_check():
     with pytest.raises(ColoringNotTotalError):
         coloring_from_list([0, 2])
