@@ -155,14 +155,14 @@ def build_glued_tree(r: int, t: int) -> LabeledGluedTree:
     )
 
 
-def _ancestor_positions(a: int, r: int, t: int) -> list[int]:
-    """Level positions j of the ancestors of quasi-leaf a, from level r up to 1."""
-    positions = []
-    j = (a + t - 1) // t  # parent at level r
-    for i in range(r, 0, -1):
-        positions.append(j)
-        j = (j + t - 1) // t
-    return positions
+def _heap_ancestors(c: int, t: int) -> list[int]:
+    """The local heap indices of the ancestors of local index c, parent
+    first and root last."""
+    out = []
+    while c:
+        c = (c - 1) // t
+        out.append(c)
+    return out
 
 
 def cycle_vertices(tree: LabeledGluedTree, a: int, b: int) -> CycleDecomposition:
@@ -171,23 +171,20 @@ def cycle_vertices(tree: LabeledGluedTree, a: int, b: int) -> CycleDecomposition
     q = t**r
     if not (1 <= a <= q and 1 <= b <= q) or a == b:
         raise InvalidQuasiLeafError(f"need distinct quasi-leaf indices in 1..{q}")
-    up_a = _ancestor_positions(a, r, t)  # levels r..1
-    up_b = _ancestor_positions(b, r, t)
-    # lowest common ancestor: first level (walking up) where positions agree
+    # a quasi-leaf is the child at local index per_side + a - 1 on either side
+    per_side = _internal_per_side(r, t)
+    up_a = _heap_ancestors(per_side + a - 1, t)  # levels r..1
+    up_b = _heap_ancestors(per_side + b - 1, t)
+    # lowest common ancestor: first level (walking up) where they agree
     meet = 0
     while up_a[meet] != up_b[meet]:
         meet += 1
+    inner = up_a[: meet + 1] + up_b[:meet][::-1]
 
-    def side_path(side: int) -> tuple[int, ...]:
-        path = [tree.quasi(a)]
-        for step in range(meet + 1):
-            path.append(tree.internal(side, r - step, up_a[step]))
-        for step in range(meet - 1, -1, -1):
-            path.append(tree.internal(side, r - step, up_b[step]))
-        path.append(tree.quasi(b))
-        return tuple(path)
+    def side_path(base: int) -> tuple[int, ...]:
+        return (tree.quasi(a), *(base + x for x in inner), tree.quasi(b))
 
-    return CycleDecomposition(a=a, b=b, p_side1=side_path(1), p_side2=side_path(2))
+    return CycleDecomposition(a=a, b=b, p_side1=side_path(0), p_side2=side_path(per_side))
 
 
 class _Interval(NamedTuple):

@@ -81,8 +81,9 @@ def graph_from_edge_list(n: int, edges) -> Graph:
         raise OutOfRangeVertexError("vertex count must be non-negative")
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
-        _check_vertex(u, n)
-        _check_vertex(v, n)
+        if not (0 <= u < n and 0 <= v < n):
+            _check_vertex(u, n)
+            _check_vertex(v, n)
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
         adj[u].add(v)

@@ -106,12 +106,12 @@ def test_edges_join_parents_to_children():
         tree = build_glued_tree(r, t)
         g = tree.graph
         coords = [tree.coord(v) for v in range(g.n)]
-        for v, c in enumerate(coords):
-            if isinstance(c, QuasiLeaf):
-                assert 1 <= c.a <= t**r and tree.quasi(c.a) == v
-            else:
-                assert c.side in (1, 2) and 1 <= c.i <= r and 1 <= c.j <= t ** (c.i - 1)
-                assert tree.internal(c.side, c.i, c.j) == v
+        # internal() and quasi() reject coordinates outside the tree
+        ids = [
+            tree.quasi(c.a) if isinstance(c, QuasiLeaf) else tree.internal(c.side, c.i, c.j)
+            for c in coords
+        ]
+        assert ids == list(range(g.n))
         # every internal vertex has t children, one edge each
         assert g.m == 2 * t * (t**r - 1) // (t - 1)
         for u, v in g.edges():
