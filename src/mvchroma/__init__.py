@@ -56,7 +56,6 @@ from .gluedtrees import (
 )
 from .reduction import (
     NaeFormula,
-    NormalizeOutcome,
     ReductionGraph,
     ReductionReport,
     assignment_to_coloring,

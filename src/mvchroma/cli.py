@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .errors import BudgetExhaustedError, MvChromaError
@@ -20,11 +21,7 @@ from .formats import (
     write_graph,
     write_labels,
 )
-from .gluedtrees import (
-    build_glued_tree,
-    chi_mu_formula,
-    verify_theorem,
-)
+from .gluedtrees import build_glued_tree, verify_theorem
 from .reduction import (
     build_reduction,
     format_nae_formula,
@@ -81,14 +78,6 @@ def cmd_gen_tree(args) -> int:
 
 
 def cmd_theorem(args) -> int:
-    formula = chi_mu_formula(args.r, args.t)
-    if formula.gap:
-        print(
-            "formula gap: candidates "
-            + ",".join(str(c) for c in formula.candidates),
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     report = verify_theorem(
         args.r, args.t, exact=args.exact, gp=args.gp, budget=_budget(args)
     )
@@ -166,8 +155,7 @@ def cmd_solve(args) -> int:
 
 def _normalized_formula(args):
     """Parse and normalize --formula; None when normalizing refutes it."""
-    outcome = normalize(parse_nae_formula(_read(args.formula)))
-    return None if outcome.trivially_unsat else outcome.formula
+    return normalize(parse_nae_formula(_read(args.formula)))
 
 
 def cmd_reduce(args) -> int:
@@ -178,22 +166,14 @@ def cmd_reduce(args) -> int:
     rg = build_reduction(formula)
     _write(args.out, write_graph(rg.graph))
     if args.legend:
-        _write(args.legend, json.dumps(legend_to_dict(rg.legend), indent=2) + "\n")
+        _write(args.legend, json.dumps(legend_to_dict(rg), indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_reduce_verify(args) -> int:
     f = parse_nae_formula(_read(args.formula))
     report = verify_reduction(f, budget=_budget(args))
-    payload = {
-        "trivially_unsat": report.trivially_unsat,
-        "nae_satisfiable": report.nae_satisfiable,
-        "mv_two_colorable": report.mv_two_colorable,
-        "agree": report.agree,
-        "forward_coloring_validates": report.forward_coloring_validates,
-        "solver_nodes": report.solver_nodes,
-        "solver_budget_exhausted": report.solver_budget_exhausted,
-    }
+    payload = asdict(report)
     code = EXIT_OK if report.agree else EXIT_NEGATIVE
     if report.solver_budget_exhausted:
         payload["status"] = "budget"

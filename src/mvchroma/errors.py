@@ -17,10 +17,6 @@ class DisconnectedGraphError(MvChromaError):
     pass
 
 
-class UnreachablePairError(MvChromaError):
-    pass
-
-
 class ColoringNotTotalError(MvChromaError):
     pass
 

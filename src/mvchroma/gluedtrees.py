@@ -25,10 +25,8 @@ from .errors import (
     OutOfRangeVertexError,
     SizeCapExceededError,
 )
-from .graph import Graph, graph_from_edge_list
+from .graph import DEFAULT_SIZE_CAP, Graph, graph_from_edge_list
 from .visibility import Coloring, validate_mv_coloring
-
-DEFAULT_SIZE_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -342,7 +340,7 @@ def verify_theorem(
     if formula.gap:
         raise GapInputError(
             f"chi_mu formula has a gap at (r={r}, t={t}); "
-            f"candidates {formula.candidates}"
+            f"candidates {','.join(map(str, formula.candidates))}"
         )
     tree = build_glued_tree(r, t)
     coloring = constructive_coloring(tree)

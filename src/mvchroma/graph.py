@@ -1,7 +1,9 @@
 """Immutable simple undirected graphs, BFS distances and geodesic primitives.
 
-Vertex ids are dense 0-based integers. Distances come from one BFS row per
-source vertex, built on first use, with -1 marking unreachable vertices.
+Vertex ids are dense 0-based integers, and graph_from_edge_list builds no
+graph with more than DEFAULT_SIZE_CAP vertices. Distances come from one BFS
+row per source vertex, built on first use; an oracle needs a connected graph,
+so every row holds every vertex.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from .errors import (
     DisconnectedGraphError,
     OutOfRangeVertexError,
     SelfLoopError,
-    UnreachablePairError,
+    SizeCapExceededError,
 )
 
 UNREACHABLE = -1
+DEFAULT_SIZE_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,8 @@ def graph_from_edge_list(n: int, edges) -> Graph:
     """Build a canonical simple graph; duplicate edges collapse, self-loops raise."""
     if n < 0:
         raise OutOfRangeVertexError("vertex count must be non-negative")
+    if n > DEFAULT_SIZE_CAP:
+        raise SizeCapExceededError(f"{n} vertices is more than {DEFAULT_SIZE_CAP}")
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -96,13 +101,12 @@ def graph_from_edge_list(n: int, edges) -> Graph:
 
 
 def require_connected_graph(g: Graph) -> None:
-    """Raise DisconnectedGraphError unless every vertex reaches vertex 0.
+    """Raise DisconnectedGraphError unless g is connected.
 
-    Graphs with at most one vertex count as connected. The BFS row of
-    vertex 0 is the oracle's, so repeated checks build it once.
+    Building g's cached oracle makes the check, so on a connected graph
+    only the first call costs a BFS.
     """
-    if g.n > 1 and UNREACHABLE in g.oracle._row(0)[0]:
-        raise DisconnectedGraphError("graph is disconnected")
+    g.oracle
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -165,23 +169,24 @@ class DistanceOracle:
     distance 2 needs one common neighbour outside the mask, so only pairs at
     distance >= 3 walk.
 
-    ``through`` and ``sees`` answer for connected pairs only; the callers
-    check connectivity first.
+    Building an oracle raises DisconnectedGraphError unless every vertex
+    reaches vertex 0 (graphs with at most one vertex count as connected),
+    so every row holds every vertex.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self._rows: list[tuple[list[int], list[int]] | None] = [None] * g.n
+        if g.n > 1 and UNREACHABLE in self._row(0)[0]:
+            raise DisconnectedGraphError("graph is disconnected")
 
     def _row(self, u: int) -> tuple[list[int], list[int]]:
         row = self._rows[u]
         if row is None:
             dist = bfs_distances(self.g, u)
-            # a spare last level takes the unreachable vertices (index -1)
-            levels = [0] * (max(dist) + 2)
+            levels = [0] * (max(dist) + 1)
             for w, d in enumerate(dist):
                 levels[d] |= 1 << w
-            levels.pop()
             row = self._rows[u] = (dist, levels)
         return row
 
@@ -189,12 +194,6 @@ class DistanceOracle:
         _check_vertex(u, self.g.n)
         _check_vertex(v, self.g.n)
         return self._row(u)[0][v]
-
-    def require_connected(self, u: int, v: int) -> int:
-        d = self.d(u, v)
-        if d == UNREACHABLE:
-            raise UnreachablePairError(f"vertices {u} and {v} are not connected")
-        return d
 
     def through(self, x: int, v: int) -> int:
         """Bitmask of the vertices y with v on some shortest x-y path, that is
@@ -252,14 +251,12 @@ def diameter(g: Graph) -> int:
 
 def on_some_geodesic(o: DistanceOracle, u: int, w: int, v: int) -> bool:
     """True iff w lies on some shortest u-v path."""
-    duv = o.require_connected(u, v)
-    # w unreachable from u and v sums to -2, never a distance
-    return o.d(u, w) + o.d(v, w) == duv
+    return o.d(u, w) + o.d(v, w) == o.d(u, v)
 
 
 def geodesic_count(g: Graph, o: DistanceOracle, u: int, v: int) -> int:
     """Number of shortest u-v paths (exact, arbitrary precision)."""
-    duv = o.require_connected(u, v)
+    duv = o.d(u, v)
     lu = o._row(u)[1]
     lv = o._row(v)[1]
     # paths from u to each vertex of one level of the u-v geodesic DAG

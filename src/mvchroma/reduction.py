@@ -4,6 +4,15 @@ NAE3SAT to 2-color mutual-visibility colorability.
 The constructed graph has diameter 4; it is 2-colorable in the
 mutual-visibility sense iff the formula has a not-all-equal satisfying
 assignment. Both directions are exercised empirically by verify_reduction.
+
+The graph of a normalized formula with q variables and m clauses has
+n = 4q + 2m + 4 vertices, laid out as follows (0-based ids):
+
+- p, c, z and z' are vertices 0..3;
+- variable i (1..q) has u_i = 4i, ū_i = 4i+1, a_i = 4i+2 and b_i = 4i+3;
+- clause j (0-based) has v_j = 4q+4+2j and w_j = v_j+1;
+- a literal of variable i sits on u_i when positive and on ū_i when not,
+  so its vertex is 4i + (not positive).
 """
 
 from __future__ import annotations
@@ -16,10 +25,11 @@ from .errors import (
     InvalidParamsError,
     NonNormalizedInputError,
     PartialAssignmentError,
+    SizeCapExceededError,
     VariableOutOfRangeError,
     WrongColorCountError,
 )
-from .graph import Graph, graph_from_edge_list
+from .graph import DEFAULT_SIZE_CAP, Graph, graph_from_edge_list
 from .solver import (
     Budget,
     NaeAssignment,
@@ -34,6 +44,7 @@ Literal = tuple[int, bool]  # (1-based variable index, positive polarity)
 
 RED = 0
 WHITE = 1
+P, C, Z, ZP = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -50,6 +61,8 @@ def _canonical_clause(lits) -> tuple[Literal, Literal, Literal]:
 
 
 def make_formula(q: int, clauses) -> NaeFormula:
+    if q < 1:
+        raise VariableOutOfRangeError(f"a formula needs q >= 1 variables, got {q}")
     canon = []
     for cl in clauses:
         cl = _canonical_clause(cl)
@@ -112,51 +125,30 @@ def format_nae_formula(f: NaeFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class NormalizeOutcome:
-    trivially_unsat: bool
-    formula: NaeFormula | None
+def normalize(f: NaeFormula) -> NaeFormula | None:
+    """Make every clause involve three distinct variables; None when a clause
+    refutes the formula.
 
-
-def normalize(f: NaeFormula) -> NormalizeOutcome:
-    """Make every clause involve three distinct variables.
-
-    In order: a single-variable clause with all-equal literals is a trivial No;
-    a clause containing a variable in both polarities is dropped; a clause with
-    a doubled literal {l, l, l2} becomes {l, l2, a} and {l, l2, not-a} with a
-    fresh variable a.
+    One literal three times is a clause no assignment satisfies, so the
+    answer is None. A clause with a variable in both polarities always holds
+    and is dropped. A clause {l, l, l2} with a doubled literal becomes
+    {l, l2, a} and {l, l2, not-a} with a fresh variable a.
     """
-    for cl in f.clauses:
-        vars_ = {v for v, _ in cl}
-        if len(vars_) == 1 and len({p for _, p in cl}) == 1:
-            return NormalizeOutcome(trivially_unsat=True, formula=None)
-    kept = []
-    for cl in f.clauses:
-        pol: dict[int, set[bool]] = {}
-        for v, p in cl:
-            pol.setdefault(v, set()).add(p)
-        if any(len(ps) == 2 for ps in pol.values()):
-            continue
-        kept.append(cl)
     q = f.q
     out = []
-    for cl in kept:
-        vars_ = {v for v, _ in cl}
-        if len(vars_) == 3:
+    for cl in f.clauses:
+        lits = set(cl)
+        n_vars = len({v for v, _ in lits})
+        if len(lits) == 1:
+            return None
+        if n_vars < len(lits):
+            continue
+        if n_vars == 3:
             out.append(cl)
             continue
-        # exactly two distinct variables, doubled literal in one polarity
-        seen: dict[Literal, int] = {}
-        for lit in cl:
-            seen[lit] = seen.get(lit, 0) + 1
-        doubled = next(l for l, cnt in seen.items() if cnt >= 2)
-        other = next((l for l in seen if l != doubled), doubled)
         q += 1
-        out.append(_canonical_clause([doubled, other, (q, True)]))
-        out.append(_canonical_clause([doubled, other, (q, False)]))
-    return NormalizeOutcome(
-        trivially_unsat=False, formula=NaeFormula(q=q, clauses=tuple(out))
-    )
+        out += [_canonical_clause([*lits, (q, pos)]) for pos in (True, False)]
+    return NaeFormula(q=q, clauses=tuple(out))
 
 
 @dataclass(frozen=True)
@@ -182,34 +174,14 @@ def build_h_gadget(n: int) -> tuple[Graph, HGadgetLegend]:
 
 
 @dataclass(frozen=True)
-class VariableGadget:
-    u: int
-    ubar: int
-    a: int
-    b: int
-
-
-@dataclass(frozen=True)
-class ClauseGadget:
-    v: int
-    w: int
-    T: tuple[int, int, int]
-
-
-@dataclass(frozen=True)
-class ReductionLegend:
-    p: int
-    c: int
-    z: int
-    zp: int
-    vars: tuple[VariableGadget, ...]
-    clauses: tuple[ClauseGadget, ...]
-
-
-@dataclass(frozen=True)
 class ReductionGraph:
     graph: Graph
-    legend: ReductionLegend = field(repr=False)
+    formula: NaeFormula = field(repr=False)
+
+
+def _literal_vertex(var: int, positive: bool) -> int:
+    """u_var for a positive literal, ū_var for a negative one."""
+    return 4 * var + (not positive)
 
 
 def build_reduction(f: NaeFormula) -> ReductionGraph:
@@ -220,90 +192,54 @@ def build_reduction(f: NaeFormula) -> ReductionGraph:
                 "every clause must involve three distinct variables"
             )
     q = f.q
-    r = len(f.clauses)
-    p, c, z, zp = 0, 1, 2, 3
-    var_gadgets = []
-    for i in range(q):
-        base = 4 + 4 * i
-        var_gadgets.append(VariableGadget(u=base, ubar=base + 1, a=base + 2, b=base + 3))
-    clause_gadgets = []
-    edges = [(p, c)]
-    for i, vg in enumerate(var_gadgets):
-        edges += [
-            (vg.u, vg.a),
-            (vg.ubar, vg.a),
-            (vg.u, c),
-            (vg.ubar, c),
-            (vg.a, vg.b),
-        ]
-    for j, cl in enumerate(f.clauses):
-        vj = 4 + 4 * q + 2 * j
-        wj = vj + 1
-        t = tuple(
-            var_gadgets[var - 1].u if pos else var_gadgets[var - 1].ubar
-            for var, pos in cl
+    n = 4 * q + 2 * len(f.clauses) + 4
+    if n > DEFAULT_SIZE_CAP:
+        raise SizeCapExceededError(
+            f"the reduction graph has {n} vertices, more than {DEFAULT_SIZE_CAP}"
         )
-        clause_gadgets.append(ClauseGadget(v=vj, w=wj, T=t))
-        edges.append((vj, wj))
-        for x in t:
-            edges.append((vj, x))
-    for hub in (z, zp):
-        for vg in var_gadgets:
-            edges += [(hub, vg.u), (hub, vg.ubar), (hub, vg.a)]
-        for cg in clause_gadgets:
-            edges.append((hub, cg.v))
-    n = 4 * q + 2 * r + 4
-    return ReductionGraph(
-        graph=graph_from_edge_list(n, edges),
-        legend=ReductionLegend(
-            p=p, c=c, z=z, zp=zp, vars=tuple(var_gadgets), clauses=tuple(clause_gadgets)
-        ),
-    )
+    edges = [(P, C)]
+    for u in range(4, 4 * q + 4, 4):
+        ubar, a, b = u + 1, u + 2, u + 3
+        edges += [(u, a), (ubar, a), (u, C), (ubar, C), (a, b)]
+        edges += [(hub, x) for hub in (Z, ZP) for x in (u, ubar, a)]
+    for v, cl in zip(range(4 * q + 4, n, 2), f.clauses):
+        edges += [(v, v + 1), (Z, v), (ZP, v)]
+        edges += [(v, _literal_vertex(*lit)) for lit in cl]
+    return ReductionGraph(graph=graph_from_edge_list(n, edges), formula=f)
 
 
-def legend_to_dict(legend: ReductionLegend) -> dict:
-    """The legend with 1-based vertex ids, as the file formats write them."""
+def legend_to_dict(rg: ReductionGraph) -> dict:
+    """The layout with 1-based vertex ids, as the file formats write them."""
+    f = rg.formula
     return {
-        "p": legend.p + 1,
-        "c": legend.c + 1,
-        "z": legend.z + 1,
-        "zp": legend.zp + 1,
+        "p": P + 1,
+        "c": C + 1,
+        "z": Z + 1,
+        "zp": ZP + 1,
         "vars": [
-            {"u": vg.u + 1, "ubar": vg.ubar + 1, "a": vg.a + 1, "b": vg.b + 1}
-            for vg in legend.vars
+            {"u": u + 1, "ubar": u + 2, "a": u + 3, "b": u + 4}
+            for u in range(4, 4 * f.q + 4, 4)
         ],
         "clauses": [
-            {"v": cg.v + 1, "w": cg.w + 1, "T": [x + 1 for x in cg.T]}
-            for cg in legend.clauses
+            {"v": v + 1, "w": v + 2, "T": [_literal_vertex(*lit) + 1 for lit in cl]}
+            for v, cl in zip(range(4 * f.q + 4, rg.graph.n, 2), f.clauses)
         ],
     }
 
 
 def assignment_to_coloring(rg: ReductionGraph, a: NaeAssignment) -> Coloring:
     """The forward proof direction's 2-coloring (red=0, white=1)."""
-    legend = rg.legend
-    if len(a.values) < len(legend.vars):
+    f = rg.formula
+    if len(a.values) < f.q:
         raise PartialAssignmentError(
-            f"assignment covers {len(a.values)} of {len(legend.vars)} variables"
+            f"assignment covers {len(a.values)} of {f.q} variables"
         )
-    colors = [-1] * rg.graph.n
-    colors[legend.p] = RED
-    colors[legend.c] = WHITE
-    colors[legend.z] = RED
-    colors[legend.zp] = WHITE
-    for i, vg in enumerate(legend.vars, start=1):
-        colors[vg.a] = WHITE
-        colors[vg.b] = RED
-        if a.value(i):
-            colors[vg.u] = RED
-            colors[vg.ubar] = WHITE
-        else:
-            colors[vg.u] = WHITE
-            colors[vg.ubar] = RED
-    for cg in legend.clauses:
-        colors[cg.v] = WHITE
-        colors[cg.w] = RED
-    assert all(col != -1 for col in colors)
+    # p, c, z, z'; then u, ū, a, b per variable; then v, w per clause
+    colors = [RED, WHITE, RED, WHITE]
+    for value in a.values[: f.q]:
+        colors += [RED, WHITE] if value else [WHITE, RED]
+        colors += [WHITE, RED]
+    colors += [WHITE, RED] * len(f.clauses)
     return Coloring(tuple(colors), 2)
 
 
@@ -315,13 +251,8 @@ def coloring_to_assignment(rg: ReductionGraph, c: Coloring) -> NaeAssignment:
     """
     if c.k != 2:
         raise WrongColorCountError(f"expected exactly 2 colors, got {c.k}")
-    legend = rg.legend
-    if not legend.vars:
-        return NaeAssignment(values=())
-    reference = c.colors[legend.vars[0].u]
-    return NaeAssignment(
-        values=tuple(c.colors[vg.u] == reference for vg in legend.vars)
-    )
+    u_colors = c.colors[4 : 4 * rg.formula.q + 4 : 4]
+    return NaeAssignment(values=tuple(x == u_colors[0] for x in u_colors))
 
 
 @dataclass(frozen=True)
@@ -338,8 +269,8 @@ class ReductionReport:
 
 def verify_reduction(f: NaeFormula, budget: Budget | None = None) -> ReductionReport:
     """Empirically check both directions of the reduction on one instance."""
-    outcome = normalize(f)
-    if outcome.trivially_unsat:
+    fn = normalize(f)
+    if fn is None:
         return ReductionReport(
             trivially_unsat=True,
             nae_satisfiable=False,
@@ -349,31 +280,21 @@ def verify_reduction(f: NaeFormula, budget: Budget | None = None) -> ReductionRe
             solver_nodes=0,
             solver_budget_exhausted=False,
         )
-    fn = outcome.formula
     assignment = nae_satisfiable(fn)
     rg = build_reduction(fn)
     search: SearchOutcome = mv_k_colorable(rg.graph, 2, budget=budget)
-    if search.status is Status.BUDGET_EXHAUSTED:
-        return ReductionReport(
-            trivially_unsat=False,
-            nae_satisfiable=assignment is not None,
-            mv_two_colorable=None,
-            agree=None,
-            forward_coloring_validates=None,
-            solver_nodes=search.nodes_explored,
-            solver_budget_exhausted=True,
-        )
-    colorable = search.status is Status.FEASIBLE
+    decided = search.status is not Status.BUDGET_EXHAUSTED
+    colorable = search.status is Status.FEASIBLE if decided else None
     forward_valid = None
-    if assignment is not None:
+    if decided and assignment is not None:
         forward = assignment_to_coloring(rg, assignment)
         forward_valid = validate_mv_coloring(rg.graph, forward).valid
     return ReductionReport(
         trivially_unsat=False,
         nae_satisfiable=assignment is not None,
         mv_two_colorable=colorable,
-        agree=(assignment is not None) == colorable,
+        agree=(assignment is not None) == colorable if decided else None,
         forward_coloring_validates=forward_valid,
         solver_nodes=search.nodes_explored,
-        solver_budget_exhausted=False,
+        solver_budget_exhausted=not decided,
     )

@@ -276,7 +276,7 @@ def pair_visible(g: Graph, o: DistanceOracle, u: int, v: int, same_class) -> boo
     """Single-pair view of the class check, for cross-validation in tests:
     True iff some shortest u-v path has no vertex of ``same_class`` inside.
 
-    ``o`` is g's distance oracle; u and v must be connected.
+    ``o`` is g's distance oracle.
     """
-    o.require_connected(u, v)
+    o.d(u, v)  # range-checks u and v
     return o.sees(u, 1 << v, sum(1 << w for w in set(same_class)))

@@ -356,6 +356,25 @@ def test_normalize_trivial_exit_3(tmp_path, capsys):
     assert "TRIVIALLY-UNSAT" in err
 
 
+@pytest.mark.parametrize("header", ["p nae3 -1 0\n", "p nae3 0 0\n"])
+@pytest.mark.parametrize("command", ["reduce", "reduce-verify", "normalize", "nae"])
+def test_formula_without_variables_exit_2(tmp_path, capsys, header, command):
+    fpath = write_formula(tmp_path, header)
+    code, out, err = run(capsys, command, "--formula", fpath)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_reduce_over_size_cap_exit_2(tmp_path, capsys):
+    # 4q + 4 = 200,008 vertices, just over the cap
+    fpath = write_formula(tmp_path, "p nae3 50001 0\n")
+    code, out, err = run(capsys, "reduce", "--formula", fpath)
+    assert code == 2
+    assert out == ""
+    assert "200008 vertices" in err
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "nae", "--formula", "/nonexistent/path.nae")
     assert code == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mvchroma import (
+    DistanceOracle,
     all_pairs_distances,
     bfs_distances,
     build_glued_tree,
@@ -14,7 +15,7 @@ from mvchroma.errors import (
     DisconnectedGraphError,
     OutOfRangeVertexError,
     SelfLoopError,
-    UnreachablePairError,
+    SizeCapExceededError,
 )
 
 C4_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -44,6 +45,11 @@ def test_self_loop_rejected():
 def test_out_of_range_endpoint():
     with pytest.raises(OutOfRangeVertexError):
         graph_from_edge_list(3, [(0, 3)])
+
+
+def test_vertex_count_over_cap_rejected():
+    with pytest.raises(SizeCapExceededError):
+        graph_from_edge_list(200_001, [])
 
 
 def test_h2_edge_count():
@@ -133,11 +139,15 @@ def test_on_some_geodesic_gt2_quasi_leaves():
     assert on_some_geodesic(o, tree.quasi(1), tree.internal(1, 1, 1), tree.quasi(4))
 
 
-def test_on_some_geodesic_unreachable():
-    g = graph_from_edge_list(3, [(0, 1)])
-    o = all_pairs_distances(g)
-    with pytest.raises(UnreachablePairError):
-        on_some_geodesic(o, 0, 1, 2)
+def test_oracle_rejects_disconnected_graph():
+    # the path 0-1-2-3 and the edge 4-5: no oracle, so no row misses a vertex
+    g = graph_from_edge_list(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
+    with pytest.raises(DisconnectedGraphError):
+        DistanceOracle(g)
+    with pytest.raises(DisconnectedGraphError):
+        all_pairs_distances(g)
+    with pytest.raises(DisconnectedGraphError):
+        g.oracle
 
 
 def test_geodesic_count_c4():
@@ -155,22 +165,3 @@ def test_geodesic_count_gt2():
     assert geodesic_count(g, o, tree.internal(1, 2, 1), tree.internal(1, 2, 2)) == 1
     # mirror roots: one geodesic per quasi-leaf
     assert geodesic_count(g, o, tree.internal(1, 1, 1), tree.internal(2, 1, 1)) == 4
-
-
-def test_geodesic_count_unreachable():
-    g = graph_from_edge_list(4, [(0, 1), (2, 3)])
-    o = all_pairs_distances(g)
-    assert geodesic_count(g, o, 0, 1) == 1
-    with pytest.raises(UnreachablePairError):
-        geodesic_count(g, o, 0, 2)
-
-
-def test_oracle_rows_leave_unreachable_vertices_out():
-    # the path 0-1-2 and the edge 3-4: vertices 3 and 4 lie on no geodesic
-    # from the path's vertices
-    g = graph_from_edge_list(5, [(0, 1), (1, 2), (3, 4)])
-    o = all_pairs_distances(g)
-    assert o.d(0, 3) == -1
-    assert o.through(0, 1) == 0b110
-    assert o.through(2, 1) == 0b011
-    assert o.through(3, 4) == 0b10000

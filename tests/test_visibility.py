@@ -24,7 +24,6 @@ from mvchroma import (
 from mvchroma.errors import (
     ColoringNotTotalError,
     DisconnectedGraphError,
-    UnreachablePairError,
 )
 from mvchroma.visibility import pair_visible
 
@@ -310,11 +309,3 @@ def test_pair_visible_never_blocked():
     for u in range(g.n):
         for v in range(u + 1, g.n):
             assert pair_visible(g, o, u, v, [u, v])
-
-
-def test_pair_visible_unreachable():
-    g = graph_from_edge_list(4, [(0, 1), (2, 3)])
-    o = all_pairs_distances(g)
-    assert pair_visible(g, o, 0, 1, [0, 1, 2, 3])
-    with pytest.raises(UnreachablePairError):
-        pair_visible(g, o, 0, 2, [])
