@@ -138,10 +138,10 @@ def normalize(f: NaeFormula) -> NaeFormula | None:
     out = []
     for cl in f.clauses:
         lits = set(cl)
-        n_vars = len({v for v, _ in lits})
         if len(lits) == 1:
             return None
-        if n_vars < len(lits):
+        n_vars = len({v for v, _ in lits})
+        if n_vars < len(lits):  # a variable in both polarities
             continue
         if n_vars == 3:
             out.append(cl)
