@@ -12,16 +12,12 @@ from .graph import (
     Graph,
     all_pairs_distances,
     bfs_distances,
-    diameter,
-    geodesic_count,
     graph_from_edge_list,
-    on_some_geodesic,
 )
 from .visibility import (
     Coloring,
     ValidationReport,
     coloring_from_list,
-    cycle_class_intersection,
     is_gp_set,
     is_mv_set,
     validate_gp_coloring,
@@ -35,7 +31,6 @@ from .solver import (
     chi_mu_exact,
     greedy_upper_bound,
     mv_k_colorable,
-    nae_assignment_satisfies,
     nae_satisfiable,
     solver_vertex_order,
 )
@@ -59,7 +54,6 @@ from .reduction import (
     ReductionGraph,
     ReductionReport,
     assignment_to_coloring,
-    build_h_gadget,
     build_reduction,
     coloring_to_assignment,
     format_nae_formula,

@@ -101,14 +101,6 @@ class CycleDecomposition:
     p_side2: tuple[int, ...]
 
     @property
-    def q_side1(self) -> tuple[int, ...]:
-        return self.p_side1[1:-1]
-
-    @property
-    def q_side2(self) -> tuple[int, ...]:
-        return self.p_side2[1:-1]
-
-    @property
     def all_vertices(self) -> frozenset[int]:
         return frozenset(self.p_side1) | frozenset(self.p_side2)
 

@@ -34,18 +34,12 @@ class Graph:
     adjacency: tuple[tuple[int, ...], ...]
     m: int
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (u, v) pairs with u < v, sorted."""
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -126,8 +120,6 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
                     nxt.append(w)
         frontier = nxt
     return dist
-
-
 
 
 def geodesic_avoids(g: Graph, layers: list[int], blocked: int) -> bool:
@@ -239,35 +231,3 @@ def all_pairs_distances(g: Graph) -> DistanceOracle:
     this function under it.
     """
     return DistanceOracle(g)
-
-
-def diameter(g: Graph) -> int:
-    """Max hop distance; raises on disconnected input."""
-    if g.n == 0:
-        raise DisconnectedGraphError("empty graph has no diameter")
-    require_connected_graph(g)
-    return max(max(bfs_distances(g, s)) for s in range(g.n))
-
-
-def on_some_geodesic(o: DistanceOracle, u: int, w: int, v: int) -> bool:
-    """True iff w lies on some shortest u-v path."""
-    return o.d(u, w) + o.d(v, w) == o.d(u, v)
-
-
-def geodesic_count(g: Graph, o: DistanceOracle, u: int, v: int) -> int:
-    """Number of shortest u-v paths (exact, arbitrary precision)."""
-    duv = o.d(u, v)
-    lu = o._row(u)[1]
-    lv = o._row(v)[1]
-    # paths from u to each vertex of one level of the u-v geodesic DAG
-    count = {u: 1}
-    for i in range(1, duv + 1):
-        layer = lu[i] & lv[duv - i]
-        nxt = {}
-        while layer:
-            low = layer & -layer
-            w = low.bit_length() - 1
-            nxt[w] = sum(count.get(x, 0) for x in g.adjacency[w])
-            layer ^= low
-        count = nxt
-    return count[v]

@@ -1,5 +1,5 @@
-"""NAE3SAT instances, the identified-leaf star gadget, and the reduction from
-NAE3SAT to 2-color mutual-visibility colorability.
+"""NAE3SAT instances and the reduction from NAE3SAT to 2-color
+mutual-visibility colorability.
 
 The constructed graph has diameter 4; it is 2-colorable in the
 mutual-visibility sense iff the formula has a not-all-equal satisfying
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from .errors import (
     ClauseArityError,
     FormulaSyntaxError,
-    InvalidParamsError,
     NonNormalizedInputError,
     PartialAssignmentError,
     SizeCapExceededError,
@@ -149,28 +148,6 @@ def normalize(f: NaeFormula) -> NaeFormula | None:
         q += 1
         out += [_canonical_clause([*lits, (q, pos)]) for pos in (True, False)]
     return NaeFormula(q=q, clauses=tuple(out))
-
-
-@dataclass(frozen=True)
-class HGadgetLegend:
-    c: int
-    p: int
-    c2: int
-    p2: int
-    leaves: tuple[int, ...]
-
-
-def build_h_gadget(n: int) -> tuple[Graph, HGadgetLegend]:
-    """Two stars on n+2 vertices with their n leaves identified."""
-    if n < 2:
-        raise InvalidParamsError("gadget needs n >= 2 identified leaves")
-    c, p, c2, p2 = 0, 1, 2, 3
-    leaves = tuple(range(4, 4 + n))
-    edges = [(c, p), (c2, p2)]
-    for leaf in leaves:
-        edges.append((c, leaf))
-        edges.append((c2, leaf))
-    return graph_from_edge_list(n + 4, edges), HGadgetLegend(c, p, c2, p2, leaves)
 
 
 @dataclass(frozen=True)

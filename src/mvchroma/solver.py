@@ -47,10 +47,18 @@ class SearchOutcome:
 
 @dataclass(frozen=True)
 class Budget:
-    """Dual node/wall-clock budget; whichever trips first wins."""
+    """Dual node/wall-clock budget; whichever trips first wins. Each limit
+    must be >= 0; zero stops at the first node."""
 
     max_nodes: int | None = None
     max_seconds: float | None = None
+
+    def __post_init__(self):
+        if self.max_nodes is not None and self.max_nodes < 0:
+            raise InvalidParamsError("node budget must be >= 0")
+        # NaN fails every comparison, so it would never trip
+        if self.max_seconds is not None and not self.max_seconds >= 0:
+            raise InvalidParamsError("time budget must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -58,9 +66,6 @@ class NaeAssignment:
     """Truth values for variables 1..q; values[i-1] is the value of x_i."""
 
     values: tuple[bool, ...]
-
-    def value(self, var: int) -> bool:
-        return self.values[var - 1]
 
 
 def solver_vertex_order(g: Graph) -> list[int]:
@@ -206,8 +211,10 @@ def chi_mu_exact(g: Graph, budget: Budget | None = None) -> tuple[int, Coloring]
                     if budget.max_nodes is not None
                     else None
                 ),
+                # an earlier k can finish past the deadline between clock
+                # reads; zero then stops the next k at its first node
                 max_seconds=(
-                    budget.max_seconds - tracker.elapsed
+                    max(budget.max_seconds - tracker.elapsed, 0.0)
                     if budget.max_seconds is not None
                     else None
                 ),
@@ -242,12 +249,3 @@ def nae_satisfiable(f) -> NaeAssignment | None:
         if ok:
             return NaeAssignment(values=values)
     return None
-
-
-def nae_assignment_satisfies(f, assignment: NaeAssignment) -> bool:
-    """Independent clause-by-clause NAE check."""
-    for cl in f.clauses:
-        truths = [assignment.value(var) == positive for var, positive in cl]
-        if all(truths) or not any(truths):
-            return False
-    return True

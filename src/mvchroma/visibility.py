@@ -267,11 +267,6 @@ def validate_gp_coloring(
     return _scan_classes(g, c.color_classes(), "gp", exhaustive)
 
 
-def cycle_class_intersection(s, cycle) -> int:
-    """|s ∩ cycle|."""
-    return len(set(s) & set(cycle))
-
-
 def pair_visible(g: Graph, o: DistanceOracle, u: int, v: int, same_class) -> bool:
     """Single-pair view of the class check, for cross-validation in tests:
     True iff some shortest u-v path has no vertex of ``same_class`` inside.

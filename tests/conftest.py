@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, product
+from typing import NamedTuple
 
 from mvchroma import (
     Coloring,
     Graph,
+    bfs_distances,
     graph_from_edge_list,
 )
 
@@ -40,8 +42,6 @@ def k2_pendant(d: int) -> Graph:
 
 def enumerate_shortest_paths(g: Graph, u: int, v: int) -> list[tuple[int, ...]]:
     """All shortest u-v paths by exhaustive DFS (independent of the DAG code)."""
-    from mvchroma import bfs_distances
-
     dist = bfs_distances(g, u)
     target = dist[v]
     assert target >= 0
@@ -54,7 +54,7 @@ def enumerate_shortest_paths(g: Graph, u: int, v: int) -> list[tuple[int, ...]]:
             return
         if len(path) - 1 == target:
             return
-        for x in g.neighbors(w):
+        for x in g.adjacency[w]:
             if x not in path:
                 path.append(x)
                 rec(path)
@@ -62,6 +62,41 @@ def enumerate_shortest_paths(g: Graph, u: int, v: int) -> list[tuple[int, ...]]:
 
     rec([u])
     return [p for p in paths if len(p) - 1 == target]
+
+
+def diameter(g: Graph) -> int:
+    """Max hop distance over every BFS row; g must be connected."""
+    rows = [bfs_distances(g, s) for s in range(g.n)]
+    assert all(min(row) >= 0 for row in rows)
+    return max(map(max, rows))
+
+
+class HGadgetLegend(NamedTuple):
+    c: int
+    p: int
+    c2: int
+    p2: int
+    leaves: tuple[int, ...]
+
+
+def build_h_gadget(n: int) -> tuple[Graph, HGadgetLegend]:
+    """The paper's H gadget: two stars on n+2 vertices with their n leaves
+    identified. The centres are c and c2, each with one pendant, p and p2."""
+    c, p, c2, p2 = 0, 1, 2, 3
+    leaves = tuple(range(4, 4 + n))
+    edges = [(c, p), (c2, p2)]
+    for leaf in leaves:
+        edges += [(c, leaf), (c2, leaf)]
+    return graph_from_edge_list(n + 4, edges), HGadgetLegend(c, p, c2, p2, leaves)
+
+
+def nae_satisfies(f, values) -> bool:
+    """Clause-by-clause NAE check; values[i - 1] is the value of x_i."""
+    for cl in f.clauses:
+        truths = [values[var - 1] == positive for var, positive in cl]
+        if all(truths) or not any(truths):
+            return False
+    return True
 
 
 def brute_pair_visible(g: Graph, u: int, v: int, blocked_set) -> bool:

@@ -1,0 +1,69 @@
+"""The package's public surface: what the benchmark calls stays, and the
+test-only helpers stay out of ``src``."""
+
+import importlib
+
+import pytest
+
+import mvchroma
+
+MODULES = ("cli", "graph", "gluedtrees", "reduction", "visibility", "solver", "formats")
+
+# (module, function) pairs the benchmark in perfbench/ traces or imports
+BENCHMARK_NAMES = [
+    ("graph", "all_pairs_distances"),
+    ("graph", "graph_from_edge_list"),
+    ("gluedtrees", "build_glued_tree"),
+    ("gluedtrees", "constructive_coloring"),
+    ("gluedtrees", "chi_mu_formula"),
+    ("gluedtrees", "verify_theorem"),
+    ("reduction", "parse_nae_formula"),
+    ("reduction", "normalize"),
+    ("reduction", "build_reduction"),
+    ("reduction", "verify_reduction"),
+    ("reduction", "make_formula"),
+    ("reduction", "format_nae_formula"),
+    ("visibility", "validate_mv_coloring"),
+    ("visibility", "validate_gp_coloring"),
+    ("visibility", "pair_visible"),
+    ("visibility", "coloring_from_list"),
+    ("solver", "mv_k_colorable"),
+    ("solver", "greedy_upper_bound"),
+    ("solver", "chi_mu_exact"),
+    ("solver", "nae_satisfiable"),
+    ("formats", "read_graph"),
+    ("formats", "read_coloring"),
+    ("formats", "write_graph"),
+    ("formats", "write_coloring"),
+]
+
+# helpers only tests called; the brute-force versions live in conftest.py
+REMOVED = (
+    "geodesic_count",
+    "on_some_geodesic",
+    "diameter",
+    "cycle_class_intersection",
+    "nae_assignment_satisfies",
+    "build_h_gadget",
+    "HGadgetLegend",
+)
+
+
+@pytest.mark.parametrize("module, name", BENCHMARK_NAMES)
+def test_benchmark_names_resolve(module, name):
+    assert callable(getattr(importlib.import_module(f"mvchroma.{module}"), name))
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_helpers_are_gone(name):
+    assert not hasattr(mvchroma, name)
+    for module in MODULES:
+        assert not hasattr(importlib.import_module(f"mvchroma.{module}"), name)
+
+
+def test_removed_methods_are_gone():
+    assert not hasattr(mvchroma.Graph, "neighbors")
+    assert not hasattr(mvchroma.Graph, "has_edge")
+    assert not hasattr(mvchroma.CycleDecomposition, "q_side1")
+    assert not hasattr(mvchroma.CycleDecomposition, "q_side2")
+    assert not hasattr(mvchroma.NaeAssignment, "value")

@@ -254,6 +254,20 @@ def test_solve_budget_exit_4(tmp_path, capsys):
     assert "BUDGET" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--graph", "{g}", "--k", "1", "--budget-nodes", "-3"],
+    ["theorem", "--r", "2", "--t", "2", "--exact", "--budget-nodes", "-1"],
+    ["solve", "--graph", "{g}", "--budget-secs", "nan"],
+], ids=["solve-negative-nodes", "theorem-negative-nodes", "solve-nan-seconds"])
+def test_negative_or_nan_budget_exit_2(tmp_path, capsys, argv):
+    gpath = tmp_path / "g.col"
+    gpath.write_text(write_graph(build_glued_tree(2, 2).graph))
+    code, out, err = run(capsys, *(a.format(g=gpath) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_reduce_graph_and_legend(tmp_path, capsys):
     fpath = write_formula(tmp_path, SAT_1)
     gpath = tmp_path / "g.col"

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from conftest import diameter
 from mvchroma import (
     CycleDecomposition,
     Internal,
@@ -11,7 +12,6 @@ from mvchroma import (
     chi_mu_formula,
     constructive_coloring,
     cycle_vertices,
-    diameter,
     glued_tree_order,
     validate_mv_coloring,
     verify_theorem,
@@ -177,7 +177,6 @@ def test_cycle_vertices_far_leaves():
         tree.internal(1, 2, 2),
         tree.quasi(4),
     )
-    assert dec.q_side1 == dec.p_side1[1:-1]
     assert len(dec.all_vertices) == 8
 
 
@@ -191,7 +190,7 @@ def test_cycle_paths_are_geodesics():
             for path in (dec.p_side1, dec.p_side2):
                 assert len(path) - 1 == o.d(tree.quasi(a), tree.quasi(b))
                 for u, v in zip(path, path[1:]):
-                    assert g.has_edge(u, v)
+                    assert v in g.adjacency[u]
 
 
 def test_cycle_vertices_bad_indices():

@@ -20,7 +20,6 @@ from mvchroma import (
     DistanceOracle,
     all_pairs_distances,
     chi_mu_formula,
-    geodesic_count,
     graph_from_edge_list,
     is_gp_set,
     is_mv_set,
@@ -38,17 +37,6 @@ def connected_graphs(draw, max_n=9):
     n = draw(st.integers(min_value=2, max_value=max_n))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     return random_connected_graph(random.Random(seed), n)
-
-
-@given(connected_graphs())
-@settings(max_examples=60, deadline=None)
-def test_geodesic_count_matches_enumeration(g):
-    o = all_pairs_distances(g)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            assert geodesic_count(g, o, u, v) == len(
-                enumerate_shortest_paths(g, u, v)
-            )
 
 
 @given(connected_graphs(), st.integers(min_value=0, max_value=2**32 - 1))

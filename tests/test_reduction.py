@@ -2,20 +2,17 @@ import random
 
 import pytest
 
-from conftest import DEFAULT_SEED
+from conftest import DEFAULT_SEED, build_h_gadget, diameter, nae_satisfies
 from mvchroma import (
     NaeAssignment,
     Status,
     assignment_to_coloring,
-    build_h_gadget,
     build_reduction,
     coloring_to_assignment,
-    diameter,
     format_nae_formula,
     legend_to_dict,
     make_formula,
     mv_k_colorable,
-    nae_assignment_satisfies,
     nae_satisfiable,
     normalize,
     parse_nae_formula,
@@ -89,7 +86,7 @@ def test_normalize_splits_doubled_literal():
             orig_truths = [x1, x1, not x2]
             orig_ok = any(orig_truths) and not all(orig_truths)
             split_ok = any(
-                nae_assignment_satisfies(fn, NaeAssignment((x1, x2, a)))
+                nae_satisfies(fn, (x1, x2, a))
                 for a in (False, True)
             )
             assert orig_ok == split_ok
@@ -171,7 +168,7 @@ def test_backward_assignment_satisfies():
     outcome = mv_k_colorable(rg.graph, 2)
     assert outcome.status is Status.FEASIBLE
     a = coloring_to_assignment(rg, outcome.coloring)
-    assert nae_assignment_satisfies(f, a)
+    assert nae_satisfies(f, a.values)
 
 
 def test_backward_wrong_color_count():

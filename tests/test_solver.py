@@ -1,14 +1,17 @@
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
 import mvchroma.graph as graph_module
+import mvchroma.solver as solver_module
 from conftest import (
     DEFAULT_SEED,
     brute_chi_mu,
     brute_is_mv_set,
     k2_pendant,
+    nae_satisfies,
     random_connected_graph,
 )
 from mvchroma import (
@@ -22,7 +25,6 @@ from mvchroma import (
     greedy_upper_bound,
     make_formula,
     mv_k_colorable,
-    nae_assignment_satisfies,
     nae_satisfiable,
     solver_vertex_order,
     validate_mv_coloring,
@@ -111,6 +113,19 @@ def test_zero_second_budget_stops_on_first_node():
     outcome = mv_k_colorable(tree.graph, 2, Budget(max_seconds=0))
     assert outcome.status is Status.BUDGET_EXHAUSTED
     assert outcome.nodes_explored == 1
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"max_nodes": -1}, {"max_seconds": -0.5}, {"max_seconds": float("nan")}]
+)
+def test_negative_or_nan_budget_rejected(kwargs):
+    with pytest.raises(InvalidParamsError):
+        Budget(**kwargs)
+
+
+def test_zero_and_infinite_budgets_accepted():
+    Budget(max_nodes=0, max_seconds=0.0)
+    Budget(max_seconds=float("inf"))
 
 
 def test_gt3_three_colors_infeasible():
@@ -207,12 +222,25 @@ def test_chi_mu_exact_budget_bounds():
     assert 1 <= exc.value.lo <= exc.value.hi
 
 
+def test_chi_mu_exact_time_overrun_reports_bounds(monkeypatch):
+    # a clock that advances one second per read: k=1 is refuted after the
+    # deadline has passed, so the budget left for k=2 would be negative
+    clock = iter(range(10**6))
+    monkeypatch.setattr(
+        solver_module, "time", SimpleNamespace(perf_counter=lambda: next(clock))
+    )
+    tree = build_glued_tree(2, 2)
+    with pytest.raises(BudgetExhaustedError) as exc:
+        chi_mu_exact(tree.graph, budget=Budget(max_seconds=2.5))
+    assert (exc.value.lo, exc.value.hi) == (2, 3)
+
+
 def test_nae_first_hit_order():
     f = make_formula(3, [[(1, True), (2, True), (3, True)]])
     a = nae_satisfiable(f)
     # increasing binary order with x1 most significant: first hit is F,F,T
     assert a.values == (False, False, True)
-    assert nae_assignment_satisfies(f, a)
+    assert nae_satisfies(f, a.values)
 
 
 def test_nae_unsat_covering():
@@ -237,20 +265,13 @@ def test_nae_matches_direct_scan():
         f = make_formula(q, clauses)
         a = nae_satisfiable(f)
         # independent scan over every assignment
-        def sat(values):
-            for cl in f.clauses:
-                truths = [values[var - 1] == pos for var, pos in cl]
-                if all(truths) or not any(truths):
-                    return False
-            return True
-
         any_sat = any(
-            sat(tuple(bool((bits >> s) & 1) for s in range(q)))
+            nae_satisfies(f, tuple(bool((bits >> s) & 1) for s in range(q)))
             for bits in range(1 << q)
         )
         assert (a is not None) == any_sat
         if a is not None:
-            assert nae_assignment_satisfies(f, a)
+            assert nae_satisfies(f, a.values)
 
 
 def test_nae_variable_cap():

@@ -3,17 +3,21 @@ import random
 
 import pytest
 
-from conftest import DEFAULT_SEED, all_two_colorings, coloring_with_k, k2_pendant
+from conftest import (
+    DEFAULT_SEED,
+    all_two_colorings,
+    build_h_gadget,
+    coloring_with_k,
+    k2_pendant,
+)
 from mvchroma import (
     Coloring,
     ValidationReport,
     all_pairs_distances,
     bfs_distances,
     build_glued_tree,
-    build_h_gadget,
     coloring_from_list,
     constructive_coloring,
-    cycle_class_intersection,
     cycle_vertices,
     graph_from_edge_list,
     is_gp_set,
@@ -164,13 +168,11 @@ def test_gp_all_distinct_valid():
 
 def test_cycle_class_intersection():
     tree = gt2()
-    quasi = [tree.quasi(a) for a in range(1, 5)]
-    dec = cycle_vertices(tree, 1, 4)
-    assert cycle_class_intersection(quasi, dec.all_vertices) == 2
-    assert cycle_class_intersection([], dec.all_vertices) == 0
-    assert cycle_class_intersection(dec.all_vertices, dec.all_vertices) == len(
-        dec.all_vertices
-    )
+    quasi = {tree.quasi(a) for a in range(1, 5)}
+    cyc = cycle_vertices(tree, 1, 4).all_vertices
+    assert len(quasi & cyc) == 2
+    assert len(set() & cyc) == 0
+    assert len(cyc & cyc) == len(cyc)
 
 
 def test_mv_monotone_under_subset_gt2():
