@@ -122,44 +122,20 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
-def geodesic_avoids(g: Graph, layers: list[int], blocked: int) -> bool:
-    """True iff a path picks one unblocked vertex from each layer in turn,
-    consecutive picks adjacent.
-
-    ``layers`` are the internal levels 1..d-1 of a u-v geodesic DAG as
-    bitmasks, so such a path is a shortest u-v path that avoids the bitmask
-    ``blocked``; with no layers (d <= 1) it always exists.
-    """
-    if not layers:
-        return True
-    nbr = g.neighbor_masks
-    # reach: the level's vertices that end some geodesic prefix from u
-    # with no blocked vertex
-    reach = layers[0] & ~blocked
-    for layer in layers[1:]:
-        if not reach:
-            return False
-        rest = layer & ~blocked
-        nxt = 0
-        while rest:
-            low = rest & -rest
-            if nbr[low.bit_length() - 1] & reach:
-                nxt |= low
-            rest ^= low
-        reach = nxt
-    return reach != 0
-
-
 class DistanceOracle:
     """Hop distances from one BFS row per vertex, built on first use.
 
-    A row keeps the vertex's distances and its distance levels as bitmasks;
-    unreachable vertices lie in no level. The internal levels of the u-v
-    geodesic DAG are then ``L_u[i] & L_v[d - i]`` for i in 1..d-1, and u sees
-    v past a bitmask iff the walk over those levels finds a geodesic that
-    avoids it. Pairs at distance <= 1 always see each other, and a pair at
-    distance 2 needs one common neighbour outside the mask, so only pairs at
-    distance >= 3 walk.
+    A row keeps the vertex's distances and its distance levels as bitmasks.
+    The internal levels of the u-v geodesic DAG are ``L_u[i] & L_v[d - i]``
+    for i in 1..d-1, which is how ``through`` finds the vertices past v.
+
+    ``sees`` reads only x's row. It carries ``reach`` outward from x level
+    by level, like the validators' class sweep: the vertices of the level
+    that some geodesic from x reaches with no blocked vertex inside. The
+    next level's reach is the neighbours of reach's unblocked vertices in
+    that level. While reach is a whole level with none of it blocked, the
+    next reach is the whole next level, since every vertex of a BFS level
+    has a neighbour one level up.
 
     Building an oracle raises DisconnectedGraphError unless every vertex
     reaches vertex 0 (graphs with at most one vertex count as connected),
@@ -198,29 +174,30 @@ class DistanceOracle:
     def sees(self, x: int, targets: int, blocked: int) -> bool:
         """True iff x sees every vertex of the bitmask ``targets`` along a
         geodesic with no vertex of ``blocked`` inside."""
-        dx, lx = self._row(x)
-        if len(lx) <= 2:
-            return True
+        lx = (self._rows[x] or self._row(x))[1]
         nbr = self.g.neighbor_masks
-        ring = lx[1] & ~blocked
-        rest = targets & lx[2]
-        while rest:
-            low = rest & -rest
-            if not nbr[low.bit_length() - 1] & ring:
+        # x is an endpoint of every geodesic from it, so it never blocks
+        blocked &= ~lx[0]
+        targets &= ~lx[0]
+        reach = lx[0]
+        whole = True  # reach is the whole previous level
+        for level in lx[1:]:
+            if not targets:
+                return True
+            if whole and not reach & blocked:
+                reach = level
+            else:
+                free = reach & ~blocked
+                reach = 0
+                while free:
+                    low = free & -free
+                    reach |= nbr[low.bit_length() - 1]
+                    free ^= low
+                reach &= level
+                whole = reach == level
+            if targets & level & ~reach:
                 return False
-            rest ^= low
-        rest = targets & ~(lx[0] | lx[1] | lx[2])
-        rows = self._rows
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            lu = (rows[u] or self._row(u))[1]
-            d = dx[u]
-            if not geodesic_avoids(
-                self.g, [lu[i] & lx[d - i] for i in range(1, d)], blocked
-            ):
-                return False
-            rest ^= low
+            targets &= ~level
         return True
 
 

@@ -24,7 +24,7 @@ from .errors import (
     InvalidParamsError,
     TooManyVariablesError,
 )
-from .graph import DistanceOracle, Graph, require_connected_graph
+from .graph import DistanceOracle, Graph
 from .visibility import Coloring, validate_mv_coloring
 
 # the brute-force NAE3SAT scan tries 2^q assignments
@@ -125,7 +125,6 @@ def mv_k_colorable(
 
 def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
     """The backtracking loop: at most k colors, counted against budget."""
-    require_connected_graph(g)
     n = g.n
     order = solver_vertex_order(g)
     o = g.oracle

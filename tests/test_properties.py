@@ -19,6 +19,7 @@ from mvchroma import (
     Status,
     DistanceOracle,
     all_pairs_distances,
+    build_glued_tree,
     chi_mu_formula,
     graph_from_edge_list,
     is_gp_set,
@@ -39,7 +40,13 @@ def connected_graphs(draw, max_n=9):
     return random_connected_graph(random.Random(seed), n)
 
 
-@given(connected_graphs(), st.integers(min_value=0, max_value=2**32 - 1))
+# glued trees with n <= 53 and diameter up to 8, for the pairs deeper than
+# a random graph on 9 vertices has
+DEEP_TREES = [build_glued_tree(r, t).graph for r, t in ((3, 2), (4, 2), (2, 3), (3, 3), (2, 4))]
+pair_test_graphs = st.one_of(connected_graphs(), st.sampled_from(DEEP_TREES))
+
+
+@given(pair_test_graphs, st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_pair_visibility_matches_enumeration(g, seed):
     o = all_pairs_distances(g)
@@ -52,7 +59,7 @@ def test_pair_visibility_matches_enumeration(g, seed):
             assert got == expected
 
 
-@given(connected_graphs(), st.integers(min_value=0, max_value=2**32 - 1))
+@given(pair_test_graphs, st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_solver_pair_test_matches_enumeration(g, seed):
     rng = random.Random(seed)

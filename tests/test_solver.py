@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 from types import SimpleNamespace
@@ -191,8 +192,7 @@ def test_chi_mu_exact_gt2():
 
 
 def test_chi_mu_exact_builds_each_bfs_row_once(monkeypatch):
-    # greedy and the k = 1..3 searches share the graph's oracle; each search
-    # adds only its connectivity check's BFS
+    # greedy and the k = 1..3 searches share the graph's oracle
     calls = []
     bfs = graph_module.bfs_distances
 
@@ -203,7 +203,7 @@ def test_chi_mu_exact_builds_each_bfs_row_once(monkeypatch):
     monkeypatch.setattr(graph_module, "bfs_distances", counting_bfs)
     tree = build_glued_tree(3, 2)
     assert chi_mu_exact(tree.graph)[0] == 4
-    assert len(calls) <= tree.graph.n + 4
+    assert len(calls) == len(set(calls))
 
 
 def test_chi_mu_exact_matches_naive():
@@ -324,3 +324,34 @@ def test_reduction_search_golden(seed, max_nodes):
     assert (outcome.status.value, outcome.nodes_explored, colors) == GOLDEN_SEARCHES[
         seed, max_nodes
     ]
+
+
+# searches on glued trees of diameter up to 8, recorded before the pair test
+# swept reach outward from one endpoint: (r, t, k) -> (status, nodes_explored)
+GOLDEN_TREE_SEARCHES = {
+    (3, 2, 3): ("infeasible", 7256),
+    (2, 3, 2): ("infeasible", 137),
+}
+
+
+@pytest.mark.parametrize("r, t, k", GOLDEN_TREE_SEARCHES)
+def test_tree_search_golden(r, t, k):
+    outcome = mv_k_colorable(build_glued_tree(r, t).graph, k)
+    assert (outcome.status.value, outcome.nodes_explored) == GOLDEN_TREE_SEARCHES[r, t, k]
+
+
+# (r, t) -> (colours, SHA-256 of the greedy colours joined by commas),
+# recorded at the same commit as GOLDEN_TREE_SEARCHES
+GOLDEN_TREE_GREEDY = {
+    (5, 2): (8, "ce37cbef122f4ce737552b8d8d7674b02c1974bf3f635d53dec800dcc52d315c"),
+    (7, 2): (11, "85cf612f6695e642d54f797a833b4db5df0c9c3a27247a2e86497209edde5595"),
+    (3, 3): (5, "d6fd6b589c94685a164e65ef6aacae5c39a316cf5323a110c8bd5ccd6c554d52"),
+    (2, 4): (3, "b21d2ef0acfd85ab9c5864d8b37b692b1b0fc2793978f5799243fac1eaad6b51"),
+}
+
+
+@pytest.mark.parametrize("r, t", GOLDEN_TREE_GREEDY)
+def test_tree_greedy_golden(r, t):
+    k, coloring = greedy_upper_bound(build_glued_tree(r, t).graph)
+    digest = hashlib.sha256(",".join(map(str, coloring.colors)).encode()).hexdigest()
+    assert (k, digest) == GOLDEN_TREE_GREEDY[r, t]
