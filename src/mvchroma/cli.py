@@ -62,11 +62,10 @@ def _json_report(payload: dict, args: argparse.Namespace) -> str:
 
 
 def _budget(args: argparse.Namespace) -> Budget | None:
-    nodes = getattr(args, "budget_nodes", None)
-    secs = getattr(args, "budget_secs", None)
-    if nodes is None and secs is None:
+    """The one budget every search of the command draws on."""
+    if args.budget_nodes is None and args.budget_secs is None:
         return None
-    return Budget(max_nodes=nodes, max_seconds=secs)
+    return Budget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)
 
 
 def cmd_gen_tree(args) -> int:
@@ -119,6 +118,7 @@ def cmd_validate(args) -> int:
             {"u": u + 1, "v": v + 1, "color": color + 1}
             for u, v, color in report.violations
         ],
+        "violation_count": report.violation_count,
         "checked_pairs": report.checked_pairs,
     }
     if any(ext - 1 != dense for ext, dense in mapping.items()):
@@ -214,6 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the budget flags of every command that runs the exact solver
+    budgeted = argparse.ArgumentParser(add_help=False)
+    budgeted.add_argument("--budget-nodes", type=int, default=None)
+    budgeted.add_argument("--budget-secs", type=float, default=None)
 
     p = sub.add_parser("gen-tree", help="generate a glued t-ary tree")
     p.add_argument("--r", type=int, required=True)
@@ -222,14 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", default=None)
     p.set_defaults(func=cmd_gen_tree)
 
-    p = sub.add_parser("theorem", help="check formula vs constructive coloring")
+    p = sub.add_parser(
+        "theorem", parents=[budgeted], help="check formula vs constructive coloring"
+    )
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--gp", action="store_true")
     p.add_argument("--json", default="-")
-    p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--budget-secs", type=float, default=None)
     p.set_defaults(func=cmd_theorem)
 
     p = sub.add_parser("validate", help="validate a coloring file")
@@ -239,12 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default="-")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("solve", help="decide k-colorability or compute the exact value")
+    p = sub.add_parser(
+        "solve", parents=[budgeted], help="decide k-colorability or compute the exact value"
+    )
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--budget-secs", type=float, default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("reduce", help="build the reduction graph from a formula")
@@ -253,11 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--legend", default=None)
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("reduce-verify", help="check both reduction directions")
+    p = sub.add_parser("reduce-verify", parents=[budgeted], help="check both reduction directions")
     p.add_argument("--formula", required=True)
     p.add_argument("--json", default="-")
-    p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--budget-secs", type=float, default=None)
     p.set_defaults(func=cmd_reduce_verify)
 
     p = sub.add_parser("nae", help="brute-force NAE3SAT decision")

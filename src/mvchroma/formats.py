@@ -1,7 +1,8 @@
 """Text formats: DIMACS-style graphs, colorings, tree label sidecars.
 
-External files are 1-based; the translation to the library's dense 0-based
-ids happens here and nowhere else.
+External files are 1-based; these readers and writers translate them to and
+from the library's dense 0-based ids. The CLI's validate report and
+``reduction.legend_to_dict`` add 1 on their own.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ always passes, so its first descent never backtracks and is first fit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
@@ -45,13 +45,18 @@ class SearchOutcome:
     elapsed: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class Budget:
-    """Dual node/wall-clock budget; whichever trips first wins. Each limit
-    must be >= 0; zero stops at the first node."""
+    """Dual node/wall-clock budget, shared by every search it is passed to:
+    their nodes add up in ``nodes``, and ``deadline`` (``time.perf_counter``
+    time) is fixed when the first of them starts. A search stops once the
+    total exceeds max_nodes or the deadline has passed. Each limit must be
+    >= 0; zero stops at the first node."""
 
     max_nodes: int | None = None
     max_seconds: float | None = None
+    nodes: int = field(default=0, init=False)
+    deadline: float | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.max_nodes is not None and self.max_nodes < 0:
@@ -70,29 +75,6 @@ class NaeAssignment:
 
 def solver_vertex_order(g: Graph) -> list[int]:
     return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-
-
-class _BudgetTracker:
-    def __init__(self, budget: Budget | None):
-        self.max_nodes = budget.max_nodes if budget else None
-        self.max_seconds = budget.max_seconds if budget else None
-        self.nodes = 0
-        self.start = time.perf_counter()
-
-    def tick(self) -> bool:
-        """Count a node; True when the budget is exhausted."""
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            return True
-        # the clock is read on the first node and every 256 after it
-        if self.max_seconds is not None and self.nodes & 255 == 1:
-            if time.perf_counter() - self.start >= self.max_seconds:
-                return True
-        return False
-
-    @property
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.start
 
 
 def _check_assignment(o: DistanceOracle, v: int, color_mask: int) -> bool:
@@ -123,15 +105,31 @@ def mv_k_colorable(
     return _search(g, k, budget)
 
 
+def _finish(budget, status, coloring, nodes, start) -> SearchOutcome:
+    """Charge a search's nodes to its budget and report them."""
+    if budget is not None:
+        budget.nodes += nodes
+    return SearchOutcome(status, coloring, nodes, time.perf_counter() - start)
+
+
 def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
-    """The backtracking loop: at most k colors, counted against budget."""
+    """The backtracking loop: at most k colors, drawing on budget."""
     n = g.n
     order = solver_vertex_order(g)
     o = g.oracle
-    tracker = _BudgetTracker(budget)
-
+    start = time.perf_counter()
+    # this search's share, worked out once: the nodes the budget has left,
+    # and the deadline, read on the first node and every 256 after it
+    node_limit = deadline = None
+    if budget is not None:
+        if budget.max_nodes is not None:
+            node_limit = budget.max_nodes - budget.nodes
+        if budget.max_seconds is not None and budget.deadline is None:
+            budget.deadline = start + budget.max_seconds
+        deadline = budget.deadline
+    nodes = 0
     if n == 0:
-        return SearchOutcome(Status.FEASIBLE, Coloring((), 0), 0, tracker.elapsed)
+        return _finish(budget, Status.FEASIBLE, Coloring((), 0), nodes, start)
 
     # only a leaf reads colors, and there every entry is the current choice
     colors = [-1] * n
@@ -149,19 +147,20 @@ def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
         limit = min(used[depth] + 1, k)
         descended = False
         while c < limit:
-            if tracker.tick():
-                return SearchOutcome(
-                    Status.BUDGET_EXHAUSTED, None, tracker.nodes, tracker.elapsed
-                )
+            nodes += 1
+            if (node_limit is not None and nodes > node_limit) or (
+                deadline is not None
+                and nodes & 255 == 1
+                and time.perf_counter() >= deadline
+            ):
+                return _finish(budget, Status.BUDGET_EXHAUSTED, None, nodes, start)
             colors[v] = c
             color_masks[c] |= bit
             ok = _check_assignment(o, v, color_masks[c])
             if ok and depth == n - 1:
                 candidate = Coloring(tuple(colors), max(colors) + 1)
                 if validate_mv_coloring(g, candidate).valid:
-                    return SearchOutcome(
-                        Status.FEASIBLE, candidate, tracker.nodes, tracker.elapsed
-                    )
+                    return _finish(budget, Status.FEASIBLE, candidate, nodes, start)
                 ok = False
             if ok:
                 choice[depth] = c
@@ -176,9 +175,7 @@ def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
         choice[depth] = -1
         depth -= 1
         if depth < 0:
-            return SearchOutcome(
-                Status.INFEASIBLE, None, tracker.nodes, tracker.elapsed
-            )
+            return _finish(budget, Status.INFEASIBLE, None, nodes, start)
 
 
 def greedy_upper_bound(g: Graph) -> tuple[int, Coloring]:
@@ -200,26 +197,8 @@ def chi_mu_exact(g: Graph, budget: Budget | None = None) -> tuple[int, Coloring]
     budget runs out before the sweep settles.
     """
     ub, greedy_coloring = greedy_upper_bound(g)
-    tracker = _BudgetTracker(budget)
     for k in range(1, ub):
-        remaining = None
-        if budget is not None:
-            remaining = Budget(
-                max_nodes=(
-                    budget.max_nodes - tracker.nodes
-                    if budget.max_nodes is not None
-                    else None
-                ),
-                # an earlier k can finish past the deadline between clock
-                # reads; zero then stops the next k at its first node
-                max_seconds=(
-                    max(budget.max_seconds - tracker.elapsed, 0.0)
-                    if budget.max_seconds is not None
-                    else None
-                ),
-            )
-        outcome = mv_k_colorable(g, k, budget=remaining)
-        tracker.nodes += outcome.nodes_explored
+        outcome = mv_k_colorable(g, k, budget)
         if outcome.status is Status.FEASIBLE:
             return k, outcome.coloring
         if outcome.status is Status.BUDGET_EXHAUSTED:

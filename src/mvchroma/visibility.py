@@ -39,11 +39,19 @@ def coloring_from_list(colors) -> Coloring:
     return Coloring(colors=colors, k=len(used))
 
 
+# An exhaustive report lists at most this many violating pairs, the smallest
+# in (color, u, v) order, and counts the rest in ``violation_count``.
+MAX_LISTED_VIOLATIONS = 100_000
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     valid: bool
     violations: tuple[tuple[int, int, int], ...]  # (u, v, color)
     checked_pairs: int
+    # every violating pair when exhaustive; otherwise the scan stops at the
+    # first, so 0 or 1
+    violation_count: int = 0
 
 
 # Sources per multi-source BFS. A batch holds O(m * BATCH_SOURCES / 8) bytes
@@ -171,13 +179,13 @@ def _class_sweep(n: int, rank: np.ndarray, blocks, batch) -> tuple[np.ndarray, n
     return own & ~visible, own & crossed
 
 
-def _batch_violations(n, rank, blocks, batch, mode: str, exhaustive: bool):
-    """The violating pairs (u, v, color), u < v, of one batch, each listed
-    once with its source first: all of them, or only the smallest when not
-    exhaustive."""
+def _batch_violations(n, rank, blocks, batch, mode: str, room: int):
+    """Count the violating pairs (u, v, color), u < v, of one batch, each
+    once with its source first, and list the first ``room`` of them in
+    (color, u, v) order. Returns ``(count, listed)``."""
     hidden, crossed = _class_sweep(n, rank, blocks, batch)
     bad = hidden if mode == "mv" else crossed
-    found: list[tuple[int, int, int]] = []
+    count, listed = 0, []
     row = b0 = 0
     for color, members, lo, hi in batch:
         s, b1 = len(members), b0 + hi - lo
@@ -188,34 +196,44 @@ def _batch_violations(n, rank, blocks, batch, mode: str, exhaustive: bool):
             # kept when the source comes first (members ascend)
             pairs = _bit_matrix(rows, b1)[:, b0:].T
             pairs &= np.arange(lo, hi)[:, None] < np.arange(s)
-            if exhaustive:
-                found.extend((members[lo + i], members[t], color) for i, t in zip(*np.nonzero(pairs)))
-            elif pairs.any():
-                i = int(pairs.any(axis=1).argmax())
-                return [(members[lo + i], members[int(pairs[i].argmax())], color)]
+            count += int(np.count_nonzero(pairs))
+            take = room - len(listed)
+            if take > 0:
+                i, t = np.nonzero(pairs)
+                listed.extend(
+                    (members[lo + x], members[y], color)
+                    for x, y in zip(i[:take].tolist(), t[:take].tolist())
+                )
         row, b0 = row + s, b1
-    return found
+    return count, listed
 
 
 def _scan_classes(g: Graph, classes, mode: str, exhaustive: bool) -> ValidationReport:
-    """The class loop shared by every MV and GP check. Without exhaustive,
-    the first violating batch stops the scan, and ``checked_pairs`` counts
-    the classes up to and including the first violating colour."""
+    """The class loop shared by every MV and GP check. Batches come in color
+    order and list their pairs in (color, u, v) order, so the report needs
+    no sort. Without exhaustive, the first violating batch stops the scan,
+    and ``checked_pairs`` counts the classes up to and including the first
+    violating colour."""
     require_connected_graph(g)
-    violations: list[tuple[int, int, int]] = []
+    room = MAX_LISTED_VIOLATIONS if exhaustive else 1
+    count, violations = 0, []
     batches = list(_batches(classes))
     if batches:
         rank, blocks = _degree_blocks(g)
     for batch in batches:
-        violations += _batch_violations(g.n, rank, blocks, batch, mode, exhaustive)
+        found, listed = _batch_violations(
+            g.n, rank, blocks, batch, mode, room - len(violations)
+        )
+        count += found
+        violations += listed
         if violations and not exhaustive:
             break
-    violations.sort(key=lambda t: (t[2], t[0], t[1]))
     last = violations[0][2] if violations and not exhaustive else len(classes) - 1
     return ValidationReport(
         valid=not violations,
         violations=tuple(violations),
         checked_pairs=sum(len(m) * (len(m) - 1) // 2 for m in classes[: last + 1]),
+        violation_count=count if exhaustive else len(violations),
     )
 
 
@@ -247,8 +265,9 @@ def validate_mv_coloring(
     """Check every color class for mutual visibility.
 
     With exhaustive=False (solver use) the first violating class stops the
-    scan; exhaustive=True lists every violating pair. Violations are ordered
-    lexicographically by (color, u, v).
+    scan; exhaustive=True counts every violating pair and lists the first
+    MAX_LISTED_VIOLATIONS. Violations are ordered lexicographically by
+    (color, u, v).
     """
     _require_total(g, c)
     return _scan_classes(g, c.color_classes(), "mv", exhaustive)

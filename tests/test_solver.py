@@ -235,6 +235,42 @@ def test_chi_mu_exact_time_overrun_reports_bounds(monkeypatch):
     assert (exc.value.lo, exc.value.hi) == (2, 3)
 
 
+def test_budget_is_drawn_down_across_searches():
+    g = build_glued_tree(3, 2).graph
+    first = mv_k_colorable(g, 2)
+    budget = Budget(max_nodes=first.nodes_explored + 10)
+    again = mv_k_colorable(g, 2, budget)
+    assert (again.status, again.nodes_explored) == (first.status, first.nodes_explored)
+    assert budget.nodes == first.nodes_explored
+    # the second search gets only the 10 nodes the first left
+    second = mv_k_colorable(g, 3, budget)
+    assert second.status is Status.BUDGET_EXHAUSTED
+    assert second.nodes_explored == 11
+    assert budget.nodes == budget.max_nodes + 1
+
+
+def test_deadline_is_fixed_by_the_first_search(monkeypatch):
+    clock = iter(range(10**6))
+    monkeypatch.setattr(
+        solver_module, "time", SimpleNamespace(perf_counter=lambda: next(clock))
+    )
+    g = build_glued_tree(2, 2).graph
+    budget = Budget(max_seconds=100)
+    mv_k_colorable(g, 1, budget)
+    # the first search read the clock at 0 when it started
+    assert budget.deadline == 100
+    mv_k_colorable(g, 1, budget)
+    assert budget.deadline == 100
+
+
+def test_chi_mu_exact_charges_every_k_to_one_budget():
+    budget = Budget(max_nodes=5)
+    with pytest.raises(BudgetExhaustedError):
+        chi_mu_exact(build_glued_tree(3, 2).graph, budget)
+    # the search that tripped counts the node past the limit
+    assert budget.nodes == 6
+
+
 def test_nae_first_hit_order():
     f = make_formula(3, [[(1, True), (2, True), (3, True)]])
     a = nae_satisfiable(f)

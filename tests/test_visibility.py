@@ -1,11 +1,13 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 
 from conftest import (
     DEFAULT_SEED,
     all_two_colorings,
+    brute_pair_visible,
     build_h_gadget,
     coloring_with_k,
     k2_pendant,
@@ -29,6 +31,7 @@ from mvchroma.errors import (
     ColoringNotTotalError,
     DisconnectedGraphError,
 )
+import mvchroma.visibility as visibility
 from mvchroma.visibility import pair_visible
 
 
@@ -135,6 +138,27 @@ def test_violations_sorted_and_failfast():
     fast = validate_mv_coloring(g, mono, exhaustive=False)
     assert len(fast.violations) == 1
     assert fast.violations[0] == exhaustive.violations[0]
+
+
+@pytest.mark.parametrize(
+    "validate", [validate_mv_coloring, validate_gp_coloring], ids=["mv", "gp"]
+)
+def test_exhaustive_report_lists_a_bounded_prefix(monkeypatch, validate):
+    monkeypatch.setattr(visibility, "MAX_LISTED_VIOLATIONS", 10)
+    g = build_glued_tree(3, 2).graph
+    # with every vertex in one class, a pair violates MV and GP alike when
+    # none of its geodesics avoids the class: when it is not an edge
+    everyone = set(range(g.n))
+    expected = [
+        (u, v, 0)
+        for u, v in combinations(range(g.n), 2)
+        if not brute_pair_visible(g, u, v, everyone)
+    ]
+    assert len(expected) > 10
+    report = validate(g, Coloring((0,) * g.n, 1), exhaustive=True)
+    assert not report.valid
+    assert report.violations == tuple(expected[:10])
+    assert report.violation_count == len(expected)
 
 
 def test_gp_set_path_triple():
