@@ -193,8 +193,9 @@ def greedy_upper_bound(g: Graph) -> tuple[int, Coloring]:
 def chi_mu_exact(g: Graph, budget: Budget | None = None) -> tuple[int, Coloring]:
     """Smallest k with a feasible mutual-visibility coloring, swept upward.
 
-    Raises BudgetExhaustedError with the best known bounds [lo, hi] when the
-    budget runs out before the sweep settles.
+    Every k's search draws on the one budget. Raises BudgetExhaustedError
+    with the best known bounds [lo, hi] when it runs out before the sweep
+    settles.
     """
     ub, greedy_coloring = greedy_upper_bound(g)
     for k in range(1, ub):

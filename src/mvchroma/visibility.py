@@ -179,54 +179,58 @@ def _class_sweep(n: int, rank: np.ndarray, blocks, batch) -> tuple[np.ndarray, n
     return own & ~visible, own & crossed
 
 
-def _batch_violations(n, rank, blocks, batch, mode: str, room: int):
-    """Count the violating pairs (u, v, color), u < v, of one batch, each
-    once with its source first, and list the first ``room`` of them in
-    (color, u, v) order. Returns ``(count, listed)``."""
+def _violating_entries(n, rank, blocks, batch, mode: str):
+    """Sweep one batch and yield ``(color, members, lo, pairs)`` for each
+    entry that may hold a violation, in batch order: pairs[i, t] is set when
+    source members[lo + i] and target members[t] violate with the source
+    first (members ascend), so each pair u < v is set once."""
     hidden, crossed = _class_sweep(n, rank, blocks, batch)
     bad = hidden if mode == "mv" else crossed
-    count, listed = 0, []
     row = b0 = 0
     for color, members, lo, hi in batch:
         s, b1 = len(members), b0 + hi - lo
         rows = bad[row : row + s]
         # most classes are clean; any() costs far less than unpacking
         if rows.any():
-            # pairs[i, t]: source members[lo + i] against target members[t],
-            # kept when the source comes first (members ascend)
             pairs = _bit_matrix(rows, b1)[:, b0:].T
             pairs &= np.arange(lo, hi)[:, None] < np.arange(s)
-            count += int(np.count_nonzero(pairs))
-            take = room - len(listed)
-            if take > 0:
-                i, t = np.nonzero(pairs)
-                listed.extend(
-                    (members[lo + x], members[y], color)
-                    for x, y in zip(i[:take].tolist(), t[:take].tolist())
-                )
+            yield color, members, lo, pairs
         row, b0 = row + s, b1
-    return count, listed
 
 
 def _scan_classes(g: Graph, classes, mode: str, exhaustive: bool) -> ValidationReport:
-    """The class loop shared by every MV and GP check. Batches come in color
-    order and list their pairs in (color, u, v) order, so the report needs
-    no sort. Without exhaustive, the first violating batch stops the scan,
-    and ``checked_pairs`` counts the classes up to and including the first
-    violating colour."""
+    """The class loop shared by every MV and GP check. Entries come in color
+    order and their chunks in source order, so the pairs are listed in
+    (color, u, v) order with no sort. Without exhaustive, the first
+    violating entry stops the scan, and ``checked_pairs`` counts the classes
+    up to and including its colour."""
     require_connected_graph(g)
     room = MAX_LISTED_VIOLATIONS if exhaustive else 1
     count, violations = 0, []
     batches = list(_batches(classes))
     if batches:
         rank, blocks = _degree_blocks(g)
-    for batch in batches:
-        found, listed = _batch_violations(
-            g.n, rank, blocks, batch, mode, room - len(violations)
-        )
+    entries = (
+        entry
+        for batch in batches
+        for entry in _violating_entries(g.n, rank, blocks, batch, mode)
+    )
+    for color, members, lo, pairs in entries:
+        per_row = np.count_nonzero(pairs, axis=1)
+        found = int(per_row.sum())
+        if not found:
+            continue
         count += found
-        violations += listed
-        if violations and not exhaustive:
+        take = room - len(violations)
+        if take > 0:
+            # unpack only the rows that hold the first `take` pairs
+            stop = int(np.searchsorted(np.cumsum(per_row), take)) + 1
+            i, t = np.nonzero(pairs[:stop])
+            violations.extend(
+                (members[lo + x], members[y], color)
+                for x, y in zip(i[:take].tolist(), t[:take].tolist())
+            )
+        if not exhaustive:
             break
     last = violations[0][2] if violations and not exhaustive else len(classes) - 1
     return ValidationReport(
