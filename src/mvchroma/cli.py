@@ -39,8 +39,8 @@ EXIT_NEGATIVE = 3
 EXIT_BUDGET = 4
 
 
-def _write(path: str | None, content: str) -> None:
-    if path is None or path == "-":
+def _write(path: str, content: str) -> None:
+    if path == "-":
         sys.stdout.write(content)
     else:
         with open(path, "w") as fh:
@@ -52,13 +52,17 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _json_report(payload: dict, args: argparse.Namespace) -> str:
-    payload = dict(payload)
+def _json_report(args: argparse.Namespace, payload: dict, ok, stopped=False) -> int:
+    """End a JSON command: write payload, with the version and config, to
+    --json; exit 4 when a budget stopped the run, else 0 if ok, else 3."""
+    if stopped:
+        payload["status"] = "budget"
     payload["tool_version"] = __version__
-    payload["config"] = {
-        k: v for k, v in sorted(vars(args).items()) if k != "func"
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    payload["config"] = {k: v for k, v in vars(args).items() if k != "func"}
+    _write(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if stopped:
+        return EXIT_BUDGET
+    return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def _budget(args: argparse.Namespace) -> Budget | None:
@@ -80,28 +84,13 @@ def cmd_theorem(args) -> int:
     report = verify_theorem(
         args.r, args.t, exact=args.exact, gp=args.gp, budget=_budget(args)
     )
-    payload = {
-        "r": report.r,
-        "t": report.t,
-        "formula": {
-            "i": report.formula.i,
-            "value": report.formula.value,
-            "gap": report.formula.gap,
-            "candidates": list(report.formula.candidates),
-        },
-        "construction_colors": report.construction_colors,
-        "mv_valid": report.mv_valid,
-        "gp_valid": report.gp_valid,
-        "exact": report.exact,
-    }
-    code = EXIT_OK if report.agree else EXIT_NEGATIVE
-    if report.bounds is not None:
+    payload = asdict(report)
+    if report.bounds is None:
+        del payload["bounds"]
+    else:
         lo, hi = report.bounds
-        payload.update(status="budget", bounds=[lo, hi])
         print(f"BUDGET bounds [{lo}, {hi}]", file=sys.stderr)
-        code = EXIT_BUDGET
-    _write(args.json, _json_report(payload, args))
-    return code
+    return _json_report(args, payload, report.agree, report.bounds is not None)
 
 
 def cmd_validate(args) -> int:
@@ -123,8 +112,7 @@ def cmd_validate(args) -> int:
     }
     if any(ext - 1 != dense for ext, dense in mapping.items()):
         payload["color_mapping"] = {str(ext): dense + 1 for ext, dense in mapping.items()}
-    _write(args.json, _json_report(payload, args))
-    return EXIT_OK if report.valid else EXIT_NEGATIVE
+    return _json_report(args, payload, report.valid)
 
 
 def cmd_solve(args) -> int:
@@ -173,13 +161,7 @@ def cmd_reduce(args) -> int:
 def cmd_reduce_verify(args) -> int:
     f = parse_nae_formula(_read(args.formula))
     report = verify_reduction(f, budget=_budget(args))
-    payload = asdict(report)
-    code = EXIT_OK if report.agree else EXIT_NEGATIVE
-    if report.solver_budget_exhausted:
-        payload["status"] = "budget"
-        code = EXIT_BUDGET
-    _write(args.json, _json_report(payload, args))
-    return code
+    return _json_report(args, asdict(report), report.agree, report.solver_budget_exhausted)
 
 
 def cmd_nae(args) -> int:
@@ -274,10 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(e.code or 0)

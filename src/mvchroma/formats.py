@@ -94,7 +94,7 @@ def read_coloring(text: str) -> tuple[Coloring, dict[int, int]]:
             raise GraphFormatError(f"unknown line: {line!r}")
     if n is None:
         raise GraphFormatError("missing solution line")
-    if sorted(raw_colors) != list(range(1, n + 1)):
+    if len(raw_colors) != n or not all(1 <= v <= n for v in raw_colors):
         raise GraphFormatError("vertex lines do not cover 1..n exactly")
     used = sorted(set(raw_colors.values()))
     mapping = {ext: dense for dense, ext in enumerate(used)}

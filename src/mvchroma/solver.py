@@ -133,7 +133,8 @@ def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
 
     # only a leaf reads colors, and there every entry is the current choice
     colors = [-1] * n
-    color_masks = [0] * k
+    # depth d has at most d + 1 colors in use, so no color id reaches n
+    color_masks = [0] * min(k, n)
     # iterative backtracking; choice[d] is the color currently held at depth d
     choice = [-1] * n
     used = [0] * (n + 1)  # colors in use entering depth d

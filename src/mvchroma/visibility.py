@@ -259,6 +259,9 @@ def _require_total(g: Graph, c: Coloring) -> None:
         raise ColoringNotTotalError(
             f"coloring covers {c.n} vertices, graph has {g.n}"
         )
+    # dense ids 0..k-1 on n vertices need k <= n
+    if c.k > c.n:
+        raise ColoringNotTotalError(f"{c.k} colors declared for {c.n} vertices")
     if c.colors and not 0 <= min(c.colors) <= max(c.colors) < c.k:
         raise ColoringNotTotalError(f"color ids outside 0..{c.k - 1}")
 

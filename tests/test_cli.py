@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -231,6 +232,14 @@ def test_solve_k_infeasible_exit_3(tmp_path, capsys):
     assert "INFEASIBLE" in out
 
 
+@pytest.mark.parametrize("k", [str(2**62), str(2**64)], ids=["2^62", "2^64"])
+def test_solve_huge_k_answers_like_k_equal_n(tmp_path, capsys, k):
+    gpath = tmp_path / "g.col"
+    gpath.write_text(write_graph(build_glued_tree(2, 2).graph))
+    code, out, err = run(capsys, "solve", "--graph", str(gpath), "--k", k)
+    assert (code, out, err) == (0, "FEASIBLE 3\n", "")
+
+
 def test_solve_exact_gt2(tmp_path, capsys):
     gpath = tmp_path / "g.col"
     gpath.write_text(write_graph(build_glued_tree(2, 2).graph))
@@ -412,6 +421,58 @@ def test_version_flag(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.strip()
+
+
+def test_main_builds_no_parser_after_its_first_call(monkeypatch, capsys):
+    run(capsys, "--version")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    run(capsys, "gen-tree", "--r", "2", "--t", "2")
+    run(capsys, "theorem", "--r", "2", "--t", "2", "--json", os.devnull)
+    run(capsys, "solve")  # usage error
+    run(capsys, "--version")
+    assert built == []
+
+
+def test_repeated_calls_share_no_state(tmp_path, capsys):
+    # the same calls twice in one process: the shared parser must not carry
+    # anything from one call into the next
+    gpath, cpath, onepath = tmp_path / "g.col", tmp_path / "c.sol", tmp_path / "one.sol"
+    gpath.write_text(write_graph(build_glued_tree(2, 2).graph))
+    onepath.write_text("s color 10 1\n" + "".join(f"v {v} 1\n" for v in range(1, 11)))
+    fpath = write_formula(tmp_path, SAT_1)
+    out = tmp_path / "out"
+    out.mkdir()
+    calls = [
+        ["theorem", "--r", "2", "--t", "3"],
+        ["theorem", "--r", "3", "--t", "2", "--gp", "--json", str(out / "gp.json")],
+        ["theorem", "--r", "3", "--t", "2", "--exact", "--budget-nodes", "1",
+         "--json", str(out / "budget.json")],
+        ["solve", "--graph", str(gpath), "--out", str(cpath)],
+        ["validate", "--graph", str(gpath), "--coloring", str(cpath),
+         "--json", str(out / "valid.json")],
+        ["validate", "--graph", str(gpath), "--coloring", str(onepath), "--mode", "gp"],
+        ["reduce-verify", "--formula", fpath, "--json", str(out / "rv.json")],
+        ["nae", "--formula", fpath],
+        ["--version"],
+        ["validate", "--graph", str(gpath)],  # usage error
+    ]
+
+    def one_round():
+        results = [run(capsys, *argv) for argv in calls]
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        files["c.sol"] = cpath.read_bytes()
+        return results, files
+
+    first = one_round()
+    assert [code for code, _, _ in first[0]] == [0, 0, 4, 0, 0, 3, 0, 0, 0, 2]
+    assert one_round() == first
 
 
 def test_no_command_imports_scipy(tmp_path):

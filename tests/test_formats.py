@@ -71,6 +71,8 @@ def test_coloring_errors():
         read_coloring("s color 2 1\nv 1 1\n")  # missing vertex 2
     with pytest.raises(GraphFormatError):
         read_coloring("s color 1 1\nv 1 1\nv 1 1\n")  # duplicate vertex
+    with pytest.raises(GraphFormatError):
+        read_coloring(f"s color {2**62} 1\nv 1 1\n")  # a count, not a list of ids
 
 
 def test_labels_round_trip():

@@ -95,6 +95,17 @@ def test_invalid_k_rejected():
         mv_k_colorable(c4(), 0)
 
 
+@pytest.mark.parametrize("k", [2**62, 2**64], ids=["2^62", "2^64"])
+def test_huge_k_answers_like_k_equal_n(k):
+    # the color table is sized by min(k, n): no id reaches n on n vertices
+    g = build_glued_tree(2, 2).graph
+    huge, at_n = mv_k_colorable(g, k), mv_k_colorable(g, g.n)
+    assert (huge.status, huge.coloring, huge.nodes_explored) == (
+        at_n.status, at_n.coloring, at_n.nodes_explored
+    )
+    assert huge.coloring.k == 3
+
+
 def test_disconnected_rejected():
     g = graph_from_edge_list(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):

@@ -123,6 +123,16 @@ def test_color_ids_outside_range_rejected(validate, colors, k):
         validate(g, Coloring(colors, k))
 
 
+@pytest.mark.parametrize(
+    "validate", [validate_mv_coloring, validate_gp_coloring], ids=["mv", "gp"]
+)
+def test_more_colors_than_vertices_rejected(validate):
+    # dense ids 0..k-1 on n vertices need k <= n; k classes are never built
+    g = graph_from_edge_list(3, [(0, 1), (1, 2)])
+    with pytest.raises(ColoringNotTotalError, match="4 colors declared for 3 vertices"):
+        validate(g, Coloring((0, 1, 2), 4))
+
+
 def test_coloring_from_list_dense_check():
     with pytest.raises(ColoringNotTotalError):
         coloring_from_list([0, 2])
