@@ -11,18 +11,29 @@ Python and numpy versions, the checkout's commit (marked ``+modified`` when
 tracked files differ from it), each run's failed and attempted op counts,
 and per workload the median of each metric over the seeds. It goes to the
 first free BENCH_<n>.json in CHECKOUT.
+
+Its ``theorem`` section runs ``mvchroma theorem --gp`` on GT(r, 2) for each
+r in THEOREM_DEPTHS, each in a fresh process with the BLAS/OpenMP thread
+variables pinned to 1, and records the exit code, the wall time, the peak
+RSS (``os.wait4``) and the report's verdicts.
 """
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+# GT(16, 2), n = 196,606, is the deepest binary tree under the size cap
+THEOREM_DEPTHS = (12, 13, 14, 15, 16)
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def cpu_model() -> str:
@@ -52,6 +63,26 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int):
     lines = proc.stdout.splitlines()
     info = next(json.loads(line[len("# info "):]) for line in lines if line.startswith("# info "))
     return info, json.loads(lines[-1])
+
+
+def theorem_run(root: Path, r: int) -> dict:
+    """``theorem --r r --t 2 --gp`` in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), **{var: "1" for var in THREAD_VARS})
+    with tempfile.TemporaryDirectory() as work:
+        report = Path(work) / "report.json"
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mvchroma", "theorem", "--r", str(r), "--t", "2", "--gp",
+             "--json", str(report)],
+            cwd=root, env=env, stdout=subprocess.DEVNULL,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        code = os.waitstatus_to_exitcode(status)
+        proc.returncode = code  # reaped by wait4
+        payload = json.loads(report.read_text()) if code in (0, 3) else {}
+    return {"r": r, "t": 2, "exit": code, "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024,
+            "mv_valid": payload.get("mv_valid"), "gp_valid": payload.get("gp_valid")}
 
 
 def main() -> int:
@@ -84,6 +115,10 @@ def main() -> int:
             "runs": runs,
             "medians": {name: statistics.median(v) for name, v in samples.items()},
         }
+    theorem = []
+    for r in THEOREM_DEPTHS:
+        theorem.append(theorem_run(root, r))
+        print(f"theorem GT({r},2): {theorem[-1]}", file=sys.stderr)
     record = {
         "host": {"cpu": cpu_model(), "machine": platform.machine(),
                  "system": platform.system(), "nproc": info.get("nproc")},
@@ -94,6 +129,7 @@ def main() -> int:
         "seeds": list(SEEDS),
         "seconds": seconds,
         "workloads": workloads,
+        "theorem": theorem,
     }
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from itertools import chain, pairwise
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import (
     BudgetExhaustedError,
     GapInputError,
@@ -226,8 +228,10 @@ def at_second_regime_min(r: int, t: int) -> bool:
     There the constructive coloring gives one side-1 internal vertex the
     quasi-leaf color, and it lies inside the side-1 geodesic between two
     quasi-leaves below it, so the construction is not in general position.
-    On every other non-gap tree up to n = 2000 it is
-    (``scripts/theorem_sweep.py --gp``).
+    On every other non-gap tree up to n = 10,000 it is
+    (``scripts/theorem_sweep.py --max-n 10000 --gp``), and on GT(r, 2) for
+    r = 12, 13, 15 and 16 (``theorem --gp``); GT(14, 2) is a second-regime
+    minimum.
     """
     return r == _interval(r, t).second_min and r > 1
 
@@ -278,6 +282,66 @@ def constructive_coloring(tree: LabeledGluedTree) -> Coloring:
     return coloring
 
 
+def sibling_types(tree: LabeledGluedTree, coloring: Coloring) -> list[np.ndarray]:
+    """The type of every heap position, one array per level from the root
+    (level 0) to the quasi-leaves (level r), indexed left to right.
+
+    A position at level l < r holds the side-1 and side-2 vertices with the
+    same local index, and one at level r a quasi-leaf. Two positions of a
+    level have equal types exactly when their subtrees, on both sides and
+    down to the quasi-leaves, carry the same colours in the same order.
+    Swapping two sibling subtrees on both sides at once is an automorphism
+    of the glued tree (the quasi-leaves below them are shared), and it
+    fixes the coloring exactly when the two siblings have equal types.
+
+    A quasi-leaf's type is its colour. Internal types are renumbered per
+    level by ``np.unique`` over the rows (side-1 colour, side-2 colour, the
+    children's types), each row viewed as one opaque byte string, so no key
+    grows with t. The root has no sibling, and its type is 0.
+    """
+    r, t = tree.r, tree.t
+    offsets = [_internal_per_side(level, t) for level in range(r + 1)]
+    per_side = offsets[r]
+    colors = np.asarray(coloring.colors, dtype=np.int64)
+    types = colors[2 * per_side :]
+    levels = [types]
+    for lo, hi in reversed(list(pairwise(offsets))[1:]):
+        rows = np.column_stack(
+            (colors[lo:hi], colors[per_side + lo : per_side + hi], types.reshape(hi - lo, t))
+        )
+        rows = rows.view(np.dtype((np.void, rows.itemsize * (t + 2)))).ravel()
+        types = np.unique(rows, return_inverse=True)[1]
+        levels.append(types)
+    levels.append(np.zeros(1, dtype=np.int64))
+    return levels[::-1]
+
+
+def swap_representatives(tree: LabeledGluedTree, coloring: Coloring) -> list[int]:
+    """One vertex of every orbit of the group generated by the
+    coloring-preserving sibling swaps (``sibling_types``), ascending.
+
+    Top-down, the representative of child j of a position p is the first
+    child of rep(p) with child j's type: rep(p) has p's type, so its
+    children have the types of p's, in order. So a position is its own
+    representative exactly when its parent is and no earlier sibling has
+    its type, and then both of its vertices (one for a quasi-leaf) are
+    representatives. A position maps to its representative by one swap per
+    level, and every swap keeps the representative, so these are the orbits.
+    """
+    t = tree.t
+    own = np.ones(1, dtype=bool)
+    flags = [own]
+    for types in sibling_types(tree, coloring)[1:]:
+        # the first sibling of each type, by (parent, type) keys below n^2
+        key = np.arange(len(types)) // t * (int(types.max()) + 1) + types
+        first = np.zeros(len(types), dtype=bool)
+        first[np.unique(key, return_index=True)[1]] = True
+        own = np.repeat(own, t) & first
+        flags.append(own)
+    internal = np.concatenate(flags[:-1])
+    return np.flatnonzero(np.concatenate((internal, internal, own))).tolist()
+
+
 @dataclass(frozen=True)
 class TheoremReport:
     r: int
@@ -320,7 +384,12 @@ def verify_theorem(
     """Build GT(r, t), run the constructive coloring, validate, compare counts.
 
     With ``gp`` the coloring is checked for general position first, and MV
-    only when that fails: every GP set is an MV set.
+    only when that fails: every GP set is an MV set. Both checks sweep from
+    one vertex per orbit of the coloring-preserving sibling swaps
+    (``swap_representatives``), with every member of a class a target; the
+    swaps are automorphisms that map each class onto itself, so the
+    verdicts are those of the full sweeps. A coloring with no class of three
+    or more members has nothing to sweep, and skips that step.
 
     When the exact solver's budget runs out, ``exact`` stays None and
     ``bounds`` holds its [lo, hi].
@@ -336,10 +405,13 @@ def verify_theorem(
         )
     tree = build_glued_tree(r, t)
     coloring = constructive_coloring(tree)
+    sources = None
+    if np.bincount(coloring.colors).max() >= 3:
+        sources = swap_representatives(tree, coloring)
     gp_valid = None
     if gp:
-        gp_valid = validate_gp_coloring(tree.graph, coloring).valid
-    mv_valid = gp_valid or validate_mv_coloring(tree.graph, coloring).valid
+        gp_valid = validate_gp_coloring(tree.graph, coloring, sources=sources).valid
+    mv_valid = gp_valid or validate_mv_coloring(tree.graph, coloring, sources=sources).valid
     exact_value = None
     bounds = None
     if exact:

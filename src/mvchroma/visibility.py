@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ColoringNotTotalError, OutOfRangeVertexError
+from .errors import ColoringNotTotalError, InvalidParamsError, OutOfRangeVertexError
 from .graph import DistanceOracle, Graph, require_connected_graph
 
 
@@ -98,20 +98,20 @@ def _degree_blocks(g: Graph) -> tuple[np.ndarray, list[tuple[int, int, np.ndarra
 
 
 def _batches(classes):
-    """The classes of three or more members, in colour order, as batches of
-    at most BATCH_SOURCES sources: whole classes packed while they fit, and
-    a larger class cut into chunks of BATCH_SOURCES members, one batch each.
-    A batch entry ``(color, members, lo, hi)`` takes members[lo:hi] as its
-    sources and all of members as its targets.
+    """Batches of at most BATCH_SOURCES sources. ``classes`` holds one
+    ``(members, s)`` per colour, its s sources first. Classes of three or
+    more members come in colour order: whole classes packed while their
+    sources fit, and a class of more sources cut into chunks of
+    BATCH_SOURCES, one batch each. A batch entry ``(color, members, lo, hi)``
+    takes members[lo:hi] as its sources and all of members as its targets.
 
     Two members of a connected graph see each other, with no third member to
     lie between them, so a smaller class needs no sweep.
     """
     batch: list[tuple[int, list[int], int, int]] = []
     size = 0
-    for color, members in enumerate(classes):
-        s = len(members)
-        if s < 3:
+    for color, (members, s) in enumerate(classes):
+        if len(members) < 3 or not s:
             continue
         if batch and size + s > BATCH_SOURCES:
             yield batch
@@ -198,16 +198,34 @@ def _violating_entries(n, rank, blocks, batch, mode: str):
         row, b0 = row + s, b1
 
 
-def _scan_classes(g: Graph, classes, mode: str, exhaustive: bool) -> ValidationReport:
+def _scan_classes(
+    g: Graph, classes, mode: str, exhaustive: bool, sources=None
+) -> ValidationReport:
     """The class loop shared by every MV and GP check. Entries come in color
     order and their chunks in source order, so the pairs are listed in
     (color, u, v) order with no sort. Without exhaustive, the first
     violating entry stops the scan, and ``checked_pairs`` counts the classes
-    up to and including its colour."""
+    up to and including its colour.
+
+    With ``sources``, a class sweeps from its members in sources only,
+    listed first, and still takes every member as a target; a listed pair
+    is then (source, target).
+    """
+    # a sweep from orbit representatives misses the pairs their images cover
+    if exhaustive and sources is not None:
+        raise InvalidParamsError("an exhaustive report needs every member as a source")
     require_connected_graph(g)
+    if sources is None:
+        split = [(members, len(members)) for members in classes]
+    else:
+        chosen = set(sources)
+        split = []
+        for members in classes:
+            front = [v for v in members if v in chosen]
+            split.append((front + [v for v in members if v not in chosen], len(front)))
     room = MAX_LISTED_VIOLATIONS if exhaustive else 1
     count, violations = 0, []
-    batches = list(_batches(classes))
+    batches = list(_batches(split))
     if batches:
         rank, blocks = _degree_blocks(g)
     entries = (
@@ -267,7 +285,7 @@ def _require_total(g: Graph, c: Coloring) -> None:
 
 
 def validate_mv_coloring(
-    g: Graph, c: Coloring, exhaustive: bool = False
+    g: Graph, c: Coloring, exhaustive: bool = False, *, sources=None
 ) -> ValidationReport:
     """Check every color class for mutual visibility.
 
@@ -275,9 +293,18 @@ def validate_mv_coloring(
     scan; exhaustive=True counts every violating pair and lists the first
     MAX_LISTED_VIOLATIONS. Violations are ordered lexicographically by
     (color, u, v).
+
+    ``sources``, when given, must hold a vertex of every orbit of a group
+    of automorphisms of g that maps each color class onto itself. The
+    sweep then runs from those members only, with every member a target:
+    such a map takes a violating pair to a violating pair, so a violation
+    exists iff one has an end in ``sources``. ``valid`` and
+    ``checked_pairs`` are those of the full scan; the listed pair is one
+    violating (source, target) pair, not the smallest. It needs
+    exhaustive=False.
     """
     _require_total(g, c)
-    return _scan_classes(g, c.color_classes(), "mv", exhaustive)
+    return _scan_classes(g, c.color_classes(), "mv", exhaustive, sources)
 
 
 def is_gp_set(g: Graph, s) -> bool:
@@ -286,11 +313,12 @@ def is_gp_set(g: Graph, s) -> bool:
 
 
 def validate_gp_coloring(
-    g: Graph, c: Coloring, exhaustive: bool = False
+    g: Graph, c: Coloring, exhaustive: bool = False, *, sources=None
 ) -> ValidationReport:
-    """Check every color class for general position."""
+    """Check every color class for general position; ``exhaustive`` and
+    ``sources`` as in ``validate_mv_coloring``."""
     _require_total(g, c)
-    return _scan_classes(g, c.color_classes(), "gp", exhaustive)
+    return _scan_classes(g, c.color_classes(), "gp", exhaustive, sources)
 
 
 def pair_visible(g: Graph, o: DistanceOracle, u: int, v: int, same_class) -> bool:

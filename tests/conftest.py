@@ -10,6 +10,7 @@ from mvchroma import (
     Coloring,
     Graph,
     bfs_distances,
+    glued_tree_order,
     graph_from_edge_list,
 )
 
@@ -176,3 +177,14 @@ def coloring_with_k(colors) -> Coloring:
             dense_map[c] = len(dense_map)
         dense.append(dense_map[c])
     return Coloring(tuple(dense), len(dense_map))
+
+
+def trees_up_to(max_n):
+    """Every (r, t) with |V(GT(r, t))| <= max_n, by t and then r."""
+    t = 2
+    while glued_tree_order(1, t) <= max_n:
+        r = 1
+        while glued_tree_order(r, t) <= max_n:
+            yield r, t
+            r += 1
+        t += 1

@@ -80,7 +80,9 @@ def test_theorem_unexpected_gp_verdict_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(
         visibility,
         "validate_gp_coloring",
-        lambda g, c, exhaustive=False: visibility.ValidationReport(False, ((0, 1, 0),), 1),
+        lambda g, c, exhaustive=False, sources=None: visibility.ValidationReport(
+            False, ((0, 1, 0),), 1
+        ),
     )
     code, _, _ = run(capsys, "theorem", "--r", "2", "--t", "2", "--gp", "--json", os.devnull)
     assert code == 3

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from conftest import diameter
+from conftest import diameter, trees_up_to
 from mvchroma import (
     CycleDecomposition,
     Internal,
@@ -27,17 +27,6 @@ from mvchroma.errors import (
 )
 
 GOLDEN_LAYOUT_DIGEST = "d5af4c060fd07c80fd537694210928ec6b56da5fe9e91e79c91f56c6f76e1a4d"
-
-
-def trees_up_to(max_n):
-    """Every (r, t) with |V(GT(r, t))| <= max_n, by t and then r."""
-    t = 2
-    while glued_tree_order(1, t) <= max_n:
-        r = 1
-        while glued_tree_order(r, t) <= max_n:
-            yield r, t
-            r += 1
-        t += 1
 
 
 def test_order_formula():

@@ -59,3 +59,15 @@ def test_theorem_sweep_gp_verdicts_match_expected(tmp_path):
     assert rows[3, 2]["gp_expected"] is False and rows[3, 2]["gp_valid"] is False
     assert all(row["gp_valid"] == row["gp_expected"] for row in rows.values())
     assert sum(row["gp_expected"] for row in rows.values()) == len(rows) - 1
+
+
+def test_bench_theorem_run_records_a_fresh_process():
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import bench
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    # GT(3, 2) is a second-regime minimum: MV-valid, not in general position
+    row = bench.theorem_run(ROOT, 3)
+    assert (row["exit"], row["mv_valid"], row["gp_valid"]) == (0, True, False)
+    assert row["wall_s"] > 0 and row["peak_rss_mb"] > 1
