@@ -388,8 +388,7 @@ def verify_theorem(
     one vertex per orbit of the coloring-preserving sibling swaps
     (``swap_representatives``), with every member of a class a target; the
     swaps are automorphisms that map each class onto itself, so the
-    verdicts are those of the full sweeps. A coloring with no class of three
-    or more members has nothing to sweep, and skips that step.
+    verdicts are those of the full sweeps.
 
     When the exact solver's budget runs out, ``exact`` stays None and
     ``bounds`` holds its [lo, hi].
@@ -405,9 +404,7 @@ def verify_theorem(
         )
     tree = build_glued_tree(r, t)
     coloring = constructive_coloring(tree)
-    sources = None
-    if np.bincount(coloring.colors).max() >= 3:
-        sources = swap_representatives(tree, coloring)
+    sources = swap_representatives(tree, coloring)
     gp_valid = None
     if gp:
         gp_valid = validate_gp_coloring(tree.graph, coloring, sources=sources).valid

@@ -27,6 +27,10 @@ import mvchroma.visibility as visibility
 
 NON_GAP = [rt for rt in trees_up_to(2000) if not chi_mu_formula(*rt).gap]
 DEEP = [(r, 2) for r in range(10, 14)]
+# BATCH_SOURCES values for the narrow-batch sweeps, each with the largest
+# tree it sweeps: at 2 bits GT(12,2) and GT(13,2) would add a third to this
+# file's run time
+NARROW = {8: 30_000, 2: 10_000}
 
 
 def level_offsets(r: int, t: int) -> np.ndarray:
@@ -149,20 +153,42 @@ def full_verdicts(tree, coloring):
     return gp or validate_mv_coloring(tree.graph, coloring).valid, gp
 
 
+def narrow_verdicts(tree, coloring, width, entries):
+    """The representative verdicts with ``BATCH_SOURCES`` monkeypatched to
+    ``width``. Each batch must hold at most ``width`` source bits; its
+    entries are appended to ``entries`` as (batch length, class size, lo, hi)."""
+    real = visibility._batches
+
+    def spy(classes):
+        for batch in real(classes):
+            assert sum(hi - lo for _, _, lo, hi in batch) <= width
+            entries.extend((len(batch), len(members), lo, hi) for _, members, lo, hi in batch)
+            yield batch
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(visibility, "BATCH_SOURCES", width)
+        mp.setattr(visibility, "_batches", spy)
+        return representative_verdicts(tree, coloring)
+
+
 @cache
 def constructive_verdicts():
-    """(full, representatives, representatives at 8 sources per sweep)
-    verdicts, each a dict from (r, t) to (mv, gp)."""
-    out = {}, {}, {}
+    """(full, representatives, narrow) verdicts, each a dict from (r, t) to
+    (mv, gp); narrow maps each width in NARROW to such a dict, over the
+    trees up to that width's size, and to the batch entries its sweeps saw
+    (``narrow_verdicts``)."""
+    full, representatives, narrow = {}, {}, {}
+    for width in NARROW:
+        narrow[width] = {}, []
     for r, t in NON_GAP + DEEP:
         tree = build_glued_tree(r, t)
         coloring = constructive_coloring(tree)
-        out[0][r, t] = full_verdicts(tree, coloring)
-        out[1][r, t] = representative_verdicts(tree, coloring)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(visibility, "BATCH_SOURCES", 8)
-            out[2][r, t] = representative_verdicts(tree, coloring)
-    return out
+        full[r, t] = full_verdicts(tree, coloring)
+        representatives[r, t] = representative_verdicts(tree, coloring)
+        for width, (verdicts, entries) in narrow.items():
+            if tree.graph.n <= NARROW[width]:
+                verdicts[r, t] = narrow_verdicts(tree, coloring, width, entries)
+    return full, representatives, narrow
 
 
 def test_representatives_match_full_validators():
@@ -173,11 +199,17 @@ def test_representatives_match_full_validators():
 
 
 def test_representatives_match_full_validators_in_narrow_batches():
-    # at 8 sources per sweep, batches are packed by representatives, not by
-    # class size: a GT(13,2) class of up to 8192 members sweeps from at
-    # most 7, so no class is cut into chunks of its members
+    # batches are packed by source bits: at 8 bits a class of more members
+    # shares its batch, which packing by class size would never do, and at
+    # 2 bits a class's representatives are cut into chunks (lo > 0)
     full, _, narrow = constructive_verdicts()
-    assert narrow == full
+    verdicts, entries = narrow[8]
+    assert verdicts == full
+    assert any(size > 8 and shared > 1 for shared, size, _, _ in entries)
+    verdicts, entries = narrow[2]
+    assert verdicts == {rt: full[rt] for rt in verdicts}
+    assert (11, 2) in verdicts
+    assert any(lo > 0 for _, _, lo, _ in entries)
 
 
 def perturbed_colorings(tree, rng, count):
@@ -199,8 +231,10 @@ def perturbed_colorings(tree, rng, count):
 
 
 def test_representatives_match_full_validators_on_perturbed_colorings():
+    # again at 2 source bits per sweep, where a class's representatives
+    # are cut into chunks
     rng = random.Random(20251018)
-    verdicts = set()
+    verdicts, entries = set(), []
     for r, t in NON_GAP:
         tree = build_glued_tree(r, t)
         if tree.graph.n > 300:
@@ -208,9 +242,11 @@ def test_representatives_match_full_validators_on_perturbed_colorings():
         for coloring in perturbed_colorings(tree, rng, 3):
             full = full_verdicts(tree, coloring)
             assert representative_verdicts(tree, coloring) == full, (r, t, coloring)
+            assert narrow_verdicts(tree, coloring, 2, entries) == full, (r, t, coloring)
             verdicts.add(full)
     # every verdict pair that can occur did: GP implies MV
     assert verdicts == {(True, True), (True, False), (False, False)}
+    assert any(lo > 0 for _, _, lo, _ in entries)
 
 
 def test_verify_theorem_sweeps_from_representatives(monkeypatch):
