@@ -139,12 +139,11 @@ def build_glued_tree(r: int, t: int) -> LabeledGluedTree:
     # A side-2 vertex's id is per_side plus its local index, and so is the
     # id of the quasi-leaf a side reaches at local index c >= per_side
     per_side = _internal_per_side(r, t)
-    children = [(x, c) for x in range(per_side) for c in range(t * x + 1, t * x + t + 1)]
-    edges = [(x, c if c < per_side else per_side + c) for x, c in children]
-    edges += [(per_side + x, per_side + c) for x, c in children]
-    return LabeledGluedTree(
-        graph=graph_from_edge_list(glued_tree_order(r, t), edges), r=r, t=t
-    )
+    c = np.arange(1, t * per_side + 1)  # every local child index, and its parent x
+    x = (c - 1) // t
+    side1 = np.column_stack((x, np.where(c < per_side, c, per_side + c)))
+    edges = np.concatenate((side1, np.column_stack((x, c)) + per_side))
+    return LabeledGluedTree(graph=graph_from_edge_list(glued_tree_order(r, t), edges), r=r, t=t)
 
 
 def _heap_ancestors(c: int, t: int) -> list[int]:

@@ -1,16 +1,16 @@
 """Immutable simple undirected graphs, BFS distances and geodesic primitives.
 
-Vertex ids are dense 0-based integers, and graph_from_edge_list builds no
-graph with more than DEFAULT_SIZE_CAP vertices. Distances come from one BFS
-row per source vertex, built on first use; an oracle needs a connected graph,
-so every row holds every vertex.
+A graph keeps one adjacency, read-only CSR arrays, on at most DEFAULT_SIZE_CAP
+vertices; the validators read only it and ``connected``. The DistanceOracle,
+which the solver and pair_visible read, builds one BFS row per source on first
+use and keeps the neighbour bitmasks ``sees`` reads; it needs a connected graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import pairwise
 from operator import and_, or_
 
 import numpy as np
@@ -26,50 +26,45 @@ UNREACHABLE = -1
 DEFAULT_SIZE_CAP = 200_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph with sorted adjacency lists."""
+    """Simple undirected graph as read-only int64 CSR arrays: the sorted
+    neighbours of v are ``indices[indptr[v]:indptr[v + 1]]``."""
 
     n: int
-    adjacency: tuple[tuple[int, ...], ...]
-    m: int
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return len(self.indices) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (u, v) pairs with u < v, sorted."""
-        return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
+        u = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        keep = u < self.indices
+        return list(zip(u[keep].tolist(), self.indices[keep].tolist()))
 
     @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Adjacency as compressed sparse rows ``(indptr, indices)``: the
-        neighbours of v are ``indices[indptr[v]:indptr[v + 1]]``, sorted."""
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum([len(a) for a in self.adjacency], out=indptr[1:])
-        indices = np.fromiter(
-            chain.from_iterable(self.adjacency), dtype=np.int64, count=int(indptr[-1])
-        )
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
-        return indptr, indices
-
-    @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Adjacency as Python-int bitmasks: bit w of ``neighbor_masks[v]``
-        is set iff w is a neighbour of v."""
-        return tuple(sum(1 << w for w in a) for a in self.adjacency)
+    def connected(self) -> bool:
+        """True iff every vertex reaches vertex 0. Hooking and pointer jumping
+        (after Shiloach and Vishkin, J. Algorithms 1982) hooks every root with
+        an edge out of its tree within two rounds, so O(log n) rounds suffice."""
+        u, v = np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices
+        root = np.arange(self.n)
+        while (root[u] != root[v]).any():
+            np.minimum.at(root, root[u], root[v])
+            while (root[root] != root).any():
+                root = root[root]
+        return bool((root == 0).all())
 
     @cached_property
     def oracle(self) -> DistanceOracle:
-        """The graph's one distance oracle, so its BFS rows are built once
-        however many searches read them."""
+        """The graph's one distance oracle: each BFS row is built once."""
         return DistanceOracle(self)
-
-
-def _check_vertex(v: int, n: int) -> None:
-    if not 0 <= v < n:
-        raise OutOfRangeVertexError(f"vertex {v} out of range 0..{n - 1}")
 
 
 def graph_from_edge_list(n: int, edges) -> Graph:
@@ -78,47 +73,51 @@ def graph_from_edge_list(n: int, edges) -> Graph:
         raise OutOfRangeVertexError("vertex count must be non-negative")
     if n > DEFAULT_SIZE_CAP:
         raise SizeCapExceededError(f"{n} vertices is more than {DEFAULT_SIZE_CAP}")
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            _check_vertex(u, n)
-            _check_vertex(v, n)
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph(
-        n=n,
-        adjacency=tuple(tuple(sorted(s)) for s in adj),
-        m=sum(map(len, adj)) // 2,
-    )
+    edges = edges if isinstance(edges, np.ndarray) else list(edges)
+    try:
+        e = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # an id past int64: compare the Python ints instead
+        e = np.array(edges, dtype=object).reshape(-1, 2)
+    bad = (e < 0) | (e >= n)
+    if bad.any():
+        raise OutOfRangeVertexError(f"vertex {e[bad][0]} out of range 0..{n - 1}")
+    u, v = e.T
+    if (u == v).any():
+        raise SelfLoopError(f"self-loop at vertex {u[u == v][0]}")
+    # both directions as sorted unique keys u * n + v; np.unique's hashing is slower
+    keys = np.sort(np.concatenate((u * n + v, v * n + u)))
+    keys = keys[np.diff(keys, prepend=-1) > 0]
+    rows, indices = np.divmod(keys, max(n, 1))
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    return Graph(n=n, indptr=indptr, indices=indices)
+
+
+def _check_vertex(v: int, n: int) -> None:
+    if not 0 <= v < n:
+        raise OutOfRangeVertexError(f"vertex {v} out of range 0..{n - 1}")
 
 
 def require_connected_graph(g: Graph) -> None:
-    """Raise DisconnectedGraphError unless g is connected.
-
-    Building g's cached oracle makes the check, so on a connected graph
-    only the first call costs a BFS.
-    """
-    g.oracle
+    """Raise DisconnectedGraphError unless ``g.connected``."""
+    if not g.connected:
+        raise DisconnectedGraphError("graph is disconnected")
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop distances from source; -1 for unreachable vertices."""
     _check_vertex(source, g.n)
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
     dist = [UNREACHABLE] * g.n
     dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for w in g.adjacency[u]:
-                if dist[w] == UNREACHABLE:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
+    queue = [source]
+    for u in queue:
+        d = dist[u] + 1
+        for w in indices[indptr[u] : indptr[u + 1]]:
+            if dist[w] == UNREACHABLE:
+                dist[w] = d
+                queue.append(w)
     return dist
 
 
@@ -137,16 +136,19 @@ class DistanceOracle:
     next reach is the whole next level, since every vertex of a BFS level
     has a neighbour one level up.
 
-    Building an oracle raises DisconnectedGraphError unless every vertex
-    reaches vertex 0 (graphs with at most one vertex count as connected),
-    so every row holds every vertex.
+    A disconnected g raises DisconnectedGraphError, so every row has every vertex.
     """
 
     def __init__(self, g: Graph):
+        require_connected_graph(g)
         self.g = g
         self._rows: list[tuple[list[int], list[int]] | None] = [None] * g.n
-        if g.n > 1 and UNREACHABLE in self._row(0)[0]:
-            raise DisconnectedGraphError("graph is disconnected")
+
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Bit w of ``neighbor_masks[v]`` is set iff w is a neighbour of v."""
+        ptr, nbr = self.g.indptr.tolist(), self.g.indices.tolist()
+        return tuple(sum(1 << w for w in nbr[a:b]) for a, b in pairwise(ptr))
 
     def _row(self, u: int) -> tuple[list[int], list[int]]:
         row = self._rows[u]
@@ -175,7 +177,7 @@ class DistanceOracle:
         """True iff x sees every vertex of the bitmask ``targets`` along a
         geodesic with no vertex of ``blocked`` inside."""
         lx = (self._rows[x] or self._row(x))[1]
-        nbr = self.g.neighbor_masks
+        nbr = self.neighbor_masks
         # x is an endpoint of every geodesic from it, so it never blocks
         blocked &= ~lx[0]
         targets &= ~lx[0]

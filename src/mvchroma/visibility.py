@@ -84,15 +84,14 @@ def _degree_blocks(g: Graph) -> tuple[np.ndarray, list[tuple[int, int, np.ndarra
     vertex and word, and one BFS level of the largest GT(11, 2) class took
     five times as long with it.
     """
-    indptr, indices = g.csr
-    degree = np.diff(indptr)
+    degree = np.diff(g.indptr)
     order = np.argsort(-degree, kind="stable")
     rank = np.empty(g.n, dtype=np.int64)
     rank[order] = np.arange(g.n)
-    degree, starts = degree[order], indptr[order]
+    degree, starts = degree[order], g.indptr[order]
     _, first, count = np.unique(-degree, return_index=True, return_counts=True)
     return rank, [
-        (lo, lo + c, rank[indices[starts[lo : lo + c, None] + np.arange(degree[lo])]])
+        (lo, lo + c, rank[g.indices[starts[lo : lo + c, None] + np.arange(degree[lo])]])
         for lo, c in zip(first.tolist(), count.tolist())
     ]
 
@@ -328,4 +327,4 @@ def pair_visible(g: Graph, o: DistanceOracle, u: int, v: int, same_class) -> boo
     ``o`` is g's distance oracle.
     """
     o.d(u, v)  # range-checks u and v
-    return o.sees(u, 1 << v, sum(1 << w for w in set(same_class)))
+    return o.sees(u, 1 << v, sum(1 << w for w in _set_members(g, same_class)))

@@ -55,7 +55,7 @@ def enumerate_shortest_paths(g: Graph, u: int, v: int) -> list[tuple[int, ...]]:
             return
         if len(path) - 1 == target:
             return
-        for x in g.adjacency[w]:
+        for x in g.indices[g.indptr[w] : g.indptr[w + 1]].tolist():
             if x not in path:
                 path.append(x)
                 rec(path)

@@ -1,8 +1,10 @@
 """The package's public surface: what the benchmark calls stays, and the
 test-only helpers stay out of ``src``."""
 
+import dataclasses
 import importlib
 
+import numpy as np
 import pytest
 
 import mvchroma
@@ -64,6 +66,14 @@ def test_removed_helpers_are_gone(name):
 def test_removed_methods_are_gone():
     assert not hasattr(mvchroma.Graph, "neighbors")
     assert not hasattr(mvchroma.Graph, "has_edge")
+    # one adjacency: the CSR arrays, and no tuples, masks or derived copy
+    g = mvchroma.graph_from_edge_list(3, [(0, 1), (1, 2)])
+    for name in ("adjacency", "neighbor_masks", "csr"):
+        assert not hasattr(mvchroma.Graph, name)
+        assert not hasattr(g, name)
+    assert [f.name for f in dataclasses.fields(g)] == ["n", "indptr", "indices"]
+    for a in (g.indptr, g.indices):
+        assert a.dtype == np.int64 and not a.flags.writeable
     assert not hasattr(mvchroma.CycleDecomposition, "q_side1")
     assert not hasattr(mvchroma.CycleDecomposition, "q_side2")
     assert not hasattr(mvchroma.NaeAssignment, "value")

@@ -190,6 +190,23 @@ def test_validate_disconnected_exit_2(tmp_path, capsys):
     assert "disconnected" in err
 
 
+@pytest.mark.parametrize("edge, message", [
+    ("e 0 1", "vertex -1 out of range 0..2"),
+    ("e 1 4", "vertex 3 out of range 0..2"),
+    ("e 1 99999999999999999999999", "vertex 99999999999999999999998 out of range 0..2"),
+    ("e 2 2", "self-loop at vertex 1"),
+], ids=["zero", "past-n", "past-int64", "self-loop"])
+def test_validate_bad_edge_line_exit_2(tmp_path, capsys, edge, message):
+    gpath = tmp_path / "g.col"
+    cpath = tmp_path / "c.sol"
+    gpath.write_text(f"p edge 3 2\ne 1 2\n{edge}\n")
+    cpath.write_text("s color 3 1\nv 1 1\nv 2 1\nv 3 1\n")
+    code, out, err = run(
+        capsys, "validate", "--graph", str(gpath), "--coloring", str(cpath)
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("coloring", [
     "s color 3 1\nv 1 x\nv 2 1\nv 3 1\n",
     "s color x 1\nv 1 1\nv 2 1\nv 3 1\n",

@@ -179,7 +179,7 @@ def test_cycle_paths_are_geodesics():
             for path in (dec.p_side1, dec.p_side2):
                 assert len(path) - 1 == o.d(tree.quasi(a), tree.quasi(b))
                 for u, v in zip(path, path[1:]):
-                    assert v in g.adjacency[u]
+                    assert v in g.indices[g.indptr[u] : g.indptr[u + 1]]
 
 
 def test_cycle_vertices_bad_indices():

@@ -1,7 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
-from conftest import build_h_gadget, diameter, enumerate_shortest_paths
+from conftest import DEFAULT_SEED, build_h_gadget, diameter, enumerate_shortest_paths
 from mvchroma import (
     DistanceOracle,
     all_pairs_distances,
@@ -27,7 +29,7 @@ def test_c4_construction():
     g = c4()
     assert g.n == 4
     assert g.m == 4
-    assert g.adjacency[0] == (1, 3)
+    assert g.indices[g.indptr[0] : g.indptr[1]].tolist() == [1, 3]
 
 
 def test_duplicate_edge_collapsed():
@@ -36,13 +38,18 @@ def test_duplicate_edge_collapsed():
 
 
 def test_self_loop_rejected():
-    with pytest.raises(SelfLoopError):
-        graph_from_edge_list(3, [(1, 1)])
+    # (1, 1) is the graph file's edge line "e 2 2"
+    for edges in ([(1, 1)], [(0, 1), (2, 2)]):
+        with pytest.raises(SelfLoopError):
+            graph_from_edge_list(3, edges)
 
 
 def test_out_of_range_endpoint():
-    with pytest.raises(OutOfRangeVertexError):
-        graph_from_edge_list(3, [(0, 3)])
+    # the 0-based ids of the edge lines "e 1 4", "e 0 1" and
+    # "e 1 99999999999999999999999" on n = 3; the last id is past int64
+    for edge in ((0, 3), (-1, 0), (0, 99999999999999999999998), (-(10**30), 1), (0, 2**63)):
+        with pytest.raises(OutOfRangeVertexError):
+            graph_from_edge_list(3, [(0, 1), edge])
 
 
 def test_vertex_count_over_cap_rejected():
@@ -101,7 +108,7 @@ def test_oracle_invariants_gt2():
     assert (np.diag(d) == 0).all()
     assert d.max() == 4
     for u in range(g.n):
-        for v in g.adjacency[u]:
+        for v in g.indices[g.indptr[u] : g.indptr[u + 1]]:
             assert d[u, v] == 1
     # dist v_{1,1} to v'_{1,1}
     assert d[tree.internal(1, 1, 1), tree.internal(2, 1, 1)] == 4
@@ -155,3 +162,24 @@ def test_geodesic_count_gt2():
     # mirror roots: one geodesic per quasi-leaf
     u, v = tree.internal(1, 1, 1), tree.internal(2, 1, 1)
     assert len(enumerate_shortest_paths(tree.graph, u, v)) == 4
+
+
+def test_connected_matches_bfs():
+    # random graphs of up to 40 vertices, many of them disconnected, and
+    # paths in shuffled vertex order, whole or cut in the middle
+    rng = random.Random(DEFAULT_SEED)
+    kinds = set()
+    for trial in range(600):
+        n = rng.randrange(0, 41)
+        edges = set()
+        if n > 1:
+            edges = {tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(2 * n + 1))}
+        if trial % 3 == 0 and n > 1:
+            p = rng.sample(range(n), n)
+            cut = n // 2 if trial % 2 else None
+            edges = {(p[i], p[i + 1]) for i in range(n - 1) if i + 1 != cut}
+        g = graph_from_edge_list(n, sorted(edges))
+        expected = n <= 1 or -1 not in bfs_distances(g, 0)
+        assert g.connected == expected, (n, sorted(edges))
+        kinds.add(expected)
+    assert kinds == {True, False}

@@ -18,6 +18,7 @@ from conftest import (
 from mvchroma import (
     Budget,
     Coloring,
+    DistanceOracle,
     Status,
     build_glued_tree,
     build_reduction,
@@ -107,9 +108,16 @@ def test_huge_k_answers_like_k_equal_n(k):
 
 
 def test_disconnected_rejected():
-    g = graph_from_edge_list(4, [(0, 1), (2, 3)])
-    with pytest.raises(DisconnectedGraphError):
-        mv_k_colorable(g, 2)
+    # two edges, and GT(9, 2) (n = 1534) beside one isolated vertex
+    tree = build_glued_tree(9, 2)
+    for g in (
+        graph_from_edge_list(4, [(0, 1), (2, 3)]),
+        graph_from_edge_list(tree.graph.n + 1, tree.graph.edges()),
+    ):
+        with pytest.raises(DisconnectedGraphError):
+            mv_k_colorable(g, 2)
+        with pytest.raises(DisconnectedGraphError):
+            DistanceOracle(g)
 
 
 def test_node_budget_exhausts():

@@ -90,7 +90,7 @@ def sibling_pairs(tree, coloring, level: int):
 
 def check_swaps(tree, coloring):
     g = tree.graph
-    indptr, indices = g.csr
+    indptr, indices = g.indptr, g.indices
     degree = np.diff(indptr)
     edges = np.sort(np.repeat(np.arange(g.n), degree) * g.n + indices)
     colors = np.asarray(coloring.colors)

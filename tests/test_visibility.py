@@ -14,6 +14,7 @@ from conftest import (
 )
 from mvchroma import (
     Coloring,
+    DistanceOracle,
     ValidationReport,
     all_pairs_distances,
     bfs_distances,
@@ -30,6 +31,7 @@ from mvchroma import (
 from mvchroma.errors import (
     ColoringNotTotalError,
     DisconnectedGraphError,
+    OutOfRangeVertexError,
 )
 import mvchroma.visibility as visibility
 from mvchroma.visibility import pair_visible
@@ -305,16 +307,24 @@ def test_validator_matches_pair_visible_on_hub_graphs():
 
 
 def test_every_check_rejects_a_disconnected_graph():
-    g = graph_from_edge_list(4, [(0, 1), (2, 3)])
-    c = Coloring((0, 1, 0, 1), 2)
-    for check in (
-        lambda: is_mv_set(g, [0, 2]),
-        lambda: is_gp_set(g, [0, 2]),
-        lambda: validate_mv_coloring(g, c),
-        lambda: validate_gp_coloring(g, c),
+    # two edges, and GT(9, 2) (n = 1534) beside one isolated vertex
+    tree = build_glued_tree(9, 2)
+    for g in (
+        graph_from_edge_list(4, [(0, 1), (2, 3)]),
+        graph_from_edge_list(tree.graph.n + 1, tree.graph.edges()),
     ):
-        with pytest.raises(DisconnectedGraphError):
-            check()
+        c = Coloring(tuple(v % 2 for v in range(g.n)), 2)
+        for check in (
+            lambda: is_mv_set(g, [0, 2]),
+            lambda: is_gp_set(g, [0, 2]),
+            lambda: validate_mv_coloring(g, c),
+            lambda: validate_gp_coloring(g, c),
+            lambda: validate_mv_coloring(g, c, exhaustive=True),
+            lambda: validate_gp_coloring(g, c, exhaustive=True),
+            lambda: DistanceOracle(g),
+        ):
+            with pytest.raises(DisconnectedGraphError):
+                check()
 
 
 def test_small_classes_agree_with_is_mv_set():
@@ -337,6 +347,15 @@ def test_pair_visible_adjacent():
     o = all_pairs_distances(g)
     # adjacent pair has no internal vertices
     assert pair_visible(g, o, 0, 1, range(g.n))
+
+
+def test_pair_visible_rejects_out_of_range_class_members():
+    # 10**10 is left out: unchecked, its bit would take a 1.25 GB int
+    g = c4()
+    o = all_pairs_distances(g)
+    for member in (-1, 4, 10**30):
+        with pytest.raises(OutOfRangeVertexError):
+            pair_visible(g, o, 0, 2, [1, member])
 
 
 def test_pair_visible_never_blocked():
