@@ -52,14 +52,30 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _json_report(args: argparse.Namespace, payload: dict, ok, stopped=False) -> int:
+# one entry of validate's violation list, as json.dumps(indent=2, sort_keys=True) writes it
+_VIOLATION = '    {\n      "color": %d,\n      "u": %d,\n      "v": %d\n    }'
+
+
+def _json_report(
+    args: argparse.Namespace, payload: dict, ok, stopped=False, violations=None
+) -> int:
     """End a JSON command: write payload, with the version and config, to
-    --json; exit 4 when a budget stopped the run, else 0 if ok, else 3."""
+    --json; exit 4 when a budget stopped the run, else 0 if ok, else 3.
+
+    ``violations``, (color, u, v) triples, becomes the "violations" list. The
+    key sorts after every other, so the list is written from _VIOLATION in
+    place of the dump's closing "\n}", with the bytes json.dumps would write.
+    """
     if stopped:
         payload["status"] = "budget"
     payload["tool_version"] = __version__
     payload["config"] = {k: v for k, v in vars(args).items() if k != "func"}
-    _write(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if violations is not None:
+        entries = ",\n".join(map(_VIOLATION.__mod__, violations))
+        listed = f"[\n{entries}\n  ]" if entries else "[]"
+        text = f'{text[:-2]},\n  "violations": {listed}\n}}'
+    _write(args.json, text + "\n")
     if stopped:
         return EXIT_BUDGET
     return EXIT_OK if ok else EXIT_NEGATIVE
@@ -103,16 +119,13 @@ def cmd_validate(args) -> int:
     payload = {
         "valid": report.valid,
         "mode": args.mode,
-        "violations": [
-            {"u": u + 1, "v": v + 1, "color": color + 1}
-            for u, v, color in report.violations
-        ],
         "violation_count": report.violation_count,
         "checked_pairs": report.checked_pairs,
     }
     if any(ext - 1 != dense for ext, dense in mapping.items()):
         payload["color_mapping"] = {str(ext): dense + 1 for ext, dense in mapping.items()}
-    return _json_report(args, payload, report.valid)
+    violations = [(color + 1, u + 1, v + 1) for u, v, color in report.violations]
+    return _json_report(args, payload, report.valid, violations=violations)
 
 
 def cmd_solve(args) -> int:

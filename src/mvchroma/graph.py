@@ -3,7 +3,8 @@
 A graph keeps one adjacency, read-only CSR arrays, on at most DEFAULT_SIZE_CAP
 vertices; the validators read only it and ``connected``. The DistanceOracle,
 which the solver and pair_visible read, builds one BFS row per source on first
-use and keeps the neighbour bitmasks ``sees`` reads; it needs a connected graph.
+use over neighbour lists it makes once, and keeps the neighbour bitmasks
+``sees`` reads; it needs a connected graph.
 """
 
 from __future__ import annotations
@@ -105,20 +106,30 @@ def require_connected_graph(g: Graph) -> None:
         raise DisconnectedGraphError("graph is disconnected")
 
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Hop distances from source; -1 for unreachable vertices."""
-    _check_vertex(source, g.n)
-    indptr, indices = g.indptr.tolist(), g.indices.tolist()
-    dist = [UNREACHABLE] * g.n
+def _neighbor_lists(g: Graph) -> list[list[int]]:
+    """The CSR rows as Python lists, which a Python BFS walks fastest."""
+    ptr, nbr = g.indptr.tolist(), g.indices.tolist()
+    return [nbr[a:b] for a, b in pairwise(ptr)]
+
+
+def _bfs_row(nbrs: list[list[int]], source: int) -> list[int]:
+    """Hop distances from source over neighbour lists; -1 for unreachable."""
+    dist = [UNREACHABLE] * len(nbrs)
     dist[source] = 0
     queue = [source]
     for u in queue:
         d = dist[u] + 1
-        for w in indices[indptr[u] : indptr[u + 1]]:
+        for w in nbrs[u]:
             if dist[w] == UNREACHABLE:
                 dist[w] = d
                 queue.append(w)
     return dist
+
+
+def bfs_distances(g: Graph, source: int) -> list[int]:
+    """Hop distances from source; -1 for unreachable vertices."""
+    _check_vertex(source, g.n)
+    return _bfs_row(_neighbor_lists(g), source)
 
 
 class DistanceOracle:
@@ -145,15 +156,19 @@ class DistanceOracle:
         self._rows: list[tuple[list[int], list[int]] | None] = [None] * g.n
 
     @cached_property
+    def _nbrs(self) -> list[list[int]]:
+        """The neighbour lists every row's BFS walks, made once."""
+        return _neighbor_lists(self.g)
+
+    @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
         """Bit w of ``neighbor_masks[v]`` is set iff w is a neighbour of v."""
-        ptr, nbr = self.g.indptr.tolist(), self.g.indices.tolist()
-        return tuple(sum(1 << w for w in nbr[a:b]) for a, b in pairwise(ptr))
+        return tuple(sum(1 << w for w in nbrs) for nbrs in self._nbrs)
 
     def _row(self, u: int) -> tuple[list[int], list[int]]:
         row = self._rows[u]
         if row is None:
-            dist = bfs_distances(self.g, u)
+            dist = _bfs_row(self._nbrs, u)
             levels = [0] * (max(dist) + 1)
             for w, d in enumerate(dist):
                 levels[d] |= 1 << w

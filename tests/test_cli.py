@@ -235,6 +235,39 @@ def test_validate_gp_mode(tmp_path, capsys):
     assert code == 3
 
 
+def k2_lines(d: int) -> str:
+    """K_{2,d} in the graph format: hubs 1 and 2, leaves 3..d+2."""
+    edges = [f"e {h} {leaf}" for h in (1, 2) for leaf in range(3, d + 3)]
+    return f"p edge {d + 2} {2 * d}\n" + "\n".join(edges) + "\n"
+
+
+@pytest.mark.parametrize("d, colors, mode, name, listed, mapped", [
+    (3, [1, 1, 2, 2, 2], "mv", "v.json", 0, False),
+    # every pair of leaves, and the two hubs, see each other only through the class
+    (100, [1] * 102, "mv", "v.json", 4950 + 1, False),
+    (100, [1] * 102, "gp", "v.json", 4950 + 1, False),
+    (3, [9, 9, 9, 9, 40], "mv", "v.json", 1, True),
+    (3, [1] * 5, "mv", 'r "violations": [ ] } \u00e9.json', 3 + 1, False),
+], ids=["valid", "one-colour-mv", "one-colour-gp", "sparse-ids", "odd-path"])
+def test_validate_json_bytes_equal_json_dumps(tmp_path, capsys, d, colors, mode, name,
+                                              listed, mapped):
+    # the violation list is written from a template: its bytes must equal the
+    # stdlib's indented, sorted encoding (which a key sorting after it breaks)
+    gpath, cpath, jpath = tmp_path / "g.col", tmp_path / "c.sol", tmp_path / name
+    gpath.write_text(k2_lines(d))
+    cpath.write_text(f"s color {len(colors)} {len(set(colors))}\n"
+                     + "".join(f"v {v} {c}\n" for v, c in enumerate(colors, start=1)))
+    code, _, _ = run(capsys, "validate", "--graph", str(gpath), "--coloring", str(cpath),
+                     "--mode", mode, "--json", str(jpath))
+    text = jpath.read_text()
+    payload = json.loads(text)
+    # compared as lines: pytest diffs two long strings for minutes
+    assert text.split("\n") == (json.dumps(payload, indent=2, sort_keys=True) + "\n").split("\n")
+    assert code == (3 if listed else 0)
+    assert (len(payload["violations"]), "color_mapping" in payload) == (listed, mapped)
+    assert payload["config"]["json"] == str(jpath)
+
+
 def test_solve_k_feasible(tmp_path, capsys):
     gpath = tmp_path / "g.col"
     gpath.write_text("p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n")

@@ -213,16 +213,16 @@ def test_chi_mu_exact_gt2():
 def test_chi_mu_exact_builds_each_bfs_row_once(monkeypatch):
     # greedy and the k = 1..3 searches share the graph's oracle
     calls = []
-    bfs = graph_module.bfs_distances
+    bfs = graph_module._bfs_row
 
-    def counting_bfs(g, source):
+    def counting_bfs(nbrs, source):
         calls.append(source)
-        return bfs(g, source)
+        return bfs(nbrs, source)
 
-    monkeypatch.setattr(graph_module, "bfs_distances", counting_bfs)
+    monkeypatch.setattr(graph_module, "_bfs_row", counting_bfs)
     tree = build_glued_tree(3, 2)
     assert chi_mu_exact(tree.graph)[0] == 4
-    assert len(calls) == len(set(calls))
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_chi_mu_exact_matches_naive():
