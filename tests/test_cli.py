@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import mvchroma.visibility as visibility
+from conftest import k2_pendant
 from mvchroma import build_glued_tree, read_coloring, read_graph, write_graph
 from mvchroma.cli import main
 
@@ -235,26 +236,20 @@ def test_validate_gp_mode(tmp_path, capsys):
     assert code == 3
 
 
-def k2_lines(d: int) -> str:
-    """K_{2,d} in the graph format: hubs 1 and 2, leaves 3..d+2."""
-    edges = [f"e {h} {leaf}" for h in (1, 2) for leaf in range(3, d + 3)]
-    return f"p edge {d + 2} {2 * d}\n" + "\n".join(edges) + "\n"
-
-
 @pytest.mark.parametrize("d, colors, mode, name, listed, mapped", [
-    (3, [1, 1, 2, 2, 2], "mv", "v.json", 0, False),
-    # every pair of leaves, and the two hubs, see each other only through the class
-    (100, [1] * 102, "mv", "v.json", 4950 + 1, False),
-    (100, [1] * 102, "gp", "v.json", 4950 + 1, False),
-    (3, [9, 9, 9, 9, 40], "mv", "v.json", 1, True),
-    (3, [1] * 5, "mv", 'r "violations": [ ] } \u00e9.json', 3 + 1, False),
+    (3, [1, 1, 2, 2, 2, 1], "mv", "v.json", 0, False),
+    # every pair but the 2d + 1 edges sees only through the class
+    (100, [1] * 103, "mv", "v.json", 103 * 102 // 2 - 201, False),
+    (100, [1] * 103, "gp", "v.json", 103 * 102 // 2 - 201, False),
+    (3, [9, 9, 9, 9, 40, 40], "mv", "v.json", 1, True),
+    (3, [1] * 6, "mv", 'r "violations": [ ] } \u00e9.json', 6 * 5 // 2 - 7, False),
 ], ids=["valid", "one-colour-mv", "one-colour-gp", "sparse-ids", "odd-path"])
 def test_validate_json_bytes_equal_json_dumps(tmp_path, capsys, d, colors, mode, name,
                                               listed, mapped):
     # the violation list is written from a template: its bytes must equal the
     # stdlib's indented, sorted encoding (which a key sorting after it breaks)
     gpath, cpath, jpath = tmp_path / "g.col", tmp_path / "c.sol", tmp_path / name
-    gpath.write_text(k2_lines(d))
+    gpath.write_text(write_graph(k2_pendant(d)))
     cpath.write_text(f"s color {len(colors)} {len(set(colors))}\n"
                      + "".join(f"v {v} {c}\n" for v, c in enumerate(colors, start=1)))
     code, _, _ = run(capsys, "validate", "--graph", str(gpath), "--coloring", str(cpath),
