@@ -13,12 +13,35 @@ from .graph import Graph, graph_from_edge_list
 from .visibility import Coloring
 
 
-def _ints(fields, line: str) -> list[int]:
-    """The integer fields of one line; a malformed field is a format error."""
-    try:
-        return [int(x) for x in fields]
-    except ValueError as e:
-        raise GraphFormatError(f"non-integer field in line {line!r}") from e
+def _records(text: str, header: tuple[str, str] | None, arity: dict[str, int]):
+    """The two counts of the header line ``<tag> <kind> <a> <b>``, None when
+    ``header`` is None, and each body line as (tag, integer fields).
+
+    Blank lines and lines starting with ``c`` are skipped. The header appears
+    exactly once; a body line is a tag of ``arity`` followed by that many
+    integers. Anything else raises GraphFormatError quoting the line.
+    """
+    counts = None
+    rows = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        tag, *fields = line.split()
+        try:
+            if arity.get(tag) == len(fields):
+                rows.append((tag, list(map(int, fields))))
+            elif len(fields) == 3 and (tag, fields[0]) == header:
+                if counts is not None:
+                    raise GraphFormatError(f"duplicate header line: {line!r}")
+                counts = int(fields[1]), int(fields[2])
+            else:
+                raise GraphFormatError(f"bad line: {line!r}")
+        except ValueError as e:
+            raise GraphFormatError(f"non-integer field in line {line!r}") from e
+    if header is not None and counts is None:
+        raise GraphFormatError(f"missing header line {' '.join(header)!r}")
+    return counts, rows
 
 
 def write_graph(g: Graph) -> str:
@@ -29,31 +52,10 @@ def write_graph(g: Graph) -> str:
 
 
 def read_graph(text: str) -> Graph:
-    n = m = None
-    edges = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise GraphFormatError("duplicate problem line")
-            if len(parts) != 4 or parts[1] != "edge":
-                raise GraphFormatError(f"bad problem line: {line!r}")
-            n, m = _ints(parts[2:], line)
-        elif parts[0] == "e":
-            if len(parts) != 3:
-                raise GraphFormatError(f"bad edge line: {line!r}")
-            u, v = _ints(parts[1:], line)
-            edges.append((u - 1, v - 1))
-        else:
-            raise GraphFormatError(f"unknown line: {line!r}")
-    if n is None:
-        raise GraphFormatError("missing problem line")
-    if len(edges) != m:
-        raise GraphFormatError(f"problem line announces {m} edges, found {len(edges)}")
-    return graph_from_edge_list(n, edges)
+    (n, m), rows = _records(text, ("p", "edge"), {"e": 2})
+    if len(rows) != m:
+        raise GraphFormatError(f"problem line announces {m} edges, found {len(rows)}")
+    return graph_from_edge_list(n, [(u - 1, v - 1) for _, (u, v) in rows])
 
 
 def write_coloring(c: Coloring) -> str:
@@ -69,31 +71,13 @@ def read_coloring(text: str) -> tuple[Coloring, dict[int, int]]:
     Returns the coloring and the external-id -> dense-id mapping (both sides
     1-based external ids mapped to 0-based internal).
     """
-    n = None
+    # the header's palette size describes the writer, not the classes
+    (n, _), rows = _records(text, ("s", "color"), {"v": 2})
     raw_colors: dict[int, int] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "s":
-            if n is not None:
-                raise GraphFormatError("duplicate solution line")
-            if len(parts) != 4 or parts[1] != "color":
-                raise GraphFormatError(f"bad solution line: {line!r}")
-            # the header's palette size describes the writer, not the classes
-            n, _ = _ints(parts[2:], line)
-        elif parts[0] == "v":
-            if len(parts) != 3:
-                raise GraphFormatError(f"bad vertex line: {line!r}")
-            v, col = _ints(parts[1:], line)
-            if v in raw_colors:
-                raise GraphFormatError(f"duplicate vertex {v}")
-            raw_colors[v] = col
-        else:
-            raise GraphFormatError(f"unknown line: {line!r}")
-    if n is None:
-        raise GraphFormatError("missing solution line")
+    for _, (v, col) in rows:
+        if v in raw_colors:
+            raise GraphFormatError(f"duplicate vertex {v}")
+        raw_colors[v] = col
     if len(raw_colors) != n or not all(1 <= v <= n for v in raw_colors):
         raise GraphFormatError("vertex lines do not cover 1..n exactly")
     used = sorted(set(raw_colors.values()))
@@ -115,18 +99,8 @@ def write_labels(tree: LabeledGluedTree) -> str:
 
 
 def read_labels(text: str) -> dict[int, Internal | QuasiLeaf]:
-    out: dict[int, Internal | QuasiLeaf] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "L" and len(parts) == 5:
-            vid, side, i, j = _ints(parts[1:], line)
-            out[vid - 1] = Internal(side=side, i=i, j=j)
-        elif parts[0] == "Q" and len(parts) == 3:
-            vid, a = _ints(parts[1:], line)
-            out[vid - 1] = QuasiLeaf(a=a)
-        else:
-            raise GraphFormatError(f"bad label line: {line!r}")
-    return out
+    _, rows = _records(text, None, {"L": 4, "Q": 2})
+    return {
+        vid - 1: Internal(*coord) if tag == "L" else QuasiLeaf(*coord)
+        for tag, (vid, *coord) in rows
+    }

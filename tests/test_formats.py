@@ -45,6 +45,8 @@ def test_graph_format_errors():
         read_graph("p edge 2 1\nx 1 2\n")  # unknown line
     with pytest.raises(GraphFormatError):
         read_graph("p edge 2 1\np edge 2 1\ne 1 2\n")  # duplicate header
+    with pytest.raises(GraphFormatError):
+        read_graph("p edge 2 1\ne 1 x\n")  # non-integer field
 
 
 def test_coloring_round_trip():
@@ -73,6 +75,12 @@ def test_coloring_errors():
         read_coloring("s color 1 1\nv 1 1\nv 1 1\n")  # duplicate vertex
     with pytest.raises(GraphFormatError):
         read_coloring(f"s color {2**62} 1\nv 1 1\n")  # a count, not a list of ids
+    with pytest.raises(GraphFormatError):
+        read_coloring("s color 1 1\ns color 1 1\nv 1 1\n")  # duplicate header
+    with pytest.raises(GraphFormatError):
+        read_coloring("s color 1 1\nv 1 1\nx 1 1\n")  # unknown tag
+    with pytest.raises(GraphFormatError):
+        read_coloring("s color 2 1\nv 1 1\nv 2 1 1\n")  # wrong field count
 
 
 def test_labels_round_trip():
@@ -89,3 +97,7 @@ def test_labels_bad_line():
         read_labels("L 1 1\n")
     with pytest.raises(GraphFormatError):
         read_labels("L 1 a 1 1\n")
+    with pytest.raises(GraphFormatError):
+        read_labels("Q 1 1\nX 2 1\n")  # unknown tag
+    with pytest.raises(GraphFormatError):
+        read_labels("p edge 1 0\nQ 1 1\n")  # label files have no header

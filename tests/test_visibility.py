@@ -173,6 +173,25 @@ def test_exhaustive_report_lists_a_bounded_prefix(monkeypatch, validate):
     assert report.violation_count == len(expected)
 
 
+@pytest.mark.parametrize(
+    "validate", [validate_mv_coloring, validate_gp_coloring], ids=["mv", "gp"]
+)
+def test_exhaustive_report_on_a_class_wider_than_a_batch(validate):
+    # one class of n = 1103 > BATCH_SOURCES members swept at the real batch
+    # width: a pair violates exactly when it is not an edge, so every chunk of
+    # sources must reach its own pairs for the count to be C(n, 2) - m
+    g = k2_pendant(1100)
+    assert g.n > visibility.BATCH_SOURCES
+    edges = set(g.edges())
+    non_edges = [
+        (u, v, 0) for u, v in combinations(range(g.n), 2) if (u, v) not in edges
+    ]
+    assert len(non_edges) == 605_552  # C(1103, 2) less the 2,201 edges
+    report = validate(g, Coloring((0,) * g.n, 1), exhaustive=True)
+    assert report.violation_count == len(non_edges)
+    assert report.violations == tuple(non_edges[: visibility.MAX_LISTED_VIOLATIONS])
+
+
 def test_gp_set_path_triple():
     g = graph_from_edge_list(3, [(0, 1), (1, 2)])
     assert not is_gp_set(g, [0, 1, 2])
