@@ -15,7 +15,8 @@ from .visibility import Coloring
 
 def _records(text: str, header: tuple[str, str] | None, arity: dict[str, int]):
     """The two counts of the header line ``<tag> <kind> <a> <b>``, None when
-    ``header`` is None, and each body line as (tag, integer fields).
+    ``header`` is None, and each body line as one list: its tag, then its
+    integer fields.
 
     Blank lines and lines starting with ``c`` are skipped. The header appears
     exactly once; a body line is a tag of ``arity`` followed by that many
@@ -30,7 +31,7 @@ def _records(text: str, header: tuple[str, str] | None, arity: dict[str, int]):
         tag, *fields = line.split()
         try:
             if arity.get(tag) == len(fields):
-                rows.append((tag, list(map(int, fields))))
+                rows.append([tag, *map(int, fields)])
             elif len(fields) == 3 and (tag, fields[0]) == header:
                 if counts is not None:
                     raise GraphFormatError(f"duplicate header line: {line!r}")
@@ -55,7 +56,7 @@ def read_graph(text: str) -> Graph:
     (n, m), rows = _records(text, ("p", "edge"), {"e": 2})
     if len(rows) != m:
         raise GraphFormatError(f"problem line announces {m} edges, found {len(rows)}")
-    return graph_from_edge_list(n, [(u - 1, v - 1) for _, (u, v) in rows])
+    return graph_from_edge_list(n, [(u - 1, v - 1) for _, u, v in rows])
 
 
 def write_coloring(c: Coloring) -> str:
@@ -74,7 +75,7 @@ def read_coloring(text: str) -> tuple[Coloring, dict[int, int]]:
     # the header's palette size describes the writer, not the classes
     (n, _), rows = _records(text, ("s", "color"), {"v": 2})
     raw_colors: dict[int, int] = {}
-    for _, (v, col) in rows:
+    for _, v, col in rows:
         if v in raw_colors:
             raise GraphFormatError(f"duplicate vertex {v}")
         raw_colors[v] = col
@@ -102,5 +103,5 @@ def read_labels(text: str) -> dict[int, Internal | QuasiLeaf]:
     _, rows = _records(text, None, {"L": 4, "Q": 2})
     return {
         vid - 1: Internal(*coord) if tag == "L" else QuasiLeaf(*coord)
-        for tag, (vid, *coord) in rows
+        for tag, vid, *coord in rows
     }
