@@ -16,12 +16,19 @@ Its ``theorem`` section runs ``mvchroma theorem --gp`` on GT(r, 2) for each
 r in THEOREM_DEPTHS, each in a fresh process with the BLAS/OpenMP thread
 variables pinned to 1, and records the exit code, the wall time, the peak
 RSS (``os.wait4``) and the report's verdicts.
+
+Its ``reduction`` section runs ``mvchroma reduce-verify --budget-nodes
+REDUCTION_BUDGET_NODES`` on one seeded random formula for each q in
+REDUCTION_QS, with m = 3q clauses over three distinct variables each (so
+already normalized), each in a fresh process like the ``theorem`` runs, and
+records the exit code, ``solver_nodes``, the wall time and the peak RSS.
 """
 
 import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -34,6 +41,11 @@ SEEDS = (1, 2, 3)
 # GT(16, 2), n = 196,606, is the deepest binary tree under the size cap
 THEOREM_DEPTHS = (12, 13, 14, 15, 16)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# q = 4..6 reductions at m = 3q exhaust a 60 s budget, so a node budget
+# makes each run's work fixed and its time a measure of the cost per node
+REDUCTION_QS = (4, 5, 6)
+REDUCTION_SEED = 20240817
+REDUCTION_BUDGET_NODES = 200_000
 
 
 def cpu_model() -> str:
@@ -65,24 +77,50 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int):
     return info, json.loads(lines[-1])
 
 
+def fresh_run(root: Path, args: list[str]) -> tuple[int, float, float]:
+    """``python -m mvchroma *args`` in a fresh process: its exit code, wall
+    time and peak RSS in MB."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), **{var: "1" for var in THREAD_VARS})
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "mvchroma", *args], cwd=root, env=env,
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
+    return proc.returncode, wall, usage.ru_maxrss / 1024
+
+
 def theorem_run(root: Path, r: int) -> dict:
     """``theorem --r r --t 2 --gp`` in a fresh process."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), **{var: "1" for var in THREAD_VARS})
     with tempfile.TemporaryDirectory() as work:
         report = Path(work) / "report.json"
-        start = time.perf_counter()
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "mvchroma", "theorem", "--r", str(r), "--t", "2", "--gp",
-             "--json", str(report)],
-            cwd=root, env=env, stdout=subprocess.DEVNULL,
-        )
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
-        code = os.waitstatus_to_exitcode(status)
-        proc.returncode = code  # reaped by wait4
+        code, wall, rss = fresh_run(root, ["theorem", "--r", str(r), "--t", "2", "--gp",
+                                           "--json", str(report)])
         payload = json.loads(report.read_text()) if code in (0, 3) else {}
-    return {"r": r, "t": 2, "exit": code, "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024,
+    return {"r": r, "t": 2, "exit": code, "wall_s": wall, "peak_rss_mb": rss,
             "mv_valid": payload.get("mv_valid"), "gp_valid": payload.get("gp_valid")}
+
+
+def reduction_formula(q: int) -> str:
+    """The seeded formula of ``reduction_run``, in the ``p nae3`` format."""
+    rng = random.Random(REDUCTION_SEED + q)
+    clauses = [" ".join(str(v if rng.random() < 0.5 else -v) for v in rng.sample(range(1, q + 1), 3))
+               for _ in range(3 * q)]
+    return "\n".join([f"p nae3 {q} {3 * q}", *(f"{c} 0" for c in clauses)]) + "\n"
+
+
+def reduction_run(root: Path, q: int) -> dict:
+    """``reduce-verify --budget-nodes REDUCTION_BUDGET_NODES`` in a fresh process."""
+    with tempfile.TemporaryDirectory() as work:
+        formula, report = Path(work) / "f.nae", Path(work) / "report.json"
+        formula.write_text(reduction_formula(q))
+        code, wall, rss = fresh_run(root, ["reduce-verify", "--formula", str(formula),
+                                           "--budget-nodes", str(REDUCTION_BUDGET_NODES),
+                                           "--json", str(report)])
+        payload = json.loads(report.read_text()) if code in (0, 3, 4) else {}
+    return {"q": q, "m": 3 * q, "budget_nodes": REDUCTION_BUDGET_NODES, "exit": code,
+            "solver_nodes": payload.get("solver_nodes"), "agree": payload.get("agree"),
+            "wall_s": wall, "peak_rss_mb": rss}
 
 
 def main() -> int:
@@ -119,6 +157,10 @@ def main() -> int:
     for r in THEOREM_DEPTHS:
         theorem.append(theorem_run(root, r))
         print(f"theorem GT({r},2): {theorem[-1]}", file=sys.stderr)
+    reduction = []
+    for q in REDUCTION_QS:
+        reduction.append(reduction_run(root, q))
+        print(f"reduce-verify q={q}: {reduction[-1]}", file=sys.stderr)
     record = {
         "host": {"cpu": cpu_model(), "machine": platform.machine(),
                  "system": platform.system(), "nproc": info.get("nproc")},
@@ -130,6 +172,7 @@ def main() -> int:
         "seconds": seconds,
         "workloads": workloads,
         "theorem": theorem,
+        "reduction": reduction,
     }
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")

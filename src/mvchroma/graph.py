@@ -4,7 +4,9 @@ A graph keeps one adjacency, read-only CSR arrays, on at most DEFAULT_SIZE_CAP
 vertices; the validators read only it and ``connected``. The DistanceOracle,
 which the solver and pair_visible read, builds one BFS row per source on first
 use over neighbour lists it makes once, and keeps the neighbour bitmasks
-``sees`` reads; it needs a connected graph.
+``sees`` reads; it needs a connected graph. It also keeps each through-v mask
+``through`` computes, one dict per v keyed by x, filled on first request, so
+its memory grows with the (x, v) pairs the searches on it test.
 """
 
 from __future__ import annotations
@@ -147,6 +149,11 @@ class DistanceOracle:
     next reach is the whole next level, since every vertex of a BFS level
     has a neighbour one level up.
 
+    ``through_masks[v]`` maps x to ``through(x, v)``. A mask is a fixed fact
+    of the graph and always holds v, so it is never 0; ``through`` fills an
+    entry on its first request, and a hot loop may read the dict first and
+    call ``through`` only on a miss.
+
     A disconnected g raises DisconnectedGraphError, so every row has every vertex.
     """
 
@@ -154,6 +161,7 @@ class DistanceOracle:
         require_connected_graph(g)
         self.g = g
         self._rows: list[tuple[list[int], list[int]] | None] = [None] * g.n
+        self.through_masks: list[dict[int, int]] = [{} for _ in range(g.n)]
 
     @cached_property
     def _nbrs(self) -> list[list[int]]:
@@ -182,7 +190,14 @@ class DistanceOracle:
 
     def through(self, x: int, v: int) -> int:
         """Bitmask of the vertices y with v on some shortest x-y path, that is
-        with d(x, v) + d(v, y) == d(x, y)."""
+        with d(x, v) + d(v, y) == d(x, y). Memoized in ``through_masks[v]``."""
+        masks = self.through_masks[v]
+        mask = masks.get(x)
+        if mask is None:
+            mask = masks[x] = self._through_mask(x, v)
+        return mask
+
+    def _through_mask(self, x: int, v: int) -> int:
         rows = self._rows
         dx, lx = rows[x] or self._row(x)
         lv = (rows[v] or self._row(v))[1]

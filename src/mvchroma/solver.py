@@ -84,11 +84,13 @@ def _check_assignment(o: DistanceOracle, v: int, color_mask: int) -> bool:
     # pairs (x, y) through v, each once: x is the lowest member left and
     # y one of the members above it, so the last member starts no pair
     left = color_mask & ~(1 << v)
+    # a memoized mask is never 0, so a miss is the only falsy read
+    through_v = o.through_masks[v]
     while left & (left - 1):
         low = left & -left
         left ^= low
         x = low.bit_length() - 1
-        rest = o.through(x, v) & left
+        rest = (through_v.get(x) or o.through(x, v)) & left
         if rest and not o.sees(x, rest, color_mask):
             return False
     return True

@@ -67,6 +67,7 @@ def test_solver_pair_test_matches_enumeration(g, seed):
     # the solver's mask holds the whole class, endpoints included
     mask = sum(1 << v for v in blocked)
     pv = DistanceOracle(g)
+    through = {}
     for x in range(g.n):
         paths = {y: enumerate_shortest_paths(g, x, y) for y in range(g.n)}
         seen = 0
@@ -77,8 +78,11 @@ def test_solver_pair_test_matches_enumeration(g, seed):
         targets = rng.getrandbits(g.n)
         assert pv.sees(x, targets, mask) == (targets & ~seen == 0)
         for v in range(g.n):
-            expected = sum(1 << y for y in range(g.n) if any(v in p for p in paths[y]))
-            assert pv.through(x, v) == expected
+            through[x, v] = sum(1 << y for y in range(g.n) if any(v in p for p in paths[y]))
+            assert pv.through(x, v) == through[x, v]
+    # a second time, from the filled memo
+    for (x, v), expected in through.items():
+        assert pv.through(x, v) == expected
 
 
 @given(connected_graphs(), st.integers(min_value=0, max_value=2**32 - 1))
@@ -98,6 +102,12 @@ def test_check_assignment_matches_enumeration(g, seed):
     mask = sum(1 << w for w in members)
     expected = brute_is_mv_set(g, members)
     assert _check_assignment(DistanceOracle(g), v, mask) == expected
+    # and with every through-v mask already memoized
+    warm = DistanceOracle(g)
+    for x in range(g.n):
+        for w in range(g.n):
+            warm.through(x, w)
+    assert _check_assignment(warm, v, mask) == expected
 
 
 @given(connected_graphs(max_n=8), st.integers(min_value=0, max_value=2**32 - 1))

@@ -225,6 +225,49 @@ def test_chi_mu_exact_builds_each_bfs_row_once(monkeypatch):
     assert calls and len(calls) == len(set(calls))
 
 
+def test_chi_mu_exact_computes_each_through_mask_once(monkeypatch):
+    # greedy and the k = 1..3 searches share the oracle's through-v masks
+    calls = []
+    through_mask = graph_module.DistanceOracle._through_mask
+
+    def counting_mask(self, x, v):
+        calls.append((x, v))
+        return through_mask(self, x, v)
+
+    monkeypatch.setattr(graph_module.DistanceOracle, "_through_mask", counting_mask)
+    tree = build_glued_tree(3, 2)
+    assert chi_mu_exact(tree.graph)[0] == 4
+    assert calls and len(calls) == len(set(calls))
+
+
+def _seeded_reduction_graph(q, m):
+    rng = random.Random(DEFAULT_SEED + q * m)
+    clauses = [
+        [(v, rng.random() < 0.5) for v in rng.sample(range(1, q + 1), 3)] for _ in range(m)
+    ]
+    return build_reduction(make_formula(q, clauses)).graph
+
+
+WARM_MEMO_GRAPHS = [("reduction", q, m) for q in (3, 4) for m in (q, 2 * q)] + [
+    ("tree", 2, 2),
+    ("tree", 3, 2),
+]
+
+
+@pytest.mark.parametrize("kind, a, b", WARM_MEMO_GRAPHS)
+def test_warm_memo_leaves_the_search_alone(kind, a, b):
+    g = build_glued_tree(a, b).graph if kind == "tree" else _seeded_reduction_graph(a, b)
+    for k in range(1, 5):
+        # the second run on g finds the first run's masks in g's oracle
+        runs = [
+            mv_k_colorable(h, k, Budget(max_nodes=20_000))
+            for h in (g, g, graph_from_edge_list(g.n, g.edges()))
+        ]
+        first, warm, fresh = ((o.status, o.coloring, o.nodes_explored) for o in runs)
+        assert first == warm == fresh
+    assert any(g.oracle.through_masks)
+
+
 def test_chi_mu_exact_matches_naive():
     rng = random.Random(DEFAULT_SEED + 3)
     for _ in range(12):
