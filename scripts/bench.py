@@ -8,8 +8,9 @@ every workload in its BENCHMARK.json, once with ``--trace 0`` (end-to-end
 metrics) and once with ``--trace 1`` (per-layer metrics), for each of SEEDS
 at the run length BENCHMARK.json sets. The record holds the host, the
 Python and numpy versions, the checkout's commit (marked ``+modified`` when
-tracked files differ from it), each run's failed and attempted op counts,
-and per workload the median of each metric over the seeds. It goes to the
+tracked files differ from it), the line counts of its ``src/mvchroma/*.py``
+and ``tests/*.py``, each run's failed and attempted op counts, and per
+workload the median of each metric over the seeds. It goes to the
 first free BENCH_<n>.json in CHECKOUT.
 
 Its ``theorem`` section runs ``mvchroma theorem --gp`` on GT(r, 2) for each
@@ -64,6 +65,13 @@ def commit_of(root: Path, reported: str) -> str:
     status = subprocess.run(["git", "-C", str(root), "status", "--porcelain", "--untracked-files=no"],
                             capture_output=True, text=True)
     return reported + "+modified" if status.returncode == 0 and status.stdout.strip() else reported
+
+
+def line_counts(root: Path) -> dict[str, int]:
+    """Lines in the checkout's ``src/mvchroma/*.py`` and ``tests/*.py``."""
+    def lines(pattern):
+        return sum(path.read_bytes().count(b"\n") for path in root.glob(pattern))
+    return {"src": lines("src/mvchroma/*.py"), "tests": lines("tests/*.py")}
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int):
@@ -168,6 +176,7 @@ def main() -> int:
         "numpy": info.get("numpy"),
         "mvchroma": info.get("mvchroma"),
         "commit": commit_of(root, info.get("commit")),
+        "lines": line_counts(root),
         "seeds": list(SEEDS),
         "seconds": seconds,
         "workloads": workloads,

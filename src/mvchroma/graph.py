@@ -239,4 +239,4 @@ def all_pairs_distances(g: Graph) -> DistanceOracle:
     The name is older than the lazy oracle: ``perfbench`` calls and traces
     this function under it.
     """
-    return DistanceOracle(g)
+    return g.oracle

@@ -133,11 +133,10 @@ def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
     if n == 0:
         return _finish(budget, Status.FEASIBLE, Coloring((), 0), nodes, start)
 
-    # only a leaf reads colors, and there every entry is the current choice
-    colors = [-1] * n
     # depth d has at most d + 1 colors in use, so no color id reaches n
     color_masks = [0] * min(k, n)
-    # iterative backtracking; choice[d] is the color currently held at depth d
+    # iterative backtracking; choice[d] is the color held at depth d, and a
+    # leaf reads its coloring from it
     choice = [-1] * n
     used = [0] * (n + 1)  # colors in use entering depth d
     depth = 0
@@ -146,10 +145,7 @@ def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
         bit = 1 << v
         if choice[depth] >= 0:
             color_masks[choice[depth]] &= ~bit
-        c = choice[depth] + 1
-        limit = min(used[depth] + 1, k)
-        descended = False
-        while c < limit:
+        for c in range(choice[depth] + 1, min(used[depth] + 1, k)):
             nodes += 1
             if (node_limit is not None and nodes > node_limit) or (
                 deadline is not None
@@ -157,28 +153,25 @@ def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
                 and time.perf_counter() >= deadline
             ):
                 return _finish(budget, Status.BUDGET_EXHAUSTED, None, nodes, start)
-            colors[v] = c
+            choice[depth] = c
             color_masks[c] |= bit
             ok = _check_assignment(o, v, color_masks[c])
             if ok and depth == n - 1:
-                candidate = Coloring(tuple(colors), max(colors) + 1)
+                colors = tuple(cu for _, cu in sorted(zip(order, choice)))
+                candidate = Coloring(colors, max(colors) + 1)
                 if validate_mv_coloring(g, candidate).valid:
                     return _finish(budget, Status.FEASIBLE, candidate, nodes, start)
                 ok = False
             if ok:
-                choice[depth] = c
                 used[depth + 1] = max(used[depth], c + 1)
                 depth += 1
-                descended = True
                 break
             color_masks[c] &= ~bit
-            c += 1
-        if descended:
-            continue
-        choice[depth] = -1
-        depth -= 1
-        if depth < 0:
-            return _finish(budget, Status.INFEASIBLE, None, nodes, start)
+        else:
+            choice[depth] = -1
+            depth -= 1
+            if depth < 0:
+                return _finish(budget, Status.INFEASIBLE, None, nodes, start)
 
 
 def greedy_upper_bound(g: Graph) -> tuple[int, Coloring]:

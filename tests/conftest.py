@@ -1,4 +1,5 @@
-"""Shared helpers: seeded random graphs and independent brute-force oracles."""
+"""Shared helpers: fixed and seeded instances, and independent brute-force
+oracles."""
 
 from __future__ import annotations
 
@@ -33,6 +34,43 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
     rng.shuffle(candidates)
     edges.update(candidates[:extra])
     return graph_from_edge_list(n, sorted(edges))
+
+
+def c4() -> Graph:
+    return graph_from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+def random_clauses(rng: random.Random, q: int, m: int) -> list:
+    """m clauses over x_1..x_q: three distinct variables, each literal's sign
+    a fair coin."""
+    return [[(v, rng.random() < 0.5) for v in rng.sample(range(1, q + 1), 3)] for _ in range(m)]
+
+
+def golden_colors_gt2(tree) -> tuple[int, ...]:
+    """The paper's 3-coloring of GT(2, 2)."""
+    colors = [0] * 10
+    colors[tree.internal(1, 2, 1)] = 1
+    colors[tree.internal(1, 2, 2)] = 1
+    colors[tree.internal(2, 1, 1)] = 1
+    colors[tree.internal(1, 1, 1)] = 2
+    colors[tree.internal(2, 2, 1)] = 2
+    colors[tree.internal(2, 2, 2)] = 2
+    return tuple(colors)
+
+
+def golden_colors_gt3(tree) -> tuple[int, ...]:
+    """The paper's 4-coloring of GT(3, 2)."""
+    colors = [0] * 22
+    for j in range(1, 5):
+        colors[tree.internal(1, 3, j)] = 1
+        colors[tree.internal(2, 3, j)] = 2
+    colors[tree.internal(2, 1, 1)] = 1
+    colors[tree.internal(1, 1, 1)] = 2
+    colors[tree.internal(1, 2, 1)] = 0
+    colors[tree.internal(1, 2, 2)] = 3
+    colors[tree.internal(2, 2, 1)] = 3
+    colors[tree.internal(2, 2, 2)] = 3
+    return tuple(colors)
 
 
 def k2_pendant(d: int) -> Graph:

@@ -18,6 +18,9 @@ from conftest import (
     coloring_with_k,
     diameter,
     enumerate_shortest_paths,
+    golden_colors_gt2,
+    golden_colors_gt3,
+    random_clauses,
     random_connected_graph,
 )
 from mvchroma import (
@@ -58,31 +61,6 @@ def test_acceptance_01_formula_fidelity():
     _report(1, "formula-fidelity", ok, f"{values}, {elapsed_ms:.3f} ms < 1 ms")
 
 
-def _golden_colors_gt2(tree):
-    colors = [0] * 10
-    colors[tree.internal(1, 2, 1)] = 1
-    colors[tree.internal(1, 2, 2)] = 1
-    colors[tree.internal(2, 1, 1)] = 1
-    colors[tree.internal(1, 1, 1)] = 2
-    colors[tree.internal(2, 2, 1)] = 2
-    colors[tree.internal(2, 2, 2)] = 2
-    return tuple(colors)
-
-
-def _golden_colors_gt3(tree):
-    colors = [0] * 22
-    for j in range(1, 5):
-        colors[tree.internal(1, 3, j)] = 1
-        colors[tree.internal(2, 3, j)] = 2
-    colors[tree.internal(2, 1, 1)] = 1
-    colors[tree.internal(1, 1, 1)] = 2
-    colors[tree.internal(1, 2, 1)] = 0
-    colors[tree.internal(1, 2, 2)] = 3
-    colors[tree.internal(2, 2, 1)] = 3
-    colors[tree.internal(2, 2, 2)] = 3
-    return tuple(colors)
-
-
 def test_acceptance_02_golden_colorings():
     start = time.perf_counter()
     t2 = build_glued_tree(2, 2)
@@ -91,8 +69,8 @@ def test_acceptance_02_golden_colorings():
     got3 = constructive_coloring(t3).colors
     elapsed = time.perf_counter() - start
     ok = (
-        got2 == _golden_colors_gt2(t2)
-        and got3 == _golden_colors_gt3(t3)
+        got2 == golden_colors_gt2(t2)
+        and got3 == golden_colors_gt3(t3)
         and elapsed < 1.0
     )
     _report(2, "golden-colorings", ok, f"byte-match GT(2) and GT(3), {elapsed:.2f} s < 1 s")
@@ -253,12 +231,7 @@ def test_acceptance_08_h_gadget_exhaustive():
 
 def _random_normalized_formula(rng):
     q = rng.randrange(3, 7)
-    m = rng.randrange(1, 9)
-    clauses = []
-    for _ in range(m):
-        vars_ = rng.sample(range(1, q + 1), 3)
-        clauses.append([(v, rng.random() < 0.5) for v in vars_])
-    return make_formula(q, clauses)
+    return make_formula(q, random_clauses(rng, q, rng.randrange(1, 9)))
 
 
 def test_acceptance_09_reduction_structure():

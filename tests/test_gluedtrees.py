@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from conftest import diameter, trees_up_to
+from conftest import diameter, golden_colors_gt2, golden_colors_gt3, trees_up_to
 from mvchroma import (
     CycleDecomposition,
     Internal,
@@ -238,31 +238,6 @@ def test_formula_params():
         chi_mu_formula(0, 2)
     with pytest.raises(InvalidParamsError):
         chi_mu_formula(2, 1)
-
-
-def golden_colors_gt2(tree):
-    colors = [0] * 10
-    colors[tree.internal(1, 2, 1)] = 1
-    colors[tree.internal(1, 2, 2)] = 1
-    colors[tree.internal(2, 1, 1)] = 1
-    colors[tree.internal(1, 1, 1)] = 2
-    colors[tree.internal(2, 2, 1)] = 2
-    colors[tree.internal(2, 2, 2)] = 2
-    return tuple(colors)
-
-
-def golden_colors_gt3(tree):
-    colors = [0] * 22
-    for j in range(1, 5):
-        colors[tree.internal(1, 3, j)] = 1
-        colors[tree.internal(2, 3, j)] = 2
-    colors[tree.internal(2, 1, 1)] = 1
-    colors[tree.internal(1, 1, 1)] = 2
-    colors[tree.internal(1, 2, 1)] = 0
-    colors[tree.internal(1, 2, 2)] = 3
-    colors[tree.internal(2, 2, 1)] = 3
-    colors[tree.internal(2, 2, 2)] = 3
-    return tuple(colors)
 
 
 def test_constructive_gt1():

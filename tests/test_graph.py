@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import DEFAULT_SEED, build_h_gadget, diameter, enumerate_shortest_paths
+from conftest import DEFAULT_SEED, build_h_gadget, c4, diameter, enumerate_shortest_paths
 from mvchroma import (
     DistanceOracle,
     all_pairs_distances,
@@ -17,13 +17,6 @@ from mvchroma.errors import (
     SelfLoopError,
     SizeCapExceededError,
 )
-
-C4_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0)]
-
-
-def c4():
-    return graph_from_edge_list(4, C4_EDGES)
-
 
 def test_c4_construction():
     g = c4()
@@ -89,6 +82,11 @@ def test_all_pairs_matches_bfs():
     for s in range(g.n):
         assert [o.d(s, v) for v in range(g.n)] == bfs_distances(g, s)
     assert max(o.d(u, v) for u in range(g.n) for v in range(g.n)) == 2
+
+
+def test_all_pairs_distances_is_the_graph_oracle():
+    g = c4()
+    assert all_pairs_distances(g) is g.oracle
 
 
 def test_all_pairs_single_vertex():

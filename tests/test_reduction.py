@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import DEFAULT_SEED, build_h_gadget, diameter, nae_satisfies
+from conftest import DEFAULT_SEED, build_h_gadget, diameter, nae_satisfies, random_clauses
 from mvchroma import (
     NaeAssignment,
     Status,
@@ -120,11 +120,7 @@ def test_reduction_sizes_random():
     for _ in range(10):
         q = rng.randrange(3, 7)
         m = rng.randrange(1, 6)
-        clauses = []
-        for _ in range(m):
-            vars_ = rng.sample(range(1, q + 1), 3)
-            clauses.append([(v, rng.random() < 0.5) for v in vars_])
-        rg = build_reduction(make_formula(q, clauses))
+        rg = build_reduction(make_formula(q, random_clauses(rng, q, m)))
         assert rg.graph.n == 4 * q + 2 * m + 4
         assert rg.graph.m == 11 * q + 6 * m + 1
         assert diameter(rg.graph) == 4

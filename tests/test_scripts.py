@@ -61,13 +61,25 @@ def test_theorem_sweep_gp_verdicts_match_expected(tmp_path):
     assert sum(row["gp_expected"] for row in rows.values()) == len(rows) - 1
 
 
-def test_bench_theorem_run_records_a_fresh_process():
+def import_bench():
     sys.path.insert(0, str(ROOT / "scripts"))
     try:
         import bench
     finally:
         sys.path.remove(str(ROOT / "scripts"))
+    return bench
+
+
+def test_bench_theorem_run_records_a_fresh_process():
+    bench = import_bench()
     # GT(3, 2) is a second-regime minimum: MV-valid, not in general position
     row = bench.theorem_run(ROOT, 3)
     assert (row["exit"], row["mv_valid"], row["gp_valid"]) == (0, True, False)
     assert row["wall_s"] > 0 and row["peak_rss_mb"] > 1
+
+
+def test_bench_line_counts_cover_src_and_tests():
+    counts = import_bench().line_counts(ROOT)
+    for key, pattern in (("src", "src/mvchroma/*.py"), ("tests", "tests/*.py")):
+        paths = sorted(ROOT.glob(pattern))
+        assert paths and counts[key] == sum(len(p.read_text().splitlines()) for p in paths)

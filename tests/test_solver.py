@@ -11,8 +11,10 @@ from conftest import (
     DEFAULT_SEED,
     brute_chi_mu,
     brute_is_mv_set,
+    c4,
     k2_pendant,
     nae_satisfies,
+    random_clauses,
     random_connected_graph,
 )
 from mvchroma import (
@@ -37,10 +39,6 @@ from mvchroma.errors import (
     InvalidParamsError,
     TooManyVariablesError,
 )
-
-
-def c4():
-    return graph_from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 
 
 def test_vertex_order_degree_then_id():
@@ -242,10 +240,7 @@ def test_chi_mu_exact_computes_each_through_mask_once(monkeypatch):
 
 def _seeded_reduction_graph(q, m):
     rng = random.Random(DEFAULT_SEED + q * m)
-    clauses = [
-        [(v, rng.random() < 0.5) for v in rng.sample(range(1, q + 1), 3)] for _ in range(m)
-    ]
-    return build_reduction(make_formula(q, clauses)).graph
+    return build_reduction(make_formula(q, random_clauses(rng, q, m))).graph
 
 
 WARM_MEMO_GRAPHS = [("reduction", q, m) for q in (3, 4) for m in (q, 2 * q)] + [
@@ -356,11 +351,7 @@ def test_nae_matches_direct_scan():
     rng = random.Random(DEFAULT_SEED + 4)
     for _ in range(30):
         q = rng.randrange(3, 6)
-        clauses = []
-        for _ in range(rng.randrange(1, 6)):
-            vars_ = rng.sample(range(1, q + 1), 3)
-            clauses.append([(v, rng.random() < 0.5) for v in vars_])
-        f = make_formula(q, clauses)
+        f = make_formula(q, random_clauses(rng, q, rng.randrange(1, 6)))
         a = nae_satisfiable(f)
         # independent scan over every assignment
         any_sat = any(

@@ -9,7 +9,9 @@ from conftest import (
     all_two_colorings,
     brute_pair_visible,
     build_h_gadget,
+    c4,
     coloring_with_k,
+    golden_colors_gt2,
     k2_pendant,
 )
 from mvchroma import (
@@ -37,23 +39,8 @@ import mvchroma.visibility as visibility
 from mvchroma.visibility import pair_visible
 
 
-def c4():
-    return graph_from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-
-
 def gt2():
     return build_glued_tree(2, 2)
-
-
-def golden_coloring_gt2(tree) -> Coloring:
-    colors = [0] * 10
-    colors[tree.internal(1, 2, 1)] = 1
-    colors[tree.internal(1, 2, 2)] = 1
-    colors[tree.internal(2, 1, 1)] = 1
-    colors[tree.internal(1, 1, 1)] = 2
-    colors[tree.internal(2, 2, 1)] = 2
-    colors[tree.internal(2, 2, 2)] = 2
-    return Coloring(tuple(colors), 3)
 
 
 def test_small_sets_are_mv():
@@ -83,7 +70,7 @@ def test_gt2_quasi_leaves_are_mv():
 
 def test_golden_coloring_valid():
     tree = gt2()
-    report = validate_mv_coloring(tree.graph, golden_coloring_gt2(tree))
+    report = validate_mv_coloring(tree.graph, Coloring(golden_colors_gt2(tree), 3))
     assert report.valid
     assert report.violations == ()
 
@@ -206,7 +193,7 @@ def test_gt2_quasi_leaves_gp():
 
 def test_gp_coloring_golden_valid():
     tree = gt2()
-    assert validate_gp_coloring(tree.graph, golden_coloring_gt2(tree)).valid
+    assert validate_gp_coloring(tree.graph, Coloring(golden_colors_gt2(tree), 3)).valid
 
 
 def test_gp_coloring_p3_mono_invalid():
