@@ -23,6 +23,11 @@ REDUCTION_BUDGET_NODES`` on one seeded random formula for each q in
 REDUCTION_QS, with m = 3q clauses over three distinct variables each (so
 already normalized), each in a fresh process like the ``theorem`` runs, and
 records the exit code, ``solver_nodes``, the wall time and the peak RSS.
+
+Its ``solve`` section runs ``mvchroma solve --budget-nodes
+SOLVE_BUDGET_NODES`` on GT(r, 2) for each r in SOLVE_DEPTHS, each in a fresh
+process like the ``theorem`` runs, and records the exit code, the wall time
+and the peak RSS.
 """
 
 import argparse
@@ -47,6 +52,10 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 REDUCTION_QS = (4, 5, 6)
 REDUCTION_SEED = 20240817
 REDUCTION_BUDGET_NODES = 200_000
+# chi_mu_exact runs greedy to the end before the budget stops its k sweep,
+# so a 10-node budget measures greedy's time and the memory it leaves
+SOLVE_DEPTHS = (10, 11)
+SOLVE_BUDGET_NODES = 10
 
 
 def cpu_model() -> str:
@@ -131,6 +140,17 @@ def reduction_run(root: Path, q: int) -> dict:
             "wall_s": wall, "peak_rss_mb": rss}
 
 
+def solve_run(root: Path, r: int) -> dict:
+    """``solve --budget-nodes SOLVE_BUDGET_NODES`` on GT(r, 2) in a fresh process."""
+    with tempfile.TemporaryDirectory() as work:
+        graph = Path(work) / "gt.col"
+        fresh_run(root, ["gen-tree", "--r", str(r), "--t", "2", "--out", str(graph)])
+        code, wall, rss = fresh_run(root, ["solve", "--graph", str(graph),
+                                           "--budget-nodes", str(SOLVE_BUDGET_NODES)])
+    return {"r": r, "t": 2, "budget_nodes": SOLVE_BUDGET_NODES, "exit": code,
+            "wall_s": wall, "peak_rss_mb": rss}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to measure")
@@ -169,6 +189,10 @@ def main() -> int:
     for q in REDUCTION_QS:
         reduction.append(reduction_run(root, q))
         print(f"reduce-verify q={q}: {reduction[-1]}", file=sys.stderr)
+    solve = []
+    for r in SOLVE_DEPTHS:
+        solve.append(solve_run(root, r))
+        print(f"solve GT({r},2): {solve[-1]}", file=sys.stderr)
     record = {
         "host": {"cpu": cpu_model(), "machine": platform.machine(),
                  "system": platform.system(), "nproc": info.get("nproc")},
@@ -182,6 +206,7 @@ def main() -> int:
         "workloads": workloads,
         "theorem": theorem,
         "reduction": reduction,
+        "solve": solve,
     }
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")

@@ -14,7 +14,7 @@ import random
 import sys
 import time
 
-from mvchroma import make_formula, verify_reduction
+from mvchroma import make_formula, random_clause, verify_reduction
 
 
 def random_formula(rng: random.Random, max_q: int, max_clauses: int):
@@ -30,8 +30,7 @@ def random_formula(rng: random.Random, max_q: int, max_clauses: int):
                 [(v, rng.random() < 0.5), (v, rng.random() < 0.5), (w, rng.random() < 0.5)]
             )
         else:
-            vars_ = rng.sample(range(1, q + 1), 3)
-            clauses.append([(v, rng.random() < 0.5) for v in vars_])
+            clauses.append(random_clause(rng, q))
     return make_formula(q, clauses)
 
 

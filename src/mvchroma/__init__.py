@@ -61,6 +61,7 @@ from .reduction import (
     make_formula,
     normalize,
     parse_nae_formula,
+    random_clause,
     verify_reduction,
 )
 from .formats import (

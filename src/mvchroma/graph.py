@@ -4,9 +4,10 @@ A graph keeps one adjacency, read-only CSR arrays, on at most DEFAULT_SIZE_CAP
 vertices; the validators read only it and ``connected``. The DistanceOracle,
 which the solver and pair_visible read, builds one BFS row per source on first
 use over neighbour lists it makes once, and keeps the neighbour bitmasks
-``sees`` reads; it needs a connected graph. It also keeps each through-v mask
-``through`` computes, one dict per v keyed by x, filled on first request, so
-its memory grows with the (x, v) pairs the searches on it test.
+``sees`` reads; it needs a connected graph. For the vertex order the solver
+searches in, it also keeps one PrefixTable per vertex v: the through-v masks
+of the vertices ahead of v, restricted to those vertices, stored only when
+not 0, so its memory grows with the (x, v) pairs the searches on it test.
 """
 
 from __future__ import annotations
@@ -134,6 +135,24 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return _bfs_row(_neighbor_lists(g), source)
 
 
+class PrefixTable:
+    """The pairs of ``before`` (a vertex bitmask) that one vertex v can break.
+
+    ``masks[x]`` is ``through(x, v) & before``, stored the first time x's mask
+    is asked for, unless it is 0. Then x is cleared from ``live``, which starts
+    as ``before`` and only ever loses bits: v lies on no geodesic from x to a
+    vertex of ``before``, nor, by symmetry, on one from such a vertex to x, so
+    x is in no pair of ``before`` that v could break.
+    """
+
+    __slots__ = ("before", "live", "masks")
+
+    def __init__(self, before: int):
+        self.before = before
+        self.live = before
+        self.masks: dict[int, int] = {}
+
+
 class DistanceOracle:
     """Hop distances from one BFS row per vertex, built on first use.
 
@@ -149,10 +168,9 @@ class DistanceOracle:
     next reach is the whole next level, since every vertex of a BFS level
     has a neighbour one level up.
 
-    ``through_masks[v]`` maps x to ``through(x, v)``. A mask is a fixed fact
-    of the graph and always holds v, so it is never 0; ``through`` fills an
-    entry on its first request, and a hot loop may read the dict first and
-    call ``through`` only on a miss.
+    ``prefix_tables(order)`` gives each vertex v its PrefixTable against the
+    vertices ahead of v in order, made on the first call for that order and
+    kept for the oracle's lifetime.
 
     A disconnected g raises DisconnectedGraphError, so every row has every vertex.
     """
@@ -161,7 +179,7 @@ class DistanceOracle:
         require_connected_graph(g)
         self.g = g
         self._rows: list[tuple[list[int], list[int]] | None] = [None] * g.n
-        self.through_masks: list[dict[int, int]] = [{} for _ in range(g.n)]
+        self._prefix_tables: dict[tuple[int, ...], list[PrefixTable]] = {}
 
     @cached_property
     def _nbrs(self) -> list[list[int]]:
@@ -190,18 +208,24 @@ class DistanceOracle:
 
     def through(self, x: int, v: int) -> int:
         """Bitmask of the vertices y with v on some shortest x-y path, that is
-        with d(x, v) + d(v, y) == d(x, y). Memoized in ``through_masks[v]``."""
-        masks = self.through_masks[v]
-        mask = masks.get(x)
-        if mask is None:
-            mask = masks[x] = self._through_mask(x, v)
-        return mask
-
-    def _through_mask(self, x: int, v: int) -> int:
+        with d(x, v) + d(v, y) == d(x, y)."""
         rows = self._rows
         dx, lx = rows[x] or self._row(x)
         lv = (rows[v] or self._row(v))[1]
         return reduce(or_, map(and_, lv, lx[dx[v]:]))
+
+    def prefix_tables(self, order: list[int]) -> list[PrefixTable]:
+        """Indexed by vertex: v's PrefixTable, whose ``before`` is the vertices
+        ahead of v in order (a permutation of 0..n-1)."""
+        key = tuple(order)
+        tables = self._prefix_tables.get(key)
+        if tables is None:
+            tables = self._prefix_tables[key] = [None] * self.g.n
+            before = 0
+            for v in order:
+                tables[v] = PrefixTable(before)
+                before |= 1 << v
+        return tables
 
     def sees(self, x: int, targets: int, blocked: int) -> bool:
         """True iff x sees every vertex of the bitmask ``targets`` along a

@@ -17,6 +17,7 @@ n = 4q + 2m + 4 vertices, laid out as follows (0-based ids):
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -70,6 +71,14 @@ def make_formula(q: int, clauses) -> NaeFormula:
                 raise VariableOutOfRangeError(f"variable {var} out of range 1..{q}")
         canon.append(cl)
     return NaeFormula(q=q, clauses=tuple(canon))
+
+
+def random_clause(rng: random.Random, q: int) -> list[Literal]:
+    """A seeded clause over x_1..x_q (q >= 3): three distinct variables from
+    ``rng.sample``, then one fair coin per variable, in sample order, for its
+    sign. The seeded formulas of the tests and of
+    ``scripts/reduction_equivalence.py`` draw their clauses here."""
+    return [(v, rng.random() < 0.5) for v in rng.sample(range(1, q + 1), 3)]
 
 
 def parse_nae_formula(text: str) -> NaeFormula:

@@ -24,7 +24,7 @@ from .errors import (
     InvalidParamsError,
     TooManyVariablesError,
 )
-from .graph import DistanceOracle, Graph
+from .graph import DistanceOracle, Graph, PrefixTable
 from .visibility import Coloring, validate_mv_coloring
 
 # the brute-force NAE3SAT scan tries 2^q assignments
@@ -77,20 +77,32 @@ def solver_vertex_order(g: Graph) -> list[int]:
     return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
 
 
-def _check_assignment(o: DistanceOracle, v: int, color_mask: int) -> bool:
-    """Partial-validity of the class after adding v, rechecking affected pairs."""
+def _check_assignment(
+    o: DistanceOracle, table: PrefixTable, v: int, color_mask: int
+) -> bool:
+    """Partial-validity of the class after adding v, rechecking affected pairs.
+
+    table is v's PrefixTable, and its ``before`` holds every other member.
+    """
     if not o.sees(v, color_mask, color_mask):
         return False
-    # pairs (x, y) through v, each once: x is the lowest member left and
-    # y one of the members above it, so the last member starts no pair
-    left = color_mask & ~(1 << v)
-    # a memoized mask is never 0, so a miss is the only falsy read
-    through_v = o.through_masks[v]
+    # pairs (x, y) through v, each once: x is the lowest live member left and
+    # y one of the live members above it, so the last member starts no pair;
+    # v is not in before, so not in live
+    left = color_mask & table.live
+    masks = table.masks
     while left & (left - 1):
         low = left & -left
         left ^= low
         x = low.bit_length() - 1
-        rest = (through_v.get(x) or o.through(x, v)) & left
+        mask = masks.get(x)
+        if mask is None:
+            mask = o.through(x, v) & table.before
+            if not mask:
+                table.live ^= low
+                continue
+            masks[x] = mask
+        rest = mask & left
         if rest and not o.sees(x, rest, color_mask):
             return False
     return True
@@ -119,6 +131,7 @@ def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
     n = g.n
     order = solver_vertex_order(g)
     o = g.oracle
+    tables = o.prefix_tables(order)
     start = time.perf_counter()
     # this search's share, worked out once: the nodes the budget has left,
     # and the deadline, read on the first node and every 256 after it
@@ -155,7 +168,7 @@ def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
                 return _finish(budget, Status.BUDGET_EXHAUSTED, None, nodes, start)
             choice[depth] = c
             color_masks[c] |= bit
-            ok = _check_assignment(o, v, color_masks[c])
+            ok = _check_assignment(o, tables[v], v, color_masks[c])
             if ok and depth == n - 1:
                 colors = tuple(cu for _, cu in sorted(zip(order, choice)))
                 candidate = Coloring(colors, max(colors) + 1)

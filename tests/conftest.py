@@ -13,6 +13,7 @@ from mvchroma import (
     bfs_distances,
     glued_tree_order,
     graph_from_edge_list,
+    random_clause,
 )
 
 DEFAULT_SEED = 20240817
@@ -41,9 +42,8 @@ def c4() -> Graph:
 
 
 def random_clauses(rng: random.Random, q: int, m: int) -> list:
-    """m clauses over x_1..x_q: three distinct variables, each literal's sign
-    a fair coin."""
-    return [[(v, rng.random() < 0.5) for v in rng.sample(range(1, q + 1), 3)] for _ in range(m)]
+    """m clauses over x_1..x_q, each one ``random_clause`` draw."""
+    return [random_clause(rng, q) for _ in range(m)]
 
 
 def golden_colors_gt2(tree) -> tuple[int, ...]:

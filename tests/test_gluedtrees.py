@@ -4,7 +4,6 @@ import pytest
 
 from conftest import diameter, golden_colors_gt2, golden_colors_gt3, trees_up_to
 from mvchroma import (
-    CycleDecomposition,
     Internal,
     QuasiLeaf,
     all_pairs_distances,

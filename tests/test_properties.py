@@ -29,6 +29,7 @@ from mvchroma import (
     validate_mv_coloring,
 )
 import mvchroma.visibility as visibility
+from mvchroma.graph import PrefixTable
 from mvchroma.solver import _check_assignment
 from mvchroma.visibility import pair_visible
 
@@ -80,7 +81,7 @@ def test_solver_pair_test_matches_enumeration(g, seed):
         for v in range(g.n):
             through[x, v] = sum(1 << y for y in range(g.n) if any(v in p for p in paths[y]))
             assert pv.through(x, v) == through[x, v]
-    # a second time, from the filled memo
+    # a second time, with every row built
     for (x, v), expected in through.items():
         assert pv.through(x, v) == expected
 
@@ -101,13 +102,18 @@ def test_check_assignment_matches_enumeration(g, seed):
     members = base + [v]
     mask = sum(1 << w for w in members)
     expected = brute_is_mv_set(g, members)
-    assert _check_assignment(DistanceOracle(g), v, mask) == expected
-    # and with every through-v mask already memoized
-    warm = DistanceOracle(g)
-    for x in range(g.n):
-        for w in range(g.n):
-            warm.through(x, w)
-    assert _check_assignment(warm, v, mask) == expected
+    # v comes last, so before holds every other member of the class
+    before = sum(1 << w for w in order)
+    assert _check_assignment(DistanceOracle(g), PrefixTable(before), v, mask) == expected
+    # and from a warm table, with every x's mask asked for already
+    warm, o = PrefixTable(before), DistanceOracle(g)
+    for x in order:
+        through = o.through(x, v) & before
+        if through:
+            warm.masks[x] = through
+        else:
+            warm.live &= ~(1 << x)
+    assert _check_assignment(o, warm, v, mask) == expected
 
 
 @given(connected_graphs(max_n=8), st.integers(min_value=0, max_value=2**32 - 1))

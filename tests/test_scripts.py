@@ -83,3 +83,10 @@ def test_bench_line_counts_cover_src_and_tests():
     for key, pattern in (("src", "src/mvchroma/*.py"), ("tests", "tests/*.py")):
         paths = sorted(ROOT.glob(pattern))
         assert paths and counts[key] == sum(len(p.read_text().splitlines()) for p in paths)
+
+
+def test_bench_solve_run_records_a_fresh_process():
+    # chi_mu(GT(3, 2)) = 4, and 10 nodes do not settle the k sweep below it
+    row = import_bench().solve_run(ROOT, 3)
+    assert (row["exit"], row["budget_nodes"]) == (4, 10)
+    assert row["wall_s"] > 0 and row["peak_rss_mb"] > 1

@@ -224,15 +224,15 @@ def test_chi_mu_exact_builds_each_bfs_row_once(monkeypatch):
 
 
 def test_chi_mu_exact_computes_each_through_mask_once(monkeypatch):
-    # greedy and the k = 1..3 searches share the oracle's through-v masks
+    # greedy and the k = 1..3 searches share the oracle's prefix tables
     calls = []
-    through_mask = graph_module.DistanceOracle._through_mask
+    through = graph_module.DistanceOracle.through
 
     def counting_mask(self, x, v):
         calls.append((x, v))
-        return through_mask(self, x, v)
+        return through(self, x, v)
 
-    monkeypatch.setattr(graph_module.DistanceOracle, "_through_mask", counting_mask)
+    monkeypatch.setattr(graph_module.DistanceOracle, "through", counting_mask)
     tree = build_glued_tree(3, 2)
     assert chi_mu_exact(tree.graph)[0] == 4
     assert calls and len(calls) == len(set(calls))
@@ -260,7 +260,28 @@ def test_warm_memo_leaves_the_search_alone(kind, a, b):
         ]
         first, warm, fresh = ((o.status, o.coloring, o.nodes_explored) for o in runs)
         assert first == warm == fresh
-    assert any(g.oracle.through_masks)
+    assert any(t.masks for t in g.oracle.prefix_tables(solver_vertex_order(g)))
+
+
+@pytest.mark.parametrize("kind, a, b", WARM_MEMO_GRAPHS)
+def test_prefix_tables_clear_only_members_without_partners(kind, a, b):
+    g = build_glued_tree(a, b).graph if kind == "tree" else _seeded_reduction_graph(a, b)
+    greedy_upper_bound(g)
+    for k in range(1, 5):
+        mv_k_colorable(g, k, Budget(max_nodes=20_000))
+    o = g.oracle
+    cleared = 0
+    for v, table in enumerate(o.prefix_tables(solver_vertex_order(g))):
+        before = table.before
+        assert table.live & ~before == 0
+        for x in range(g.n):
+            if before >> x & 1 and not table.live >> x & 1:
+                cleared += 1
+                assert o.through(x, v) & before == 0
+        for x, mask in table.masks.items():
+            assert table.live >> x & 1
+            assert mask and mask == o.through(x, v) & before
+    assert cleared
 
 
 def test_chi_mu_exact_matches_naive():
