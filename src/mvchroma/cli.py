@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
 from . import __version__
-from .errors import BudgetExhaustedError, MvChromaError
+from .errors import BudgetExhaustedError, InvalidParamsError, MvChromaError
 from .formats import (
     read_coloring,
     read_graph,
@@ -82,9 +83,12 @@ def _json_report(
 
 
 def _budget(args: argparse.Namespace) -> Budget | None:
-    """The one budget every search of the command draws on."""
+    """The one budget every search of the command draws on. Its seconds must
+    be finite, since the JSON reports write them and JSON has no infinity."""
     if args.budget_nodes is None and args.budget_secs is None:
         return None
+    if args.budget_secs is not None and not math.isfinite(args.budget_secs):
+        raise InvalidParamsError("time budget must be a finite number of seconds")
     return Budget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)
 
 

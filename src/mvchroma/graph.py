@@ -4,10 +4,8 @@ A graph keeps one adjacency, read-only CSR arrays, on at most DEFAULT_SIZE_CAP
 vertices; the validators read only it and ``connected``. The DistanceOracle,
 which the solver and pair_visible read, builds one BFS row per source on first
 use over neighbour lists it makes once, and keeps the neighbour bitmasks
-``sees`` reads; it needs a connected graph. For the vertex order the solver
-searches in, it also keeps one PrefixTable per vertex v: the through-v masks
-of the vertices ahead of v, restricted to those vertices, stored only when
-not 0, so its memory grows with the (x, v) pairs the searches on it test.
+``sees`` reads; it needs a connected graph. It caches those and nothing
+else, so what a search derives from them lives and dies with that search.
 """
 
 from __future__ import annotations
@@ -135,24 +133,6 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return _bfs_row(_neighbor_lists(g), source)
 
 
-class PrefixTable:
-    """The pairs of ``before`` (a vertex bitmask) that one vertex v can break.
-
-    ``masks[x]`` is ``through(x, v) & before``, stored the first time x's mask
-    is asked for, unless it is 0. Then x is cleared from ``live``, which starts
-    as ``before`` and only ever loses bits: v lies on no geodesic from x to a
-    vertex of ``before``, nor, by symmetry, on one from such a vertex to x, so
-    x is in no pair of ``before`` that v could break.
-    """
-
-    __slots__ = ("before", "live", "masks")
-
-    def __init__(self, before: int):
-        self.before = before
-        self.live = before
-        self.masks: dict[int, int] = {}
-
-
 class DistanceOracle:
     """Hop distances from one BFS row per vertex, built on first use.
 
@@ -168,10 +148,7 @@ class DistanceOracle:
     next reach is the whole next level, since every vertex of a BFS level
     has a neighbour one level up.
 
-    ``prefix_tables(order)`` gives each vertex v its PrefixTable against the
-    vertices ahead of v in order, made on the first call for that order and
-    kept for the oracle's lifetime.
-
+    The rows and neighbour masks are all it keeps for the graph's lifetime.
     A disconnected g raises DisconnectedGraphError, so every row has every vertex.
     """
 
@@ -179,7 +156,6 @@ class DistanceOracle:
         require_connected_graph(g)
         self.g = g
         self._rows: list[tuple[list[int], list[int]] | None] = [None] * g.n
-        self._prefix_tables: dict[tuple[int, ...], list[PrefixTable]] = {}
 
     @cached_property
     def _nbrs(self) -> list[list[int]]:
@@ -213,19 +189,6 @@ class DistanceOracle:
         dx, lx = rows[x] or self._row(x)
         lv = (rows[v] or self._row(v))[1]
         return reduce(or_, map(and_, lv, lx[dx[v]:]))
-
-    def prefix_tables(self, order: list[int]) -> list[PrefixTable]:
-        """Indexed by vertex: v's PrefixTable, whose ``before`` is the vertices
-        ahead of v in order (a permutation of 0..n-1)."""
-        key = tuple(order)
-        tables = self._prefix_tables.get(key)
-        if tables is None:
-            tables = self._prefix_tables[key] = [None] * self.g.n
-            before = 0
-            for v in order:
-                tables[v] = PrefixTable(before)
-                before |= 1 << v
-        return tables
 
     def sees(self, x: int, targets: int, blocked: int) -> bool:
         """True iff x sees every vertex of the bitmask ``targets`` along a

@@ -24,7 +24,7 @@ from .errors import (
     InvalidParamsError,
     TooManyVariablesError,
 )
-from .graph import DistanceOracle, Graph, PrefixTable
+from .graph import DistanceOracle, Graph
 from .visibility import Coloring, validate_mv_coloring
 
 # the brute-force NAE3SAT scan tries 2^q assignments
@@ -75,6 +75,26 @@ class NaeAssignment:
 
 def solver_vertex_order(g: Graph) -> list[int]:
     return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+
+
+class PrefixTable:
+    """The pairs of ``before`` (a vertex bitmask) that one vertex v can break.
+
+    A search makes one for each depth d it reaches: v is ``order[d]`` and
+    ``before`` the vertices ahead of it, ``order[:d]``. ``masks[x]`` is
+    ``through(x, v) & before``, stored the first time x's mask is asked for,
+    unless it is 0. Then x is cleared from ``live``, which starts as
+    ``before`` and only ever loses bits: v lies on no geodesic from x to a
+    vertex of ``before``, nor, by symmetry, on one from such a vertex to x,
+    so x is in no pair of ``before`` that v could break.
+    """
+
+    __slots__ = ("before", "live", "masks")
+
+    def __init__(self, before: int):
+        self.before = before
+        self.live = before
+        self.masks: dict[int, int] = {}
 
 
 def _check_assignment(
@@ -131,7 +151,8 @@ def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
     n = g.n
     order = solver_vertex_order(g)
     o = g.oracle
-    tables = o.prefix_tables(order)
+    # tables[d] is order[d]'s PrefixTable, made when the search first reaches d
+    tables = [PrefixTable(0)]
     start = time.perf_counter()
     # this search's share, worked out once: the nodes the budget has left,
     # and the deadline, read on the first node and every 256 after it
@@ -168,7 +189,7 @@ def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
                 return _finish(budget, Status.BUDGET_EXHAUSTED, None, nodes, start)
             choice[depth] = c
             color_masks[c] |= bit
-            ok = _check_assignment(o, tables[v], v, color_masks[c])
+            ok = _check_assignment(o, tables[depth], v, color_masks[c])
             if ok and depth == n - 1:
                 colors = tuple(cu for _, cu in sorted(zip(order, choice)))
                 candidate = Coloring(colors, max(colors) + 1)
@@ -178,6 +199,8 @@ def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
             if ok:
                 used[depth + 1] = max(used[depth], c + 1)
                 depth += 1
+                if depth == len(tables):
+                    tables.append(PrefixTable(tables[-1].before | bit))
                 break
             color_masks[c] &= ~bit
         else:

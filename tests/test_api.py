@@ -77,3 +77,6 @@ def test_removed_methods_are_gone():
     assert not hasattr(mvchroma.CycleDecomposition, "q_side1")
     assert not hasattr(mvchroma.CycleDecomposition, "q_side2")
     assert not hasattr(mvchroma.NaeAssignment, "value")
+    # a search's pair tables live in the solver, not in the distance oracle
+    assert not hasattr(mvchroma.DistanceOracle, "prefix_tables")
+    assert not hasattr(importlib.import_module("mvchroma.graph"), "PrefixTable")

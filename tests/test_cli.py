@@ -314,11 +314,16 @@ def test_solve_budget_exit_4(tmp_path, capsys):
     ["solve", "--graph", "{g}", "--k", "1", "--budget-nodes", "-3"],
     ["theorem", "--r", "2", "--t", "2", "--exact", "--budget-nodes", "-1"],
     ["solve", "--graph", "{g}", "--budget-secs", "nan"],
-], ids=["solve-negative-nodes", "theorem-negative-nodes", "solve-nan-seconds"])
+    # a JSON report cannot hold an infinite budget
+    ["theorem", "--r", "2", "--t", "2", "--exact", "--budget-secs", "inf", "--json", "-"],
+    ["reduce-verify", "--formula", "{f}", "--budget-secs", "1e400", "--json", "-"],
+], ids=["solve-negative-nodes", "theorem-negative-nodes", "solve-nan-seconds",
+        "theorem-inf-seconds", "reduce-verify-overflow-seconds"])
 def test_negative_or_nan_budget_exit_2(tmp_path, capsys, argv):
     gpath = tmp_path / "g.col"
     gpath.write_text(write_graph(build_glued_tree(2, 2).graph))
-    code, out, err = run(capsys, *(a.format(g=gpath) for a in argv))
+    fpath = write_formula(tmp_path, SAT_1)
+    code, out, err = run(capsys, *(a.format(g=gpath, f=fpath) for a in argv))
     assert code == 2
     assert out == ""
     assert err.startswith("error:")

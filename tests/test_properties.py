@@ -29,8 +29,7 @@ from mvchroma import (
     validate_mv_coloring,
 )
 import mvchroma.visibility as visibility
-from mvchroma.graph import PrefixTable
-from mvchroma.solver import _check_assignment
+from mvchroma.solver import PrefixTable, _check_assignment
 from mvchroma.visibility import pair_visible
 
 

@@ -86,7 +86,10 @@ def test_bench_line_counts_cover_src_and_tests():
 
 
 def test_bench_solve_run_records_a_fresh_process():
-    # chi_mu(GT(3, 2)) = 4, and 10 nodes do not settle the k sweep below it
-    row = import_bench().solve_run(ROOT, 3)
-    assert (row["exit"], row["budget_nodes"]) == (4, 10)
-    assert row["wall_s"] > 0 and row["peak_rss_mb"] > 1
+    # chi_mu(GT(3, 2)) = 4, and 10 nodes settle neither the k sweep below it
+    # nor the k = 2 search
+    bench = import_bench()
+    for k in (None, 2):
+        row = bench.solve_run(ROOT, 3, k)
+        assert (row["exit"], row["k"], row["budget_nodes"]) == (4, k, 10)
+        assert row["wall_s"] > 0 and row["peak_rss_mb"] > 1

@@ -223,19 +223,49 @@ def test_chi_mu_exact_builds_each_bfs_row_once(monkeypatch):
     assert calls and len(calls) == len(set(calls))
 
 
-def test_chi_mu_exact_computes_each_through_mask_once(monkeypatch):
-    # greedy and the k = 1..3 searches share the oracle's prefix tables
-    calls = []
-    through = graph_module.DistanceOracle.through
+def test_each_search_computes_each_through_mask_once(monkeypatch):
+    # a search's tables keep its masks, and greedy and the k = 1..3 searches
+    # of chi_mu_exact each make their own
+    searches = []
+    through, search = graph_module.DistanceOracle.through, solver_module._search
 
     def counting_mask(self, x, v):
-        calls.append((x, v))
+        searches[-1].append((x, v))
         return through(self, x, v)
 
+    def recording_search(*args):
+        searches.append([])
+        return search(*args)
+
     monkeypatch.setattr(graph_module.DistanceOracle, "through", counting_mask)
+    monkeypatch.setattr(solver_module, "_search", recording_search)
     tree = build_glued_tree(3, 2)
     assert chi_mu_exact(tree.graph)[0] == 4
-    assert calls and len(calls) == len(set(calls))
+    assert len(searches) == 4 and any(searches)
+    for calls in searches:
+        assert len(calls) == len(set(calls))
+
+
+def _record_tables(monkeypatch) -> list:
+    """The PrefixTables the searches make from now on, in the order made."""
+    made = []
+
+    class RecordingTable(solver_module.PrefixTable):
+        def __init__(self, before):
+            super().__init__(before)
+            made.append(self)
+
+    monkeypatch.setattr(solver_module, "PrefixTable", RecordingTable)
+    return made
+
+
+def test_search_makes_tables_only_for_the_depths_it_reaches(monkeypatch):
+    # 10 nodes descend at most 10 times, so at most depths 0..10 of n = 1534
+    made = _record_tables(monkeypatch)
+    g = build_glued_tree(9, 2).graph
+    outcome = mv_k_colorable(g, 2, Budget(max_nodes=10))
+    assert outcome.status is Status.BUDGET_EXHAUSTED
+    assert 1 <= len(made) <= 11
 
 
 def _seeded_reduction_graph(q, m):
@@ -253,26 +283,31 @@ WARM_MEMO_GRAPHS = [("reduction", q, m) for q in (3, 4) for m in (q, 2 * q)] + [
 def test_warm_memo_leaves_the_search_alone(kind, a, b):
     g = build_glued_tree(a, b).graph if kind == "tree" else _seeded_reduction_graph(a, b)
     for k in range(1, 5):
-        # the second run on g finds the first run's masks in g's oracle
+        # the second run on g finds the first run's BFS rows in g's oracle
         runs = [
             mv_k_colorable(h, k, Budget(max_nodes=20_000))
             for h in (g, g, graph_from_edge_list(g.n, g.edges()))
         ]
         first, warm, fresh = ((o.status, o.coloring, o.nodes_explored) for o in runs)
         assert first == warm == fresh
-    assert any(t.masks for t in g.oracle.prefix_tables(solver_vertex_order(g)))
 
 
 @pytest.mark.parametrize("kind, a, b", WARM_MEMO_GRAPHS)
-def test_prefix_tables_clear_only_members_without_partners(kind, a, b):
+def test_prefix_tables_clear_only_members_without_partners(kind, a, b, monkeypatch):
     g = build_glued_tree(a, b).graph if kind == "tree" else _seeded_reduction_graph(a, b)
+    made = _record_tables(monkeypatch)
     greedy_upper_bound(g)
     for k in range(1, 5):
         mv_k_colorable(g, k, Budget(max_nodes=20_000))
-    o = g.oracle
-    cleared = 0
-    for v, table in enumerate(o.prefix_tables(solver_vertex_order(g))):
-        before = table.before
+    o, order = g.oracle, solver_vertex_order(g)
+    # each search makes its tables depth by depth from depth 0, the one
+    # table whose before is empty
+    assert sum(table.before == 0 for table in made) == 5
+    cleared = depth = 0
+    for table in made:
+        depth = 0 if table.before == 0 else depth + 1
+        v, before = order[depth], table.before
+        assert before == sum(1 << w for w in order[:depth])
         assert table.live & ~before == 0
         for x in range(g.n):
             if before >> x & 1 and not table.live >> x & 1:
