@@ -2,10 +2,9 @@
 
 A graph keeps one adjacency, read-only CSR arrays, on at most DEFAULT_SIZE_CAP
 vertices; the validators read only it and ``connected``. The DistanceOracle,
-which the solver and pair_visible read, builds one BFS row per source on first
-use over neighbour lists it makes once, and keeps the neighbour bitmasks
-``sees`` reads; it needs a connected graph. It caches those and nothing
-else, so what a search derives from them lives and dies with that search.
+which the solver and pair_visible read, caches two things of a connected
+graph: one row per source, its BFS levels as bitmasks, built on first use
+over neighbour lists made once, and the neighbour bitmasks ``sees`` reads.
 """
 
 from __future__ import annotations
@@ -136,9 +135,9 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 class DistanceOracle:
     """Hop distances from one BFS row per vertex, built on first use.
 
-    A row keeps the vertex's distances and its distance levels as bitmasks.
-    The internal levels of the u-v geodesic DAG are ``L_u[i] & L_v[d - i]``
-    for i in 1..d-1, which is how ``through`` finds the vertices past v.
+    A row is the vertex's distance levels as bitmasks and nothing else: d(u, v)
+    is the index of u's level that holds v. The u-v geodesic DAG's internal
+    levels are ``L_u[i] & L_v[d - i]`` for i in 1..d-1, which ``through`` reads.
 
     ``sees`` reads only x's row. It carries ``reach`` outward from x level
     by level, like the validators' class sweep: the vertices of the level
@@ -155,7 +154,7 @@ class DistanceOracle:
     def __init__(self, g: Graph):
         require_connected_graph(g)
         self.g = g
-        self._rows: list[tuple[list[int], list[int]] | None] = [None] * g.n
+        self._rows: list[list[int] | None] = [None] * g.n
 
     @cached_property
     def _nbrs(self) -> list[list[int]]:
@@ -167,33 +166,34 @@ class DistanceOracle:
         """Bit w of ``neighbor_masks[v]`` is set iff w is a neighbour of v."""
         return tuple(sum(1 << w for w in nbrs) for nbrs in self._nbrs)
 
-    def _row(self, u: int) -> tuple[list[int], list[int]]:
+    def _row(self, u: int) -> list[int]:
         row = self._rows[u]
         if row is None:
             dist = _bfs_row(self._nbrs, u)
-            levels = [0] * (max(dist) + 1)
+            row = [0] * (max(dist) + 1)
             for w, d in enumerate(dist):
-                levels[d] |= 1 << w
-            row = self._rows[u] = (dist, levels)
+                row[d] |= 1 << w
+            self._rows[u] = row
         return row
 
     def d(self, u: int, v: int) -> int:
         _check_vertex(u, self.g.n)
         _check_vertex(v, self.g.n)
-        return self._row(u)[0][v]
+        return next(i for i, level in enumerate(self._row(u)) if level >> v & 1)
 
     def through(self, x: int, v: int) -> int:
         """Bitmask of the vertices y with v on some shortest x-y path, that is
         with d(x, v) + d(v, y) == d(x, y)."""
-        rows = self._rows
-        dx, lx = rows[x] or self._row(x)
-        lv = (rows[v] or self._row(v))[1]
-        return reduce(or_, map(and_, lv, lx[dx[v]:]))
+        lx, lv = self._rows[x] or self._row(x), self._rows[v] or self._row(v)
+        dxv = 0  # d(x, v): the level of v's row that holds x
+        while not lv[dxv] >> x & 1:
+            dxv += 1
+        return reduce(or_, map(and_, lv, lx[dxv:]))
 
     def sees(self, x: int, targets: int, blocked: int) -> bool:
         """True iff x sees every vertex of the bitmask ``targets`` along a
         geodesic with no vertex of ``blocked`` inside."""
-        lx = (self._rows[x] or self._row(x))[1]
+        lx = self._rows[x] or self._row(x)
         nbr = self.neighbor_masks
         # x is an endpoint of every geodesic from it, so it never blocks
         blocked &= ~lx[0]

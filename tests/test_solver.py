@@ -319,6 +319,24 @@ def test_prefix_tables_clear_only_members_without_partners(kind, a, b, monkeypat
     assert cleared
 
 
+@pytest.mark.parametrize("kind, a, b", [("tree", 3, 2), ("reduction", 4, 4)])
+def test_oracle_rows_are_distance_levels(kind, a, b):
+    g = build_glued_tree(a, b).graph if kind == "tree" else _seeded_reduction_graph(a, b)
+    chi_mu_exact(g)
+    rows = [(u, row) for u, row in enumerate(g.oracle._rows) if row is not None]
+    assert rows
+    for u, row in rows:
+        # a row is its levels alone: bit w of row[i] is set iff d(u, w) == i
+        assert type(row) is list and all(type(level) is int for level in row)
+        assert row[0] == 1 << u
+        assert all(row)
+        union = 0
+        for level in row:
+            assert union & level == 0
+            union |= level
+        assert union == (1 << g.n) - 1
+
+
 def test_chi_mu_exact_matches_naive():
     rng = random.Random(DEFAULT_SEED + 3)
     for _ in range(12):
