@@ -11,8 +11,10 @@ from mvchroma import (
     Coloring,
     Graph,
     bfs_distances,
+    build_reduction,
     glued_tree_order,
     graph_from_edge_list,
+    make_formula,
     random_clause,
 )
 
@@ -44,6 +46,12 @@ def c4() -> Graph:
 def random_clauses(rng: random.Random, q: int, m: int) -> list:
     """m clauses over x_1..x_q, each one ``random_clause`` draw."""
     return [random_clause(rng, q) for _ in range(m)]
+
+
+def seeded_reduction_graph(q: int, m: int) -> Graph:
+    """The reduction graph of m seeded random clauses over x_1..x_q."""
+    rng = random.Random(DEFAULT_SEED + q * m)
+    return build_reduction(make_formula(q, random_clauses(rng, q, m))).graph
 
 
 def golden_colors_gt2(tree) -> tuple[int, ...]:

@@ -7,15 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    DEFAULT_SEED,
     brute_chi_mu,
     brute_is_gp_set,
     brute_is_mv_set,
     brute_pair_visible,
     coloring_with_k,
     enumerate_shortest_paths,
-    random_clauses,
     random_connected_graph,
+    seeded_reduction_graph,
 )
 from mvchroma import (
     Status,
@@ -23,11 +22,9 @@ from mvchroma import (
     all_pairs_distances,
     bfs_distances,
     build_glued_tree,
-    build_reduction,
     chi_mu_formula,
     graph_from_edge_list,
     is_gp_set,
-    make_formula,
     is_mv_set,
     mv_k_colorable,
     validate_gp_coloring,
@@ -51,15 +48,9 @@ DEEP_TREES = [build_glued_tree(r, t).graph for r, t in ((3, 2), (4, 2), (2, 3), 
 pair_test_graphs = st.one_of(connected_graphs(), st.sampled_from(DEEP_TREES))
 
 
-# q = 4 reduction graph, n = 28, diameter 4
-SEEDED_REDUCTION = build_reduction(
-    make_formula(4, random_clauses(random.Random(DEFAULT_SEED + 16), 4, 4))
-).graph
-
-
 @given(connected_graphs(), st.integers(min_value=0, max_value=2**32 - 1))
 @example(build_glued_tree(3, 3).graph, 0)
-@example(SEEDED_REDUCTION, 1)
+@example(seeded_reduction_graph(4, 4), 1)  # n = 28, diameter 4
 @settings(max_examples=60, deadline=None)
 def test_oracle_distances_match_bfs_in_any_order(g, seed):
     # a fresh oracle builds its rows in the order the pairs ask for them

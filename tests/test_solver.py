@@ -16,6 +16,7 @@ from conftest import (
     nae_satisfies,
     random_clauses,
     random_connected_graph,
+    seeded_reduction_graph,
 )
 from mvchroma import (
     Budget,
@@ -268,11 +269,6 @@ def test_search_makes_tables_only_for_the_depths_it_reaches(monkeypatch):
     assert 1 <= len(made) <= 11
 
 
-def _seeded_reduction_graph(q, m):
-    rng = random.Random(DEFAULT_SEED + q * m)
-    return build_reduction(make_formula(q, random_clauses(rng, q, m))).graph
-
-
 WARM_MEMO_GRAPHS = [("reduction", q, m) for q in (3, 4) for m in (q, 2 * q)] + [
     ("tree", 2, 2),
     ("tree", 3, 2),
@@ -281,7 +277,7 @@ WARM_MEMO_GRAPHS = [("reduction", q, m) for q in (3, 4) for m in (q, 2 * q)] + [
 
 @pytest.mark.parametrize("kind, a, b", WARM_MEMO_GRAPHS)
 def test_warm_memo_leaves_the_search_alone(kind, a, b):
-    g = build_glued_tree(a, b).graph if kind == "tree" else _seeded_reduction_graph(a, b)
+    g = build_glued_tree(a, b).graph if kind == "tree" else seeded_reduction_graph(a, b)
     for k in range(1, 5):
         # the second run on g finds the first run's BFS rows in g's oracle
         runs = [
@@ -294,7 +290,7 @@ def test_warm_memo_leaves_the_search_alone(kind, a, b):
 
 @pytest.mark.parametrize("kind, a, b", WARM_MEMO_GRAPHS)
 def test_prefix_tables_clear_only_members_without_partners(kind, a, b, monkeypatch):
-    g = build_glued_tree(a, b).graph if kind == "tree" else _seeded_reduction_graph(a, b)
+    g = build_glued_tree(a, b).graph if kind == "tree" else seeded_reduction_graph(a, b)
     made = _record_tables(monkeypatch)
     greedy_upper_bound(g)
     for k in range(1, 5):
@@ -321,7 +317,7 @@ def test_prefix_tables_clear_only_members_without_partners(kind, a, b, monkeypat
 
 @pytest.mark.parametrize("kind, a, b", [("tree", 3, 2), ("reduction", 4, 4)])
 def test_oracle_rows_are_distance_levels(kind, a, b):
-    g = build_glued_tree(a, b).graph if kind == "tree" else _seeded_reduction_graph(a, b)
+    g = build_glued_tree(a, b).graph if kind == "tree" else seeded_reduction_graph(a, b)
     chi_mu_exact(g)
     rows = [(u, row) for u, row in enumerate(g.oracle._rows) if row is not None]
     assert rows
