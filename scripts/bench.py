@@ -20,9 +20,10 @@ RSS (``os.wait4``) and the report's verdicts.
 
 Its ``reduction`` section runs ``mvchroma reduce-verify --budget-nodes
 REDUCTION_BUDGET_NODES`` on one seeded random formula for each q in
-REDUCTION_QS, with m = 3q clauses over three distinct variables each (so
-already normalized), each in a fresh process like the ``theorem`` runs, and
-records the exit code, ``solver_nodes``, the wall time and the peak RSS.
+REDUCTION_QS, with m = 3q ``random_clause`` draws (three distinct variables
+each, so already normalized), each in a fresh process like the ``theorem``
+runs, and records the exit code, ``solver_nodes``, the wall time and the
+peak RSS.
 
 Its ``solve`` section runs ``mvchroma solve --budget-nodes
 SOLVE_BUDGET_NODES`` on GT(r, 2) for each (r, k) in SOLVE_RUNS, with
@@ -41,6 +42,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+from mvchroma import format_nae_formula, make_formula, random_clause
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
@@ -122,9 +125,7 @@ def theorem_run(root: Path, r: int) -> dict:
 def reduction_formula(q: int) -> str:
     """The seeded formula of ``reduction_run``, in the ``p nae3`` format."""
     rng = random.Random(REDUCTION_SEED + q)
-    clauses = [" ".join(str(v if rng.random() < 0.5 else -v) for v in rng.sample(range(1, q + 1), 3))
-               for _ in range(3 * q)]
-    return "\n".join([f"p nae3 {q} {3 * q}", *(f"{c} 0" for c in clauses)]) + "\n"
+    return format_nae_formula(make_formula(q, [random_clause(rng, q) for _ in range(3 * q)]))
 
 
 def reduction_run(root: Path, q: int) -> dict:

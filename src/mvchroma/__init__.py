@@ -11,7 +11,6 @@ from .graph import (
     DistanceOracle,
     Graph,
     all_pairs_distances,
-    bfs_distances,
     graph_from_edge_list,
 )
 from .visibility import (

@@ -1,10 +1,11 @@
-"""Immutable simple undirected graphs, BFS distances and geodesic primitives.
+"""Immutable simple undirected graphs and their distance oracle.
 
 A graph keeps one adjacency, read-only CSR arrays, on at most DEFAULT_SIZE_CAP
 vertices; the validators read only it and ``connected``. The DistanceOracle,
-which the solver and pair_visible read, caches two things of a connected
-graph: one row per source, its BFS levels as bitmasks, built on first use
-over neighbour lists made once, and the neighbour bitmasks ``sees`` reads.
+which the solver and pair_visible read, caches three things of a connected
+graph: one row per source, its BFS levels as bitmasks, built on first use in
+one level-by-level pass; the neighbour lists that pass walks; and the
+neighbour bitmasks ``sees`` reads.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import (
     SizeCapExceededError,
 )
 
-UNREACHABLE = -1
 DEFAULT_SIZE_CAP = 200_000
 
 
@@ -106,32 +106,6 @@ def require_connected_graph(g: Graph) -> None:
         raise DisconnectedGraphError("graph is disconnected")
 
 
-def _neighbor_lists(g: Graph) -> list[list[int]]:
-    """The CSR rows as Python lists, which a Python BFS walks fastest."""
-    ptr, nbr = g.indptr.tolist(), g.indices.tolist()
-    return [nbr[a:b] for a, b in pairwise(ptr)]
-
-
-def _bfs_row(nbrs: list[list[int]], source: int) -> list[int]:
-    """Hop distances from source over neighbour lists; -1 for unreachable."""
-    dist = [UNREACHABLE] * len(nbrs)
-    dist[source] = 0
-    queue = [source]
-    for u in queue:
-        d = dist[u] + 1
-        for w in nbrs[u]:
-            if dist[w] == UNREACHABLE:
-                dist[w] = d
-                queue.append(w)
-    return dist
-
-
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Hop distances from source; -1 for unreachable vertices."""
-    _check_vertex(source, g.n)
-    return _bfs_row(_neighbor_lists(g), source)
-
-
 class DistanceOracle:
     """Hop distances from one BFS row per vertex, built on first use.
 
@@ -147,7 +121,8 @@ class DistanceOracle:
     next reach is the whole next level, since every vertex of a BFS level
     has a neighbour one level up.
 
-    The rows and neighbour masks are all it keeps for the graph's lifetime.
+    The rows, the neighbour lists they are built from and the neighbour
+    masks are all it keeps for the graph's lifetime.
     A disconnected g raises DisconnectedGraphError, so every row has every vertex.
     """
 
@@ -158,8 +133,9 @@ class DistanceOracle:
 
     @cached_property
     def _nbrs(self) -> list[list[int]]:
-        """The neighbour lists every row's BFS walks, made once."""
-        return _neighbor_lists(self.g)
+        """The CSR rows as Python lists, made once: every row's BFS walks them."""
+        ptr, nbr = self.g.indptr.tolist(), self.g.indices.tolist()
+        return [nbr[a:b] for a, b in pairwise(ptr)]
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
@@ -169,10 +145,20 @@ class DistanceOracle:
     def _row(self, u: int) -> list[int]:
         row = self._rows[u]
         if row is None:
-            dist = _bfs_row(self._nbrs, u)
-            row = [0] * (max(dist) + 1)
-            for w, d in enumerate(dist):
-                row[d] |= 1 << w
+            # a vertex is seen once queued, so it joins one level, its first
+            nbrs, seen = self._nbrs, [False] * self.g.n
+            seen[u] = True
+            row, front = [], [u]
+            while front:
+                level, ahead = 0, []
+                for w in front:
+                    level |= 1 << w
+                    for y in nbrs[w]:
+                        if not seen[y]:
+                            seen[y] = True
+                            ahead.append(y)
+                row.append(level)
+                front = ahead
             self._rows[u] = row
         return row
 

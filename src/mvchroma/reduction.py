@@ -76,8 +76,8 @@ def make_formula(q: int, clauses) -> NaeFormula:
 def random_clause(rng: random.Random, q: int) -> list[Literal]:
     """A seeded clause over x_1..x_q (q >= 3): three distinct variables from
     ``rng.sample``, then one fair coin per variable, in sample order, for its
-    sign. The seeded formulas of the tests and of
-    ``scripts/reduction_equivalence.py`` draw their clauses here."""
+    sign. The seeded formulas of the tests, ``scripts/reduction_equivalence.py``
+    and ``scripts/bench.py`` draw their clauses here."""
     return [(v, rng.random() < 0.5) for v in rng.sample(range(1, q + 1), 3)]
 
 

@@ -4,13 +4,13 @@ oracles."""
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations, product
 from typing import NamedTuple
 
 from mvchroma import (
     Coloring,
     Graph,
-    bfs_distances,
     build_reduction,
     glued_tree_order,
     graph_from_edge_list,
@@ -85,6 +85,22 @@ def k2_pendant(d: int) -> Graph:
     """K_{2,d} with hubs 0 and 1, leaves 2..d+1, and a pendant d+2 on leaf 2."""
     edges = [(h, 2 + i) for h in (0, 1) for i in range(d)]
     return graph_from_edge_list(d + 3, edges + [(2, d + 2)])
+
+
+def bfs_distances(g: Graph, source: int) -> list[int]:
+    """Hop distances from source by a plain queue BFS over the CSR arrays;
+    -1 for unreachable vertices. It shares no code with the oracle."""
+    ptr, nbr = g.indptr.tolist(), g.indices.tolist()
+    dist = [-1] * g.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in nbr[ptr[u] : ptr[u + 1]]:
+            if dist[w] == -1:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
 
 
 def enumerate_shortest_paths(g: Graph, u: int, v: int) -> list[tuple[int, ...]]:

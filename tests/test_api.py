@@ -48,6 +48,7 @@ REMOVED = (
     "nae_assignment_satisfies",
     "build_h_gadget",
     "HGadgetLegend",
+    "bfs_distances",
 )
 
 

@@ -7,12 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bfs_distances,
     brute_chi_mu,
     brute_is_gp_set,
     brute_is_mv_set,
     brute_pair_visible,
     coloring_with_k,
     enumerate_shortest_paths,
+    k2_pendant,
     random_connected_graph,
     seeded_reduction_graph,
 )
@@ -20,7 +22,6 @@ from mvchroma import (
     Status,
     DistanceOracle,
     all_pairs_distances,
-    bfs_distances,
     build_glued_tree,
     chi_mu_formula,
     graph_from_edge_list,
@@ -51,6 +52,7 @@ pair_test_graphs = st.one_of(connected_graphs(), st.sampled_from(DEEP_TREES))
 @given(connected_graphs(), st.integers(min_value=0, max_value=2**32 - 1))
 @example(build_glued_tree(3, 3).graph, 0)
 @example(seeded_reduction_graph(4, 4), 1)  # n = 28, diameter 4
+@example(k2_pendant(130), 2)  # hubs of degree 130, diameter 4
 @settings(max_examples=60, deadline=None)
 def test_oracle_distances_match_bfs_in_any_order(g, seed):
     # a fresh oracle builds its rows in the order the pairs ask for them
@@ -60,6 +62,13 @@ def test_oracle_distances_match_bfs_in_any_order(g, seed):
     bfs = [bfs_distances(g, u) for u in range(g.n)]
     for u, v in pairs:
         assert o.d(u, v) == bfs[u][v]
+    # d reads the first level that holds v, so also check that every row is
+    # exactly the BFS levels, each vertex in its own level and no other
+    for u, dist in enumerate(bfs):
+        levels = [0] * (max(dist) + 1)
+        for v, d in enumerate(dist):
+            levels[d] |= 1 << v
+        assert o._rows[u] == levels
 
 
 @given(pair_test_graphs, st.integers(min_value=0, max_value=2**32 - 1))

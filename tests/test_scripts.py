@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from mvchroma import parse_nae_formula
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -68,6 +70,27 @@ def import_bench():
     finally:
         sys.path.remove(str(ROOT / "scripts"))
     return bench
+
+
+def test_bench_reduction_formula_is_the_pinned_draw():
+    # the q = 4 formula the reduction section has always run; make_formula
+    # sorts each clause's literals, so only the text's literal order may move
+    golden = """p nae3 4 12
+-2 3 -4 0
+4 -3 1 0
+3 -4 -1 0
+2 -3 -1 0
+4 2 -1 0
+1 -2 4 0
+3 1 2 0
+-3 -2 4 0
+4 2 -1 0
+-1 -3 4 0
+2 3 -4 0
+2 -1 -4 0
+"""
+    bench = import_bench()
+    assert parse_nae_formula(bench.reduction_formula(4)) == parse_nae_formula(golden)
 
 
 def test_bench_theorem_run_records_a_fresh_process():

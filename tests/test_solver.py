@@ -212,13 +212,14 @@ def test_chi_mu_exact_gt2():
 def test_chi_mu_exact_builds_each_bfs_row_once(monkeypatch):
     # greedy and the k = 1..3 searches share the graph's oracle
     calls = []
-    bfs = graph_module._bfs_row
+    row = graph_module.DistanceOracle._row
 
-    def counting_bfs(nbrs, source):
-        calls.append(source)
-        return bfs(nbrs, source)
+    def counting_row(self, u):
+        if self._rows[u] is None:  # a BFS runs only for a row not yet stored
+            calls.append(u)
+        return row(self, u)
 
-    monkeypatch.setattr(graph_module, "_bfs_row", counting_bfs)
+    monkeypatch.setattr(graph_module.DistanceOracle, "_row", counting_row)
     tree = build_glued_tree(3, 2)
     assert chi_mu_exact(tree.graph)[0] == 4
     assert calls and len(calls) == len(set(calls))

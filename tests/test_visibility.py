@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     DEFAULT_SEED,
     all_two_colorings,
+    bfs_distances,
     brute_pair_visible,
     build_h_gadget,
     c4,
@@ -18,7 +19,6 @@ from mvchroma import (
     DistanceOracle,
     ValidationReport,
     all_pairs_distances,
-    bfs_distances,
     build_glued_tree,
     coloring_from_list,
     constructive_coloring,
