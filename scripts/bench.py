@@ -25,10 +25,10 @@ each, so already normalized), each in a fresh process like the ``theorem``
 runs, and records the exit code, ``solver_nodes``, the wall time and the
 peak RSS.
 
-Its ``solve`` section runs ``mvchroma solve --budget-nodes
-SOLVE_BUDGET_NODES`` on GT(r, 2) for each (r, k) in SOLVE_RUNS, with
-``--k k`` when k is not None, each in a fresh process like the ``theorem``
-runs, and records the exit code, the wall time and the peak RSS.
+Its ``solve`` section runs ``mvchroma solve --budget-nodes budget`` on
+GT(r, t) for each (r, t, k, budget) in SOLVE_RUNS, with ``--k k`` when k is
+not None, each in a fresh process like the ``theorem`` runs, and records
+the exit code, the wall time and the peak RSS.
 """
 
 import argparse
@@ -55,11 +55,12 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 REDUCTION_QS = (4, 5, 6)
 REDUCTION_SEED = 20240817
 REDUCTION_BUDGET_NODES = 200_000
-# chi_mu_exact runs greedy to the end before the budget stops its k sweep,
-# so a 10-node budget measures greedy's time and the memory it leaves; with
-# --k there is no greedy, and the budget stops the one search within 10 nodes
-SOLVE_RUNS = ((10, None), (11, None), (14, 2))
-SOLVE_BUDGET_NODES = 10
+# (r, t, k, node budget). chi_mu_exact runs greedy to the end before the
+# budget stops its k sweep, so a 10-node budget measures greedy's time and
+# the memory it leaves; with --k there is no greedy, and the budget stops the
+# one search within 10 nodes. GT(3, 3) (n = 53) is the smallest tree whose
+# closed form leaves a gap, {4, 5}: its k = 4 row measures a long search
+SOLVE_RUNS = ((10, 2, None, 10), (11, 2, None, 10), (14, 2, 2, 10), (3, 3, 4, 200_000))
 
 
 def cpu_model() -> str:
@@ -142,16 +143,16 @@ def reduction_run(root: Path, q: int) -> dict:
             "wall_s": wall, "peak_rss_mb": rss}
 
 
-def solve_run(root: Path, r: int, k: int | None = None) -> dict:
-    """``solve --budget-nodes SOLVE_BUDGET_NODES`` on GT(r, 2), with ``--k k``
-    unless k is None, in a fresh process."""
+def solve_run(root: Path, r: int, t: int, k: int | None, budget: int) -> dict:
+    """``solve --budget-nodes budget`` on GT(r, t), with ``--k k`` unless k
+    is None, in a fresh process."""
     with tempfile.TemporaryDirectory() as work:
         graph = Path(work) / "gt.col"
-        fresh_run(root, ["gen-tree", "--r", str(r), "--t", "2", "--out", str(graph)])
+        fresh_run(root, ["gen-tree", "--r", str(r), "--t", str(t), "--out", str(graph)])
         k_args = [] if k is None else ["--k", str(k)]
         code, wall, rss = fresh_run(root, ["solve", "--graph", str(graph), *k_args,
-                                           "--budget-nodes", str(SOLVE_BUDGET_NODES)])
-    return {"r": r, "t": 2, "k": k, "budget_nodes": SOLVE_BUDGET_NODES, "exit": code,
+                                           "--budget-nodes", str(budget)])
+    return {"r": r, "t": t, "k": k, "budget_nodes": budget, "exit": code,
             "wall_s": wall, "peak_rss_mb": rss}
 
 
@@ -194,9 +195,9 @@ def main() -> int:
         reduction.append(reduction_run(root, q))
         print(f"reduce-verify q={q}: {reduction[-1]}", file=sys.stderr)
     solve = []
-    for r, k in SOLVE_RUNS:
-        solve.append(solve_run(root, r, k))
-        print(f"solve GT({r},2) k={k}: {solve[-1]}", file=sys.stderr)
+    for r, t, k, budget in SOLVE_RUNS:
+        solve.append(solve_run(root, r, t, k, budget))
+        print(f"solve GT({r},{t}) k={k}: {solve[-1]}", file=sys.stderr)
     record = {
         "host": {"cpu": cpu_model(), "machine": platform.machine(),
                  "system": platform.system(), "nproc": info.get("nproc")},

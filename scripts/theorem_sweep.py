@@ -54,7 +54,7 @@ def main() -> int:
             print(f"GT({r},{t}): formula gap, candidates {formula.candidates}")
             rows.append({"r": r, "t": t, "gap": True, "candidates": list(formula.candidates)})
             continue
-        budget = None if args.budget_secs is None else Budget(max_seconds=args.budget_secs)
+        budget = Budget(max_seconds=args.budget_secs)
         report = verify_theorem(r, t, exact=args.exact, gp=args.gp, budget=budget)
         bounds = None if report.bounds is None else list(report.bounds)
         mark = "ok" if report.agree else "MISMATCH"

@@ -82,11 +82,9 @@ def _json_report(
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
-def _budget(args: argparse.Namespace) -> Budget | None:
+def _budget(args: argparse.Namespace) -> Budget:
     """The one budget every search of the command draws on. Its seconds must
     be finite, since the JSON reports write them and JSON has no infinity."""
-    if args.budget_nodes is None and args.budget_secs is None:
-        return None
     if args.budget_secs is not None and not math.isfinite(args.budget_secs):
         raise InvalidParamsError("time budget must be a finite number of seconds")
     return Budget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)

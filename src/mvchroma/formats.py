@@ -100,8 +100,19 @@ def write_labels(tree: LabeledGluedTree) -> str:
 
 
 def read_labels(text: str) -> dict[int, Internal | QuasiLeaf]:
+    """Parse a label sidecar: its ids cover 1..(number of lines) once each,
+    a side is 1 or 2, and i, j and a are positive."""
     _, rows = _records(text, None, {"L": 4, "Q": 2})
-    return {
-        vid - 1: Internal(*coord) if tag == "L" else QuasiLeaf(*coord)
-        for tag, vid, *coord in rows
-    }
+    labels = {}
+    for tag, vid, *coord in rows:
+        if vid - 1 in labels:
+            problem = "duplicate label id"
+        elif not 1 <= vid <= len(rows):
+            problem = f"label id outside 1..{len(rows)}"
+        elif min(coord) < 1 or (tag == "L" and coord[0] > 2):
+            problem = "bad label coordinates"
+        else:
+            labels[vid - 1] = Internal(*coord) if tag == "L" else QuasiLeaf(*coord)
+            continue
+        raise GraphFormatError(f"{problem}: {' '.join(map(str, (tag, vid, *coord)))!r}")
+    return labels

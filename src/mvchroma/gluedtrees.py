@@ -28,7 +28,8 @@ from .errors import (
     SizeCapExceededError,
 )
 from .graph import DEFAULT_SIZE_CAP, Graph, graph_from_edge_list
-from .visibility import Coloring, validate_mv_coloring
+from .solver import chi_mu_exact
+from .visibility import Coloring, validate_gp_coloring, validate_mv_coloring
 
 
 @dataclass(frozen=True)
@@ -374,11 +375,7 @@ class TheoremReport:
 
 
 def verify_theorem(
-    r: int,
-    t: int,
-    exact: bool = False,
-    gp: bool = False,
-    budget=None,
+    r: int, t: int, exact: bool = False, gp: bool = False, budget=None
 ) -> TheoremReport:
     """Build GT(r, t), run the constructive coloring, validate, compare counts.
 
@@ -392,9 +389,6 @@ def verify_theorem(
     When the exact solver's budget runs out, ``exact`` stays None and
     ``bounds`` holds its [lo, hi].
     """
-    from .solver import chi_mu_exact
-    from .visibility import validate_gp_coloring
-
     formula = chi_mu_formula(r, t)
     if formula.gap:
         raise GapInputError(
@@ -408,8 +402,7 @@ def verify_theorem(
     if gp:
         gp_valid = validate_gp_coloring(tree.graph, coloring, sources=sources).valid
     mv_valid = gp_valid or validate_mv_coloring(tree.graph, coloring, sources=sources).valid
-    exact_value = None
-    bounds = None
+    exact_value = bounds = None
     if exact:
         try:
             exact_value, _ = chi_mu_exact(tree.graph, budget=budget)

@@ -63,6 +63,12 @@ class Graph:
         return bool((root == 0).all())
 
     @cached_property
+    def degree_order(self) -> np.ndarray:
+        """Vertices by non-increasing degree, ties by id: the solver's vertex
+        order and the validators' renumbering."""
+        return np.argsort(-np.diff(self.indptr), kind="stable")
+
+    @cached_property
     def oracle(self) -> DistanceOracle:
         """The graph's one distance oracle: each BFS row is built once."""
         return DistanceOracle(self)

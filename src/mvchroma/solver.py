@@ -15,15 +15,12 @@ always passes, so its first descent never backtracks and is first fit.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import (
-    BudgetExhaustedError,
-    InvalidParamsError,
-    TooManyVariablesError,
-)
+from .errors import BudgetExhaustedError, InvalidParamsError, TooManyVariablesError
 from .graph import DistanceOracle, Graph
 from .visibility import Coloring, validate_mv_coloring
 
@@ -51,18 +48,20 @@ class Budget:
     their nodes add up in ``nodes``, and ``deadline`` (``time.perf_counter``
     time) is fixed when the first of them starts. A search stops once the
     total exceeds max_nodes or the deadline has passed. Each limit must be
-    >= 0; zero stops at the first node."""
+    >= 0; zero stops at the first node, and None (no limit) becomes inf."""
 
-    max_nodes: int | None = None
+    max_nodes: float | None = None
     max_seconds: float | None = None
     nodes: int = field(default=0, init=False)
     deadline: float | None = field(default=None, init=False)
 
     def __post_init__(self):
-        if self.max_nodes is not None and self.max_nodes < 0:
-            raise InvalidParamsError("node budget must be >= 0")
+        self.max_nodes = math.inf if self.max_nodes is None else self.max_nodes
+        self.max_seconds = math.inf if self.max_seconds is None else self.max_seconds
         # NaN fails every comparison, so it would never trip
-        if self.max_seconds is not None and not self.max_seconds >= 0:
+        if not self.max_nodes >= 0:
+            raise InvalidParamsError("node budget must be >= 0")
+        if not self.max_seconds >= 0:
             raise InvalidParamsError("time budget must be >= 0")
 
 
@@ -74,7 +73,7 @@ class NaeAssignment:
 
 
 def solver_vertex_order(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    return g.degree_order.tolist()
 
 
 class PrefixTable:
@@ -128,11 +127,7 @@ def _check_assignment(
     return True
 
 
-def mv_k_colorable(
-    g: Graph,
-    k: int,
-    budget: Budget | None = None,
-) -> SearchOutcome:
+def mv_k_colorable(g: Graph, k: int, budget: Budget | None = None) -> SearchOutcome:
     """Decide whether g admits a mutual-visibility coloring with <= k colors."""
     if k < 1:
         raise InvalidParamsError("color budget must be >= 1")
@@ -141,13 +136,13 @@ def mv_k_colorable(
 
 def _finish(budget, status, coloring, nodes, start) -> SearchOutcome:
     """Charge a search's nodes to its budget and report them."""
-    if budget is not None:
-        budget.nodes += nodes
+    budget.nodes += nodes
     return SearchOutcome(status, coloring, nodes, time.perf_counter() - start)
 
 
 def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
     """The backtracking loop: at most k colors, drawing on budget."""
+    budget = budget or Budget()  # None: a fresh budget with no limit
     n = g.n
     order = solver_vertex_order(g)
     o = g.oracle
@@ -156,13 +151,9 @@ def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
     start = time.perf_counter()
     # this search's share, worked out once: the nodes the budget has left,
     # and the deadline, read on the first node and every 256 after it
-    node_limit = deadline = None
-    if budget is not None:
-        if budget.max_nodes is not None:
-            node_limit = budget.max_nodes - budget.nodes
-        if budget.max_seconds is not None and budget.deadline is None:
-            budget.deadline = start + budget.max_seconds
-        deadline = budget.deadline
+    if budget.deadline is None:
+        budget.deadline = start + budget.max_seconds
+    node_limit, deadline = budget.max_nodes - budget.nodes, budget.deadline
     nodes = 0
     if n == 0:
         return _finish(budget, Status.FEASIBLE, Coloring((), 0), nodes, start)
@@ -181,10 +172,8 @@ def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
             color_masks[choice[depth]] &= ~bit
         for c in range(choice[depth] + 1, min(used[depth] + 1, k)):
             nodes += 1
-            if (node_limit is not None and nodes > node_limit) or (
-                deadline is not None
-                and nodes & 255 == 1
-                and time.perf_counter() >= deadline
+            if nodes > node_limit or (
+                nodes & 255 == 1 and time.perf_counter() >= deadline
             ):
                 return _finish(budget, Status.BUDGET_EXHAUSTED, None, nodes, start)
             choice[depth] = c

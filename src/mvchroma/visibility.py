@@ -74,7 +74,7 @@ def _bit_range(lo: int, hi: int, words: int) -> np.ndarray:
 
 
 def _degree_blocks(g: Graph) -> tuple[np.ndarray, list[tuple[int, int, np.ndarray]]]:
-    """The vertices renumbered by non-increasing degree, as ``(rank, blocks)``:
+    """The vertices renumbered in ``g.degree_order``, as ``(rank, blocks)``:
     rank maps old ids to new, and each distinct degree d has a block
     ``(lo, hi, neighbours)`` with new ids lo..hi-1 and their (hi - lo) x d
     matrix of neighbours' new ids.
@@ -84,11 +84,9 @@ def _degree_blocks(g: Graph) -> tuple[np.ndarray, list[tuple[int, int, np.ndarra
     vertex and word, and one BFS level of the largest GT(11, 2) class took
     five times as long with it.
     """
-    degree = np.diff(g.indptr)
-    order = np.argsort(-degree, kind="stable")
     rank = np.empty(g.n, dtype=np.int64)
-    rank[order] = np.arange(g.n)
-    degree, starts = degree[order], g.indptr[order]
+    rank[g.degree_order] = np.arange(g.n)
+    degree, starts = np.diff(g.indptr)[g.degree_order], g.indptr[g.degree_order]
     _, first, count = np.unique(-degree, return_index=True, return_counts=True)
     return rank, [
         (lo, lo + c, rank[g.indices[starts[lo : lo + c, None] + np.arange(degree[lo])]])

@@ -87,20 +87,31 @@ def k2_pendant(d: int) -> Graph:
     return graph_from_edge_list(d + 3, edges + [(2, d + 2)])
 
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
+def bfs_distances(g: Graph, source: int, sinks=frozenset()) -> list[int]:
     """Hop distances from source by a plain queue BFS over the CSR arrays;
-    -1 for unreachable vertices. It shares no code with the oracle."""
+    -1 for unreachable vertices. It shares no code with the oracle. A vertex
+    of ``sinks`` other than source is reached but not expanded."""
     ptr, nbr = g.indptr.tolist(), g.indices.tolist()
     dist = [-1] * g.n
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
+        if u in sinks and u != source:
+            continue
         for w in nbr[ptr[u] : ptr[u + 1]]:
             if dist[w] == -1:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+def visible_from(g: Graph, u: int, s) -> list[bool]:
+    """The polynomial MV reference: entry v is True iff some shortest u-v path
+    has no member of s inside, that is iff a BFS from u that expands no member
+    of s but u reaches v at its distance from u. It shares no code with the
+    oracle's ``sees`` or the validators' class sweep."""
+    return [a == b for a, b in zip(bfs_distances(g, u, set(s)), bfs_distances(g, u))]
 
 
 def enumerate_shortest_paths(g: Graph, u: int, v: int) -> list[tuple[int, ...]]:

@@ -7,9 +7,16 @@ from pathlib import Path
 
 import pytest
 
+import mvchroma.gluedtrees as gluedtrees
 import mvchroma.visibility as visibility
 from conftest import k2_pendant
-from mvchroma import build_glued_tree, read_coloring, read_graph, write_graph
+from mvchroma import (
+    build_glued_tree,
+    read_coloring,
+    read_graph,
+    validate_mv_coloring,
+    write_graph,
+)
 from mvchroma.cli import main
 
 
@@ -79,7 +86,7 @@ def test_theorem_unexpected_gp_verdict_exits_3(monkeypatch, capsys):
     # GT(2, 2) is not a second-regime minimum, so its construction must be
     # in general position; a GP failure there is a disagreement
     monkeypatch.setattr(
-        visibility,
+        gluedtrees,
         "validate_gp_coloring",
         lambda g, c, exhaustive=False, sources=None: visibility.ValidationReport(
             False, ((0, 1, 0),), 1
@@ -310,6 +317,32 @@ def test_solve_budget_exit_4(tmp_path, capsys):
     assert "BUDGET" in out
 
 
+def test_solve_k_zero_node_budget_exit_4(tmp_path, capsys):
+    gpath = tmp_path / "g.col"
+    gpath.write_text(write_graph(build_glued_tree(2, 2).graph))
+    code, out, _ = run(
+        capsys, "solve", "--graph", str(gpath), "--k", "1", "--budget-nodes", "0"
+    )
+    assert (code, out) == (4, "BUDGET\n")
+
+
+def test_solve_k_writes_the_coloring(tmp_path, capsys):
+    g = build_glued_tree(2, 2).graph
+    gpath, cpath = tmp_path / "g.col", tmp_path / "c.sol"
+    gpath.write_text(write_graph(g))
+    code, out, _ = run(capsys, "solve", "--graph", str(gpath), "--k", "3", "--out", str(cpath))
+    assert (code, out) == (0, "FEASIBLE 3\n")
+    coloring, _ = read_coloring(cpath.read_text())
+    assert coloring.k == 3 and validate_mv_coloring(g, coloring).valid
+
+
+def test_solve_empty_graph_has_chi_0(tmp_path, capsys):
+    gpath = tmp_path / "g.col"
+    gpath.write_text("p edge 0 0\n")
+    code, out, err = run(capsys, "solve", "--graph", str(gpath))
+    assert (code, out, err) == (0, "CHI 0\n", "")
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--graph", "{g}", "--k", "1", "--budget-nodes", "-3"],
     ["theorem", "--r", "2", "--t", "2", "--exact", "--budget-nodes", "-1"],
@@ -439,6 +472,20 @@ def test_formula_without_variables_exit_2(tmp_path, capsys, header, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p nae3 3 1\np nae3 3 1\n1 2 3 0\n", "duplicate header line"),
+    ("p cnf 3 1\n1 2 3 0\n", "bad header: p cnf 3 1"),
+    ("p nae3 x 1\n1 2 3 0\n",
+     "bad header numbers: invalid literal for int() with base 10: 'x'"),
+    ("p nae3 3 1\n1 y 3 0\n", "bad clause line '1 y 3 0'"),
+    ("p nae3 3 1\n1 0 3 0\n", "literal 0 inside clause: '1 0 3 0'"),
+], ids=["duplicate-header", "bad-header", "bad-header-numbers", "bad-clause-token",
+        "literal-0-inside"])
+def test_malformed_formula_exit_2(tmp_path, capsys, text, message):
+    fpath = write_formula(tmp_path, text)
+    assert run(capsys, "nae", "--formula", fpath) == (2, "", f"error: {message}\n")
 
 
 def test_reduce_over_size_cap_exit_2(tmp_path, capsys):

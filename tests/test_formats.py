@@ -101,3 +101,21 @@ def test_labels_bad_line():
         read_labels("Q 1 1\nX 2 1\n")  # unknown tag
     with pytest.raises(GraphFormatError):
         read_labels("p edge 1 0\nQ 1 1\n")  # label files have no header
+
+
+@pytest.mark.parametrize("text, message", [
+    ("L 1 1 1 1\nL 1 2 1 1\n", "duplicate label id: 'L 1 2 1 1'"),
+    ("L 0 1 1 1\n", "label id outside 1..1: 'L 0 1 1 1'"),
+    ("Q 1 1\nQ -3 1\n", "label id outside 1..2: 'Q -3 1'"),
+    ("Q 1 1\nQ 3 2\n", "label id outside 1..2: 'Q 3 2'"),
+    ("L 1 9 9 9\n", "bad label coordinates: 'L 1 9 9 9'"),
+    ("L 1 0 1 1\n", "bad label coordinates: 'L 1 0 1 1'"),
+    ("L 1 1 0 1\n", "bad label coordinates: 'L 1 1 0 1'"),
+    ("L 1 2 1 -1\n", "bad label coordinates: 'L 1 2 1 -1'"),
+    ("Q 1 0\n", "bad label coordinates: 'Q 1 0'"),
+], ids=["duplicate-id", "id-zero", "id-negative", "id-past-line-count", "side-9",
+        "side-0", "i-zero", "j-negative", "a-zero"])
+def test_labels_reject_what_no_tree_has(text, message):
+    with pytest.raises(GraphFormatError) as exc:
+        read_labels(text)
+    assert str(exc.value) == message

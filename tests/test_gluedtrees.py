@@ -299,6 +299,8 @@ def test_verify_theorem_gp_decides_mv():
 def test_verify_theorem_no_exact():
     report = verify_theorem(4, 2)
     assert report.exact is None
+    # GP was not checked, so no GP verdict is expected
+    assert report.gp_valid is None and report.gp_expected is None
     assert report.agree
     assert report.construction_colors == 6
 

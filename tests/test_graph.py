@@ -51,6 +51,11 @@ def test_out_of_range_endpoint():
             graph_from_edge_list(3, [(0, 1), edge])
 
 
+def test_negative_vertex_count_rejected():
+    with pytest.raises(OutOfRangeVertexError, match="non-negative"):
+        graph_from_edge_list(-1, [])
+
+
 def test_vertex_count_over_cap_rejected():
     with pytest.raises(SizeCapExceededError):
         graph_from_edge_list(200_001, [])

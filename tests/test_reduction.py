@@ -58,6 +58,11 @@ def test_parse_errors():
         parse_nae_formula("p nae3 2 1\n1 2 3 0\n")
 
 
+def test_make_formula_needs_three_literals_per_clause():
+    with pytest.raises(ClauseArityError, match="exactly 3 literals, got 2"):
+        make_formula(3, [[(1, True), (2, False)]])
+
+
 def test_clause_canonical_order():
     f = make_formula(3, [[(3, True), (1, False), (2, True)]])
     assert f.clauses[0] == ((1, False), (2, True), (3, True))

@@ -110,9 +110,11 @@ def test_bench_line_counts_cover_src_and_tests():
 
 def test_bench_solve_run_records_a_fresh_process():
     # chi_mu(GT(3, 2)) = 4, and 10 nodes settle neither the k sweep below it
-    # nor the k = 2 search
+    # nor the k = 2 search, and a leaf of GT(2, 3) (n = 17) is 17 nodes deep
     bench = import_bench()
-    for k in (None, 2):
-        row = bench.solve_run(ROOT, 3, k)
-        assert (row["exit"], row["k"], row["budget_nodes"]) == (4, k, 10)
+    for r, t, k in ((3, 2, None), (3, 2, 2), (2, 3, 3)):
+        row = bench.solve_run(ROOT, r, t, k, 10)
+        assert (row["exit"], row["r"], row["t"], row["k"], row["budget_nodes"]) == (4, r, t, k, 10)
         assert row["wall_s"] > 0 and row["peak_rss_mb"] > 1
+    # the GT(3, 3) row's search runs past its 200,000 nodes
+    assert (3, 3, 4, 200_000) in bench.SOLVE_RUNS

@@ -47,6 +47,23 @@ def test_vertex_order_degree_then_id():
     assert solver_vertex_order(g) == [1, 2, 3, 0]
 
 
+def test_vertex_order_matches_its_definition_on_degree_ties():
+    rng = random.Random(DEFAULT_SEED + 30)
+    for _ in range(200):
+        n = rng.randrange(2, 60)
+        # at most n edges over n vertices: most degrees are 0..4, so ties abound
+        edges = [rng.sample(range(n), 2) for _ in range(rng.randrange(n + 1))]
+        g = graph_from_edge_list(n, edges)
+        assert solver_vertex_order(g) == sorted(range(n), key=lambda v: (-g.degree(v), v))
+
+
+def test_empty_graph_is_colorable_with_no_colors():
+    outcome = mv_k_colorable(graph_from_edge_list(0, []), 1)
+    assert (outcome.status, outcome.coloring, outcome.nodes_explored) == (
+        Status.FEASIBLE, Coloring((), 0), 0
+    )
+
+
 def test_k1_on_complete_graph():
     g = graph_from_edge_list(3, [(0, 1), (0, 2), (1, 2)])
     outcome = mv_k_colorable(g, 1)
@@ -135,7 +152,9 @@ def test_zero_second_budget_stops_on_first_node():
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"max_nodes": -1}, {"max_seconds": -0.5}, {"max_seconds": float("nan")}]
+    "kwargs",
+    [{"max_nodes": -1}, {"max_nodes": float("nan")}, {"max_seconds": -0.5},
+     {"max_seconds": float("nan")}],
 )
 def test_negative_or_nan_budget_rejected(kwargs):
     with pytest.raises(InvalidParamsError):

@@ -23,6 +23,7 @@ from mvchroma import (
 )
 from mvchroma.errors import InvalidParamsError
 from mvchroma.gluedtrees import sibling_types, swap_representatives
+import mvchroma.gluedtrees as gluedtrees
 import mvchroma.visibility as visibility
 
 NON_GAP = [rt for rt in trees_up_to(2000) if not chi_mu_formula(*rt).gap]
@@ -257,7 +258,7 @@ def test_verify_theorem_sweeps_from_representatives(monkeypatch):
         seen.append(sources)
         return real(g, c, exhaustive, sources=sources)
 
-    monkeypatch.setattr(visibility, "validate_gp_coloring", spy)
+    monkeypatch.setattr(gluedtrees, "validate_gp_coloring", spy)
     assert verify_theorem(13, 2, gp=True).gp_valid
     assert len(seen[0]) == 140
 

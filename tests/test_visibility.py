@@ -13,6 +13,7 @@ from conftest import (
     coloring_with_k,
     golden_colors_gt2,
     k2_pendant,
+    visible_from,
 )
 from mvchroma import (
     Coloring,
@@ -124,6 +125,8 @@ def test_more_colors_than_vertices_rejected(validate):
 def test_coloring_from_list_dense_check():
     with pytest.raises(ColoringNotTotalError):
         coloring_from_list([0, 2])
+    with pytest.raises(ColoringNotTotalError, match="empty coloring"):
+        coloring_from_list([])
     c = coloring_from_list([0, 1, 0])
     assert c.k == 2
 
@@ -301,6 +304,12 @@ def test_validator_matches_pair_visible_on_hub_graphs():
             ]
             report = validate_mv_coloring(g, c, exhaustive=True)
             assert list(report.violations) == expected, (hubs, size)
+            # pair_visible shares its level-reach rule with the sweep, so the
+            # reports must also match the independent BFS reference
+            sees = {u: visible_from(g, u, members)
+                    for members in c.color_classes() for u in members}
+            reference = [(u, v, color) for u, v, color, _ in same_class if not sees[u][v]]
+            assert reference == expected, (hubs, size)
             expected = [
                 (u, v, color)
                 for u, v, color, members in same_class
