@@ -50,8 +50,8 @@ SEEDS = (1, 2, 3)
 # GT(16, 2), n = 196,606, is the deepest binary tree under the size cap
 THEOREM_DEPTHS = (12, 13, 14, 15, 16)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-# q = 4..6 reductions at m = 3q exhaust a 60 s budget, so a node budget
-# makes each run's work fixed and its time a measure of the cost per node
+# q = 4..6 reductions at m = 3q; the node budget bounds the work of a
+# search that cannot decide its formula within it
 REDUCTION_QS = (4, 5, 6)
 REDUCTION_SEED = 20240817
 REDUCTION_BUDGET_NODES = 200_000

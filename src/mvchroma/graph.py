@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from heapq import heapify, heappop, heappush
 from itertools import pairwise
 from operator import and_, or_
 
@@ -64,9 +65,53 @@ class Graph:
 
     @cached_property
     def degree_order(self) -> np.ndarray:
-        """Vertices by non-increasing degree, ties by id: the solver's vertex
-        order and the validators' renumbering."""
+        """Vertices by non-increasing degree, ties by id: greedy's vertex
+        order, the validators' renumbering and the base of ``search_order``."""
         return np.argsort(-np.diff(self.indptr), kind="stable")
+
+    @cached_property
+    def search_order(self) -> tuple[int, ...]:
+        """The exact search's vertex order, which closes neighbourhoods early.
+
+        A vertex comes as soon as every neighbour of it that is not a pendant
+        (a degree-1 vertex) has come, a pendant right after its one
+        neighbour, and otherwise the next vertex in ``degree_order``; ready
+        vertices also come in degree order. O(m + n log n): a count of
+        unplaced non-pendant neighbours per vertex, and a heap of the ready
+        vertices keyed by degree rank.
+        """
+        n, by_degree = self.n, self.degree_order.tolist()
+        degree = np.diff(self.indptr)
+        ptr, nbr = self.indptr.tolist(), self.indices.tolist()
+        pendant = (degree == 1).tolist()
+        owner = np.repeat(np.arange(n), degree)
+        waiting = np.bincount(owner[degree[self.indices] != 1], minlength=n).tolist()
+        rank = np.argsort(self.degree_order).tolist()  # the inverse permutation
+        ready = [rank[v] for v in range(n) if not waiting[v]]
+        heapify(ready)
+        placed, order, scan = [False] * n, [], 0
+        while len(order) < n:
+            if ready:
+                v = by_degree[heappop(ready)]
+                if placed[v]:
+                    continue
+            else:
+                while placed[by_degree[scan]]:
+                    scan += 1
+                v = by_degree[scan]
+            placed[v] = True
+            order.append(v)
+            nbrs = nbr[ptr[v] : ptr[v + 1]]
+            for w in nbrs:  # by id, which is degree rank among pendants
+                if pendant[w] and not placed[w]:
+                    placed[w] = True
+                    order.append(w)
+            if not pendant[v]:
+                for w in nbrs:
+                    waiting[w] -= 1
+                    if not waiting[w] and not placed[w]:
+                        heappush(ready, rank[w])
+        return tuple(order)
 
     @cached_property
     def oracle(self) -> DistanceOracle:
@@ -182,9 +227,19 @@ class DistanceOracle:
             dxv += 1
         return reduce(or_, map(and_, lv, lx[dxv:]))
 
-    def sees(self, x: int, targets: int, blocked: int) -> bool:
-        """True iff x sees every vertex of the bitmask ``targets`` along a
-        geodesic with no vertex of ``blocked`` inside."""
+    def between(self, x: int, y: int) -> int:
+        """Bitmask of the vertices inside some shortest x-y path: the OR of
+        ``L_x[i] & L_y[d - i]`` over i in 1..d-1, with d = d(x, y)."""
+        lx, ly = self._rows[x] or self._row(x), self._rows[y] or self._row(y)
+        d = 0
+        while not lx[d] >> y & 1:
+            d += 1
+        return reduce(or_, map(and_, lx[1:d], reversed(ly[1:d])), 0)
+
+    def sees(self, x: int, targets: int, blocked: int) -> int:
+        """The vertices of the bitmask ``targets`` that x does not see along
+        a geodesic with no vertex of ``blocked`` inside, from the nearest
+        level that holds any; 0 when x sees them all."""
         lx = self._rows[x] or self._row(x)
         nbr = self.neighbor_masks
         # x is an endpoint of every geodesic from it, so it never blocks
@@ -194,7 +249,7 @@ class DistanceOracle:
         whole = True  # reach is the whole previous level
         for level in lx[1:]:
             if not targets:
-                return True
+                return 0
             if whole and not reach & blocked:
                 reach = level
             else:
@@ -206,10 +261,11 @@ class DistanceOracle:
                     free ^= low
                 reach &= level
                 whole = reach == level
-            if targets & level & ~reach:
-                return False
+            unseen = targets & level & ~reach
+            if unseen:
+                return unseen
             targets &= ~level
-        return True
+        return 0
 
 
 def all_pairs_distances(g: Graph) -> DistanceOracle:

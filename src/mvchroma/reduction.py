@@ -114,10 +114,6 @@ def parse_nae_formula(text: str) -> NaeFormula:
         if not nums or nums[-1] != 0:
             raise FormulaSyntaxError(f"clause line must end with 0: {line!r}")
         lits = nums[:-1]
-        if len(lits) != 3:
-            raise ClauseArityError(
-                f"clause must have exactly 3 literals, got {len(lits)}"
-            )
         if any(l == 0 for l in lits):
             raise FormulaSyntaxError(f"literal 0 inside clause: {line!r}")
         clauses.append([(abs(l), l > 0) for l in lits])

@@ -1,16 +1,28 @@
 """Exact search for mutual-visibility colorability and the NAE3SAT brute-force
 scan.
 
-The backtracking solver assigns colors in a fixed vertex order (descending
-degree, ties by id), breaks color symmetry by allowing a new color id only
-when all smaller ids are in use, and prunes with the pair visibility test:
-after each assignment every same-colored pair that could be affected must
-still have a geodesic whose assigned internal vertices avoid that color.
-Unassigned vertices never block, so the rule is sound along a branch. A
-color class is held as the bitmask of its members and nothing else.
+The search assigns colors along a vertex order, breaks color symmetry by
+allowing a new color id only when all smaller ids are in use, and prunes
+with the pair visibility test: after each assignment every same-colored
+pair that could be affected must still have a geodesic whose assigned
+internal vertices avoid that color. Unassigned vertices never block, so the
+rule is sound along a branch. A color class is held as the bitmask of its
+members and nothing else.
 
-The greedy bound is the same search with no color limit: a fresh color
-always passes, so its first descent never backtracks and is first fit.
+The k searches walk ``Graph.search_order``, which places a vertex once its
+non-pendant neighbours are placed and a pendant right after its neighbour.
+A failed color keeps its failing pair (x, y). When a depth runs out of
+colors, each failed color's conflict set is x, y and the class members
+inside x-y geodesics; the search jumps back to the deepest vertex in the
+union of those sets and of what deeper dead ends passed up, and hands that
+vertex the rest (conflict-directed backjumping, Prosser 1993). A depth whose
+color range the symmetry rule cut, and a leaf the validator rejects, blame
+every vertex before it. A node is one color tried at one depth; a jump costs
+none.
+
+The greedy bound is the same search over ``Graph.degree_order`` with no
+color limit: a fresh color always passes, so its first descent never
+backtracks and is first fit.
 """
 
 from __future__ import annotations
@@ -73,6 +85,7 @@ class NaeAssignment:
 
 
 def solver_vertex_order(g: Graph) -> list[int]:
+    """Greedy's vertex order, ``g.degree_order`` as a list."""
     return g.degree_order.tolist()
 
 
@@ -98,13 +111,16 @@ class PrefixTable:
 
 def _check_assignment(
     o: DistanceOracle, table: PrefixTable, v: int, color_mask: int
-) -> bool:
-    """Partial-validity of the class after adding v, rechecking affected pairs.
+) -> tuple[int, int] | None:
+    """Partial-validity of the class after adding v, rechecking affected pairs:
+    None when every pair still sees, else a pair (x, y) of the class where x
+    does not see y.
 
     table is v's PrefixTable, and its ``before`` holds every other member.
     """
-    if not o.sees(v, color_mask, color_mask):
-        return False
+    unseen = o.sees(v, color_mask, color_mask)
+    if unseen:
+        return v, (unseen & -unseen).bit_length() - 1
     # pairs (x, y) through v, each once: x is the lowest live member left and
     # y one of the live members above it, so the last member starts no pair;
     # v is not in before, so not in live
@@ -122,16 +138,25 @@ def _check_assignment(
                 continue
             masks[x] = mask
         rest = mask & left
-        if rest and not o.sees(x, rest, color_mask):
-            return False
-    return True
+        if rest:
+            unseen = o.sees(x, rest, color_mask)
+            if unseen:
+                return x, (unseen & -unseen).bit_length() - 1
+    return None
+
+
+def _conflict(o: DistanceOracle, x: int, y: int, color_mask: int) -> int:
+    """The members of the class ``color_mask`` that make x miss y: x, y and
+    the members inside x-y geodesics. No superset of them in one class is an
+    MV set, whatever colors the other vertices hold."""
+    return o.between(x, y) & color_mask | 1 << x | 1 << y
 
 
 def mv_k_colorable(g: Graph, k: int, budget: Budget | None = None) -> SearchOutcome:
     """Decide whether g admits a mutual-visibility coloring with <= k colors."""
     if k < 1:
         raise InvalidParamsError("color budget must be >= 1")
-    return _search(g, k, budget)
+    return _search(g, k, budget, g.search_order)
 
 
 def _finish(budget, status, coloring, nodes, start) -> SearchOutcome:
@@ -140,14 +165,17 @@ def _finish(budget, status, coloring, nodes, start) -> SearchOutcome:
     return SearchOutcome(status, coloring, nodes, time.perf_counter() - start)
 
 
-def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
-    """The backtracking loop: at most k colors, drawing on budget."""
+def _search(g: Graph, k: int, budget: Budget | None, order) -> SearchOutcome:
+    """The backjumping loop over the vertex sequence ``order``: at most k
+    colors, drawing on budget."""
     budget = budget or Budget()  # None: a fresh budget with no limit
     n = g.n
-    order = solver_vertex_order(g)
     o = g.oracle
-    # tables[d] is order[d]'s PrefixTable, made when the search first reaches d
-    tables = [PrefixTable(0)]
+    # tables[d] is order[d]'s PrefixTable, made when the search first reaches
+    # d; tried[d] is made with it, and holds the outcome of each color tried
+    # at d since the search last came down to d: the failing pair (x, y) of
+    # _check_assignment, or None for a color that passed
+    tables, tried = [PrefixTable(0)], [[]]
     start = time.perf_counter()
     # this search's share, worked out once: the nodes the budget has left,
     # and the deadline, read on the first node and every 256 after it
@@ -160,9 +188,11 @@ def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
 
     # depth d has at most d + 1 colors in use, so no color id reaches n
     color_masks = [0] * min(k, n)
-    # iterative backtracking; choice[d] is the color held at depth d, and a
-    # leaf reads its coloring from it
+    # choice[d] is the color held at depth d, and a leaf reads its coloring
+    # from it; blame[d] holds the vertices above d that the subtrees under
+    # d's passed colors were refuted by
     choice = [-1] * n
+    blame = [0] * n
     used = [0] * (n + 1)  # colors in use entering depth d
     depth = 0
     while True:
@@ -170,6 +200,7 @@ def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
         bit = 1 << v
         if choice[depth] >= 0:
             color_masks[choice[depth]] &= ~bit
+        table, outcomes = tables[depth], tried[depth]
         for c in range(choice[depth] + 1, min(used[depth] + 1, k)):
             nodes += 1
             if nodes > node_limit or (
@@ -178,36 +209,59 @@ def _search(g: Graph, k: int, budget: Budget | None) -> SearchOutcome:
                 return _finish(budget, Status.BUDGET_EXHAUSTED, None, nodes, start)
             choice[depth] = c
             color_masks[c] |= bit
-            ok = _check_assignment(o, tables[depth], v, color_masks[c])
-            if ok and depth == n - 1:
+            fail = _check_assignment(o, table, v, color_masks[c])
+            outcomes.append(fail)
+            if fail is None and depth == n - 1:
                 colors = tuple(cu for _, cu in sorted(zip(order, choice)))
                 candidate = Coloring(colors, max(colors) + 1)
                 if validate_mv_coloring(g, candidate).valid:
                     return _finish(budget, Status.FEASIBLE, candidate, nodes, start)
-                ok = False
-            if ok:
+                blame[depth] = table.before  # a leaf's rejection blames all of it
+            elif fail is None:
                 used[depth + 1] = max(used[depth], c + 1)
                 depth += 1
                 if depth == len(tables):
-                    tables.append(PrefixTable(tables[-1].before | bit))
+                    tables.append(PrefixTable(table.before | bit))
+                    tried.append([])
+                tried[depth].clear()
                 break
             color_masks[c] &= ~bit
         else:
+            # a dead end: no color in range leads to a coloring. Colors the
+            # value precedence left out depend on the whole prefix; otherwise
+            # the culprits are each failed pair's conflict set and the blame
+            # of the passed colors' subtrees
             choice[depth] = -1
+            if used[depth] + 1 < k:
+                culprits = table.before
+            else:
+                culprits = blame[depth]
+                for c, fail in enumerate(outcomes):
+                    if fail is not None:
+                        culprits |= _conflict(o, *fail, color_masks[c] | bit)
+                culprits &= ~bit
+            blame[depth] = 0
+            # jump back to the deepest culprit and pass it the rest; the
+            # depths jumped over start afresh when the search next reaches them
             depth -= 1
+            while depth >= 0 and not culprits >> order[depth] & 1:
+                color_masks[choice[depth]] &= ~(1 << order[depth])
+                choice[depth], blame[depth] = -1, 0
+                depth -= 1
             if depth < 0:
                 return _finish(budget, Status.INFEASIBLE, None, nodes, start)
+            blame[depth] |= culprits & ~(1 << order[depth])
 
 
 def greedy_upper_bound(g: Graph) -> tuple[int, Coloring]:
-    """First-fit over the solver's vertex order: the search's first descent
-    with no color limit.
+    """First-fit over the degree order: the search's first descent with no
+    color limit.
 
     A fresh color always passes (its class is a singleton and a vertex never
     blocks classes of other colors), so the search never backtracks and its
     first leaf, validated like any other, is the first-fit coloring.
     """
-    coloring = _search(g, max(g.n, 1), None).coloring
+    coloring = _search(g, max(g.n, 1), None, solver_vertex_order(g)).coloring
     return coloring.k, coloring
 
 

@@ -325,4 +325,4 @@ def pair_visible(g: Graph, o: DistanceOracle, u: int, v: int, same_class) -> boo
     ``o`` is g's distance oracle.
     """
     o.d(u, v)  # range-checks u and v
-    return o.sees(u, 1 << v, sum(1 << w for w in _set_members(g, same_class)))
+    return not o.sees(u, 1 << v, sum(1 << w for w in _set_members(g, same_class)))

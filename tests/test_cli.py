@@ -18,6 +18,8 @@ from mvchroma import (
     write_graph,
 )
 from mvchroma.cli import main
+from mvchroma.errors import ClauseArityError, FormulaSyntaxError
+from mvchroma.reduction import parse_nae_formula
 
 
 def run(capsys, *argv):
@@ -486,6 +488,17 @@ def test_formula_without_variables_exit_2(tmp_path, capsys, header, command):
 def test_malformed_formula_exit_2(tmp_path, capsys, text, message):
     fpath = write_formula(tmp_path, text)
     assert run(capsys, "nae", "--formula", fpath) == (2, "", f"error: {message}\n")
+
+
+def test_zero_literal_is_reported_before_the_arity(tmp_path, capsys):
+    # "1 0 0" is two literals and the terminator: the parser reports the 0
+    # literal, and only make_formula checks that a clause has three
+    text, message = "p nae3 3 1\n1 0 0\n", "literal 0 inside clause: '1 0 0'"
+    with pytest.raises(FormulaSyntaxError, match=message) as exc:
+        parse_nae_formula(text)
+    assert not isinstance(exc.value, ClauseArityError)
+    fpath = write_formula(tmp_path, text)
+    assert run(capsys, "reduce-verify", "--formula", fpath) == (2, "", f"error: {message}\n")
 
 
 def test_reduce_over_size_cap_exit_2(tmp_path, capsys):

@@ -32,7 +32,7 @@ from mvchroma import (
     validate_mv_coloring,
 )
 import mvchroma.visibility as visibility
-from mvchroma.solver import PrefixTable, _check_assignment
+from mvchroma.solver import PrefixTable, _check_assignment, _conflict
 from mvchroma.visibility import pair_visible
 
 
@@ -95,13 +95,19 @@ def test_solver_pair_test_matches_enumeration(g, seed):
     through = {}
     for x in range(g.n):
         paths = {y: enumerate_shortest_paths(g, x, y) for y in range(g.n)}
+        dist = bfs_distances(g, x)
         seen = 0
         for y in range(g.n):
             visible = brute_pair_visible(g, x, y, blocked - {x, y})
-            assert pv.sees(x, 1 << y, mask) == visible
+            assert pv.sees(x, 1 << y, mask) == (0 if visible else 1 << y)
             seen |= visible << y
+            inside = {w for p in paths[y] for w in p[1:-1]}
+            assert pv.between(x, y) == sum(1 << w for w in inside)
+        # the unseen targets of the nearest level that holds any
         targets = rng.getrandbits(g.n)
-        assert pv.sees(x, targets, mask) == (targets & ~seen == 0)
+        missed = [y for y in range(g.n) if (targets & ~seen) >> y & 1]
+        nearest = min((dist[y] for y in missed), default=None)
+        assert pv.sees(x, targets, mask) == sum(1 << y for y in missed if dist[y] == nearest)
         for v in range(g.n):
             through[x, v] = sum(1 << y for y in range(g.n) if any(v in p for p in paths[y]))
             assert pv.through(x, v) == through[x, v]
@@ -110,11 +116,17 @@ def test_solver_pair_test_matches_enumeration(g, seed):
         assert pv.through(x, v) == expected
 
 
+def _members(mask: int) -> list[int]:
+    return [w for w in range(mask.bit_length()) if mask >> w & 1]
+
+
 @given(connected_graphs(), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_check_assignment_matches_enumeration(g, seed):
     # the solver's class test: with S minus v already an MV set, adding v
-    # keeps S an MV set iff every pair of S still sees past S
+    # keeps S an MV set iff every pair of S still sees past S; when it does
+    # not, the failing pair's conflict set is a part of S, v's class, that is
+    # not an MV set either
     rng = random.Random(seed)
     order = list(range(g.n))
     rng.shuffle(order)
@@ -128,16 +140,22 @@ def test_check_assignment_matches_enumeration(g, seed):
     expected = brute_is_mv_set(g, members)
     # v comes last, so before holds every other member of the class
     before = sum(1 << w for w in order)
-    assert _check_assignment(DistanceOracle(g), PrefixTable(before), v, mask) == expected
+    cold, o = PrefixTable(before), DistanceOracle(g)
     # and from a warm table, with every x's mask asked for already
-    warm, o = PrefixTable(before), DistanceOracle(g)
+    warm = PrefixTable(before)
     for x in order:
         through = o.through(x, v) & before
         if through:
             warm.masks[x] = through
         else:
             warm.live &= ~(1 << x)
-    assert _check_assignment(o, warm, v, mask) == expected
+    for table in (cold, warm):
+        fail = _check_assignment(o, table, v, mask)
+        assert (fail is None) == expected
+        if fail is not None:
+            conflict = _conflict(o, *fail, mask)
+            assert conflict & ~mask == 0
+            assert not brute_is_mv_set(g, _members(conflict))
 
 
 @given(connected_graphs(max_n=8), st.integers(min_value=0, max_value=2**32 - 1))

@@ -22,7 +22,7 @@ from mvchroma.cli import main
 
 GOLDEN_SEED = 20240817
 GOLDEN_COUNT = 60
-GOLDEN_SHA256 = "490e8bc1e69074b99cf540431ad05fd4d05172c9e744075e7fa6940cf466d91d"
+GOLDEN_SHA256 = "e1eea482ce2c52ab8bcdc1e4a5c44b4155bdee430c771ef7eeacaea4b43ac147"
 
 
 def seeded_formulas(seed: int, count: int) -> list[str]:

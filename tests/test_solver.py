@@ -57,6 +57,41 @@ def test_vertex_order_matches_its_definition_on_degree_ties():
         assert solver_vertex_order(g) == sorted(range(n), key=lambda v: (-g.degree(v), v))
 
 
+def reference_search_order(g) -> list[int]:
+    """Graph.search_order restated step by step, in O(n^2) time."""
+    rank = {v: i for i, v in enumerate(solver_vertex_order(g))}
+    nbrs = [set(g.indices[g.indptr[v] : g.indptr[v + 1]].tolist()) for v in range(g.n)]
+    pendant = [len(ws) == 1 for ws in nbrs]
+    order: list[int] = []
+    while len(order) < g.n:
+        left = sorted(set(range(g.n)) - set(order), key=rank.get)
+        # the first vertex whose non-pendant neighbours have all come, else
+        # the first left in degree order
+        ready = [v for v in left if all(pendant[w] or w in order for w in nbrs[v])]
+        v = (ready or left)[0]
+        order.append(v)
+        order += sorted((w for w in nbrs[v] if pendant[w] and w not in order), key=rank.get)
+    return order
+
+
+def test_search_order_matches_its_definition():
+    rng = random.Random(DEFAULT_SEED + 31)
+    graphs = [graph_from_edge_list(1, []), graph_from_edge_list(2, [(0, 1)]), k2_pendant(5)]
+    graphs += [build_glued_tree(r, t).graph for r, t in ((2, 2), (3, 2), (2, 3))]
+    graphs += [seeded_reduction_graph(q, m) for q, m in ((3, 3), (4, 8))]
+    # random connected graphs, some with pendants added to random vertices
+    for _ in range(60):
+        g = random_connected_graph(rng, rng.randrange(2, 30))
+        extra = rng.randrange(0, 6)
+        edges = g.edges() + [(rng.randrange(g.n), g.n + i) for i in range(extra)]
+        graphs.append(graph_from_edge_list(g.n + extra, edges))
+    for g in graphs:
+        assert list(g.search_order) == reference_search_order(g)
+    # greedy keeps the degree order; the search order differs from it here
+    g = seeded_reduction_graph(3, 3)
+    assert list(g.search_order) != solver_vertex_order(g)
+
+
 def test_empty_graph_is_colorable_with_no_colors():
     outcome = mv_k_colorable(graph_from_edge_list(0, []), 1)
     assert (outcome.status, outcome.coloring, outcome.nodes_explored) == (
@@ -315,13 +350,18 @@ def test_prefix_tables_clear_only_members_without_partners(kind, a, b, monkeypat
     greedy_upper_bound(g)
     for k in range(1, 5):
         mv_k_colorable(g, k, Budget(max_nodes=20_000))
-    o, order = g.oracle, solver_vertex_order(g)
+    # greedy walks the degree order, the four k searches the search order
+    o, orders = g.oracle, [solver_vertex_order(g)] + [g.search_order] * 4
     # each search makes its tables depth by depth from depth 0, the one
     # table whose before is empty
     assert sum(table.before == 0 for table in made) == 5
-    cleared = depth = 0
+    cleared, search = 0, -1
     for table in made:
-        depth = 0 if table.before == 0 else depth + 1
+        if table.before == 0:
+            search, depth = search + 1, 0
+        else:
+            depth += 1
+        order = orders[search]
         v, before = order[depth], table.before
         assert before == sum(1 << w for w in order[:depth])
         assert table.live & ~before == 0
@@ -470,24 +510,33 @@ def test_symmetry_breaking_node_counts_reasonable():
 
 Q3_CLAUSES = [list(zip((1, 2, 3), pols)) for pols in product((False, True), repeat=3)]
 
-# (seed, node budget) -> (status, nodes_explored, colors), recorded before the
-# pair test moved onto the BFS level masks; a change to the pair test must
-# leave the search itself alone
+# (seed, node budget) -> (status, nodes_explored, colors); the statuses and
+# colourings were recorded before the pair test moved onto the BFS level
+# masks, and the node counts when the search took up backjumping over
+# Graph.search_order; a change to the pair test must leave the search alone
 GOLDEN_SEARCHES = {
-    (0, 5000): ("budget", 5001, None),
-    (0, None): ("infeasible", 64921, None),
-    (4, 5000): ("feasible", 2470, (1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)),
-    (4, None): ("feasible", 2470, (1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)),
-    (5, 5000): ("budget", 5001, None),
-    (5, None): (
+    (0, 5000): ("infeasible", 463, None),
+    (0, None): ("infeasible", 463, None),
+    (4, 5000): ("feasible", 345, (1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)),
+    (4, None): ("feasible", 345, (1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)),
+    (5, 5000): (
         "feasible",
-        13887,
+        340,
         (1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1),
     ),
-    (9, 5000): ("budget", 5001, None),
+    (5, None): (
+        "feasible",
+        340,
+        (1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1),
+    ),
+    (9, 5000): (
+        "feasible",
+        208,
+        (1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1),
+    ),
     (9, None): (
         "feasible",
-        7324,
+        208,
         (1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1),
     ),
 }
@@ -505,11 +554,12 @@ def test_reduction_search_golden(seed, max_nodes):
     ]
 
 
-# searches on glued trees of diameter up to 8, recorded before the pair test
-# swept reach outward from one endpoint: (r, t, k) -> (status, nodes_explored)
+# searches on glued trees of diameter up to 8: (r, t, k) -> (status,
+# nodes_explored), the statuses recorded before the pair test swept reach
+# outward from one endpoint, the node counts with the backjumping search
 GOLDEN_TREE_SEARCHES = {
-    (3, 2, 3): ("infeasible", 7256),
-    (2, 3, 2): ("infeasible", 137),
+    (3, 2, 3): ("infeasible", 1512),
+    (2, 3, 2): ("infeasible", 44),
 }
 
 
@@ -520,7 +570,7 @@ def test_tree_search_golden(r, t, k):
 
 
 # (r, t) -> (colours, SHA-256 of the greedy colours joined by commas),
-# recorded at the same commit as GOLDEN_TREE_SEARCHES
+# recorded at the same commit as GOLDEN_TREE_SEARCHES' statuses
 GOLDEN_TREE_GREEDY = {
     (5, 2): (8, "ce37cbef122f4ce737552b8d8d7674b02c1974bf3f635d53dec800dcc52d315c"),
     (7, 2): (11, "85cf612f6695e642d54f797a833b4db5df0c9c3a27247a2e86497209edde5595"),
