@@ -162,7 +162,8 @@ class DistanceOracle:
 
     A row is the vertex's distance levels as bitmasks and nothing else: d(u, v)
     is the index of u's level that holds v. The u-v geodesic DAG's internal
-    levels are ``L_u[i] & L_v[d - i]`` for i in 1..d-1, which ``through`` reads.
+    levels are ``L_u[i] & L_v[d - i]`` for i in 1..d-1, which ``between``
+    ORs together and ``through`` reads.
 
     ``sees`` reads only x's row. It carries ``reach`` outward from x level
     by level, like the validators' class sweep: the vertices of the level
@@ -170,7 +171,8 @@ class DistanceOracle:
     next level's reach is the neighbours of reach's unblocked vertices in
     that level. While reach is a whole level with none of it blocked, the
     next reach is the whole next level, since every vertex of a BFS level
-    has a neighbour one level up.
+    has a neighbour one level up. It stops at the first level with a target
+    outside reach and returns those targets.
 
     The rows, the neighbour lists they are built from and the neighbour
     masks are all it keeps for the graph's lifetime.
