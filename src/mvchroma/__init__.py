@@ -31,7 +31,6 @@ from .solver import (
     greedy_upper_bound,
     mv_k_colorable,
     nae_satisfiable,
-    solver_vertex_order,
 )
 from .gluedtrees import (
     CycleDecomposition,

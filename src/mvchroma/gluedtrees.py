@@ -27,7 +27,7 @@ from .errors import (
     OutOfRangeVertexError,
     SizeCapExceededError,
 )
-from .graph import DEFAULT_SIZE_CAP, Graph, graph_from_edge_list
+from .graph import DEFAULT_SIZE_CAP, Graph, graph_from_edge_list, require_int
 from .solver import chi_mu_exact
 from .visibility import Coloring, validate_gp_coloring, validate_mv_coloring
 
@@ -128,6 +128,7 @@ def glued_tree_order(r: int, t: int) -> int:
 
 
 def build_glued_tree(r: int, t: int) -> LabeledGluedTree:
+    r, t = require_int(r, InvalidParamsError, "r"), require_int(t, InvalidParamsError, "t")
     if r < 1 or t < 2:
         raise InvalidParamsError(f"need r >= 1 and t >= 2, got r={r}, t={t}")
     # n > t^r, so a t^r past 2^64 is over the cap without computing n,

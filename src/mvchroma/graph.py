@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from heapq import heapify, heappop, heappush
 from itertools import pairwise
+from numbers import Integral
 from operator import and_, or_
 
 import numpy as np
@@ -119,21 +120,30 @@ class Graph:
         return DistanceOracle(self)
 
 
+def require_int(value, error: type[Exception], what: str) -> int:
+    """value as a Python int; raises ``error`` when it is not an integer."""
+    if not isinstance(value, Integral):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def graph_from_edge_list(n: int, edges) -> Graph:
     """Build a canonical simple graph; duplicate edges collapse, self-loops raise."""
+    n = require_int(n, OutOfRangeVertexError, "vertex count")
     if n < 0:
         raise OutOfRangeVertexError("vertex count must be non-negative")
     if n > DEFAULT_SIZE_CAP:
         raise SizeCapExceededError(f"{n} vertices is more than {DEFAULT_SIZE_CAP}")
     edges = edges if isinstance(edges, np.ndarray) else list(edges)
-    try:
-        e = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:  # an id past int64: compare the Python ints instead
-        e = np.array(edges, dtype=object).reshape(-1, 2)
+    e = np.asarray(edges)
+    if e.dtype.kind not in "iu":  # ids past int64 stay Python ints; a non-integer raises
+        ids = np.array(edges, dtype=object).flat
+        e = np.array([require_int(x, OutOfRangeVertexError, "vertex id") for x in ids], dtype=object)
+    e = e.reshape(-1, 2)
     bad = (e < 0) | (e >= n)
     if bad.any():
         raise OutOfRangeVertexError(f"vertex {e[bad][0]} out of range 0..{n - 1}")
-    u, v = e.T
+    u, v = e.astype(np.int64, copy=False).T
     if (u == v).any():
         raise SelfLoopError(f"self-loop at vertex {u[u == v][0]}")
     # both directions as sorted unique keys u * n + v; np.unique's hashing is slower

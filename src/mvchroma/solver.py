@@ -11,18 +11,19 @@ members and nothing else.
 
 The k searches walk ``Graph.search_order``, which places a vertex once its
 non-pendant neighbours are placed and a pendant right after its neighbour.
-A failed color keeps its failing pair (x, y). When a depth runs out of
-colors, each failed color's conflict set is x, y and the class members
-inside x-y geodesics; the search jumps back to the deepest vertex in the
-union of those sets and of what deeper dead ends passed up, and hands that
-vertex the rest (conflict-directed backjumping, Prosser 1993). A depth whose
-color range the symmetry rule cut, and a leaf the validator rejects, blame
-every vertex before it. A node is one color tried at one depth; a jump costs
-none.
+When a color fails at a depth on pair (x, y), its conflict set, x, y and
+the class members inside x-y geodesics, goes into that depth's blame mask
+at once, beside what deeper dead ends pass up. When the depth runs out of
+colors, the search jumps back to the deepest vertex in that mask and hands
+that vertex the rest (conflict-directed backjumping, Prosser 1993). A depth
+whose color range the symmetry rule cut, and a leaf the validator rejects,
+blame every vertex before it, so such a depth gathers no conflict sets. A
+node is one color tried at one depth; a jump costs none.
 
 The greedy bound is the same search over ``Graph.degree_order`` with no
 color limit: a fresh color always passes, so its first descent never
-backtracks and is first fit.
+backtracks and is first fit; its color range is cut wherever a color is
+spare, so it keeps no conflict set.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import BudgetExhaustedError, InvalidParamsError, TooManyVariablesError
-from .graph import DistanceOracle, Graph
+from .graph import DistanceOracle, Graph, require_int
 from .visibility import Coloring, validate_mv_coloring
 
 # the brute-force NAE3SAT scan tries 2^q assignments
@@ -82,11 +83,6 @@ class NaeAssignment:
     """Truth values for variables 1..q; values[i-1] is the value of x_i."""
 
     values: tuple[bool, ...]
-
-
-def solver_vertex_order(g: Graph) -> list[int]:
-    """Greedy's vertex order, ``g.degree_order`` as a list."""
-    return g.degree_order.tolist()
 
 
 class PrefixTable:
@@ -154,7 +150,7 @@ def _conflict(o: DistanceOracle, x: int, y: int, color_mask: int) -> int:
 
 def mv_k_colorable(g: Graph, k: int, budget: Budget | None = None) -> SearchOutcome:
     """Decide whether g admits a mutual-visibility coloring with <= k colors."""
-    if k < 1:
+    if require_int(k, InvalidParamsError, "color budget") < 1:
         raise InvalidParamsError("color budget must be >= 1")
     return _search(g, k, budget, g.search_order)
 
@@ -171,11 +167,8 @@ def _search(g: Graph, k: int, budget: Budget | None, order) -> SearchOutcome:
     budget = budget or Budget()  # None: a fresh budget with no limit
     n = g.n
     o = g.oracle
-    # tables[d] is order[d]'s PrefixTable, made when the search first reaches
-    # d; tried[d] is made with it, and holds the outcome of each color tried
-    # at d since the search last came down to d: the failing pair (x, y) of
-    # _check_assignment, or None for a color that passed
-    tables, tried = [PrefixTable(0)], [[]]
+    # tables[d] is order[d]'s PrefixTable, made when the search first reaches d
+    tables = [PrefixTable(0)]
     start = time.perf_counter()
     # this search's share, worked out once: the nodes the budget has left,
     # and the deadline, read on the first node and every 256 after it
@@ -189,8 +182,8 @@ def _search(g: Graph, k: int, budget: Budget | None, order) -> SearchOutcome:
     # depth d has at most d + 1 colors in use, so no color id reaches n
     color_masks = [0] * min(k, n)
     # choice[d] is the color held at depth d, and a leaf reads its coloring
-    # from it; blame[d] holds the vertices above d that the subtrees under
-    # d's passed colors were refuted by
+    # from it; blame[d] holds the conflict sets of the colors that failed at d
+    # and what the subtrees under d's passed colors passed up
     choice = [-1] * n
     blame = [0] * n
     used = [0] * (n + 1)  # colors in use entering depth d
@@ -200,7 +193,8 @@ def _search(g: Graph, k: int, budget: Budget | None, order) -> SearchOutcome:
         bit = 1 << v
         if choice[depth] >= 0:
             color_masks[choice[depth]] &= ~bit
-        table, outcomes = tables[depth], tried[depth]
+        table = tables[depth]
+        cut = used[depth] + 1 < k
         for c in range(choice[depth] + 1, min(used[depth] + 1, k)):
             nodes += 1
             if nodes > node_limit or (
@@ -210,7 +204,6 @@ def _search(g: Graph, k: int, budget: Budget | None, order) -> SearchOutcome:
             choice[depth] = c
             color_masks[c] |= bit
             fail = _check_assignment(o, table, v, color_masks[c])
-            outcomes.append(fail)
             if fail is None and depth == n - 1:
                 colors = tuple(cu for _, cu in sorted(zip(order, choice)))
                 candidate = Coloring(colors, max(colors) + 1)
@@ -222,24 +215,15 @@ def _search(g: Graph, k: int, budget: Budget | None, order) -> SearchOutcome:
                 depth += 1
                 if depth == len(tables):
                     tables.append(PrefixTable(table.before | bit))
-                    tried.append([])
-                tried[depth].clear()
                 break
+            elif not cut:
+                blame[depth] |= _conflict(o, *fail, color_masks[c])
             color_masks[c] &= ~bit
         else:
             # a dead end: no color in range leads to a coloring. Colors the
-            # value precedence left out depend on the whole prefix; otherwise
-            # the culprits are each failed pair's conflict set and the blame
-            # of the passed colors' subtrees
+            # value precedence cut off depend on the whole prefix
             choice[depth] = -1
-            if used[depth] + 1 < k:
-                culprits = table.before
-            else:
-                culprits = blame[depth]
-                for c, fail in enumerate(outcomes):
-                    if fail is not None:
-                        culprits |= _conflict(o, *fail, color_masks[c] | bit)
-                culprits &= ~bit
+            culprits = table.before if cut else blame[depth] & ~bit
             blame[depth] = 0
             # jump back to the deepest culprit and pass it the rest; the
             # depths jumped over start afresh when the search next reaches them
@@ -261,7 +245,7 @@ def greedy_upper_bound(g: Graph) -> tuple[int, Coloring]:
     blocks classes of other colors), so the search never backtracks and its
     first leaf, validated like any other, is the first-fit coloring.
     """
-    coloring = _search(g, max(g.n, 1), None, solver_vertex_order(g)).coloring
+    coloring = _search(g, max(g.n, 1), None, g.degree_order.tolist()).coloring
     return coloring.k, coloring
 
 

@@ -206,7 +206,8 @@ def _scan_classes(
 
     With ``sources``, a class sweeps from its members in sources only,
     listed first, and still takes every member as a target; a listed pair
-    is then (source, target).
+    is then (source, target). A source out of range, and a non-empty class
+    with no source, raise.
     """
     # a sweep from orbit representatives misses the pairs their images cover
     if exhaustive and sources is not None:
@@ -215,10 +216,12 @@ def _scan_classes(
     if sources is None:
         split = [(members, len(members)) for members in classes]
     else:
-        chosen = set(sources)
+        chosen = set(_set_members(g, sources))
         split = []
         for members in classes:
             front = [v for v in members if v in chosen]
+            if members and not front:
+                raise InvalidParamsError(f"no source in color class {len(split)}")
             split.append((front + [v for v in members if v not in chosen], len(front)))
     room = MAX_LISTED_VIOLATIONS if exhaustive else 1
     count, violations = 0, []

@@ -237,6 +237,24 @@ def brute_chi_mu(g: Graph, max_colors: int) -> int | None:
     return best
 
 
+def first_fit_coloring(g: Graph) -> tuple[int, Coloring]:
+    """First fit in greedy's vertex order, ``g.degree_order``, on the
+    brute-force MV test: v joins the smallest class that stays an MV set,
+    else a new one."""
+    classes: list[list[int]] = []
+    colors = [-1] * g.n
+    for v in g.degree_order.tolist():
+        c = next(
+            (c for c, cls in enumerate(classes) if brute_is_mv_set(g, cls + [v])),
+            len(classes),
+        )
+        if c == len(classes):
+            classes.append([])
+        classes[c].append(v)
+        colors[v] = c
+    return len(classes), Coloring(tuple(colors), len(classes))
+
+
 def all_two_colorings(n: int):
     yield from product((0, 1), repeat=n)
 

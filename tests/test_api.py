@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mvchroma
+from mvchroma.errors import InvalidParamsError, OutOfRangeVertexError
 
 MODULES = ("cli", "graph", "gluedtrees", "reduction", "visibility", "solver", "formats")
 
@@ -49,6 +50,7 @@ REMOVED = (
     "build_h_gadget",
     "HGadgetLegend",
     "bfs_distances",
+    "solver_vertex_order",
 )
 
 
@@ -81,3 +83,37 @@ def test_removed_methods_are_gone():
     # a search's pair tables live in the solver, not in the distance oracle
     assert not hasattr(mvchroma.DistanceOracle, "prefix_tables")
     assert not hasattr(importlib.import_module("mvchroma.graph"), "PrefixTable")
+
+
+P3 = [(0, 1), (1, 2)]
+NON_INTEGER_CALLS = {
+    "tree-r": (InvalidParamsError, lambda: mvchroma.build_glued_tree(2.5, 2)),
+    "tree-t": (InvalidParamsError, lambda: mvchroma.build_glued_tree(2, 2.0)),
+    "graph-n": (OutOfRangeVertexError, lambda: mvchroma.graph_from_edge_list(3.0, P3)),
+    "edge-list": (
+        OutOfRangeVertexError,
+        lambda: mvchroma.graph_from_edge_list(3, [(0, 1.7), (1, 2)]),
+    ),
+    "edge-array": (
+        OutOfRangeVertexError,
+        lambda: mvchroma.graph_from_edge_list(3, np.array([(0, 1.7), (1, 2)])),
+    ),
+    "k": (
+        InvalidParamsError,
+        lambda: mvchroma.mv_k_colorable(mvchroma.graph_from_edge_list(3, P3), 1.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_CALLS)
+def test_non_integer_inputs_rejected(call):
+    error, make = NON_INTEGER_CALLS[call]
+    with pytest.raises(error, match="integer"):
+        make()
+
+
+def test_numpy_integers_accepted():
+    g = mvchroma.graph_from_edge_list(np.int64(3), np.array(P3, dtype=np.uint8))
+    assert (type(g.n), g.edges()) == (int, P3)
+    assert mvchroma.build_glued_tree(np.int32(2), np.int64(2)).graph.n == 10
+    assert mvchroma.mv_k_colorable(g, np.int64(2)).status is mvchroma.Status.FEASIBLE

@@ -1,5 +1,6 @@
-"""The exact solver against brute force on every connected graph with at
-most 7 vertices: the 996 of networkx's bundled graph atlas.
+"""The exact solver and the greedy bound against brute force on every
+connected graph with at most 7 vertices: the 996 of networkx's bundled graph
+atlas.
 
 ``tests/data/atlas_chi_mu.json`` records χ_μ per atlas index (null for the
 empty and the disconnected graphs), so later solvers can be compared with
@@ -12,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import brute_chi_mu
+from conftest import brute_chi_mu, first_fit_coloring
 from mvchroma import (
     Status,
     chi_mu_exact,
     graph_from_edge_list,
+    greedy_upper_bound,
     mv_k_colorable,
     validate_mv_coloring,
 )
@@ -41,6 +43,7 @@ def test_atlas_chi_mu_census():
         k, coloring = chi_mu_exact(g)
         assert (k, coloring.k) == (chi, chi)
         assert validate_mv_coloring(g, coloring).valid
+        assert greedy_upper_bound(g) == first_fit_coloring(g)
         for k in range(1, g.n + 1):
             outcome = mv_k_colorable(g, k)
             assert (outcome.status is Status.FEASIBLE) == (k >= chi)

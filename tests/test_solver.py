@@ -12,6 +12,7 @@ from conftest import (
     brute_chi_mu,
     brute_is_mv_set,
     c4,
+    first_fit_coloring,
     k2_pendant,
     nae_satisfies,
     random_clauses,
@@ -31,7 +32,6 @@ from mvchroma import (
     make_formula,
     mv_k_colorable,
     nae_satisfiable,
-    solver_vertex_order,
     validate_mv_coloring,
 )
 from mvchroma.errors import (
@@ -44,7 +44,7 @@ from mvchroma.errors import (
 
 def test_vertex_order_degree_then_id():
     g = graph_from_edge_list(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
-    assert solver_vertex_order(g) == [1, 2, 3, 0]
+    assert g.degree_order.tolist() == [1, 2, 3, 0]
 
 
 def test_vertex_order_matches_its_definition_on_degree_ties():
@@ -54,12 +54,12 @@ def test_vertex_order_matches_its_definition_on_degree_ties():
         # at most n edges over n vertices: most degrees are 0..4, so ties abound
         edges = [rng.sample(range(n), 2) for _ in range(rng.randrange(n + 1))]
         g = graph_from_edge_list(n, edges)
-        assert solver_vertex_order(g) == sorted(range(n), key=lambda v: (-g.degree(v), v))
+        assert g.degree_order.tolist() == sorted(range(n), key=lambda v: (-g.degree(v), v))
 
 
 def reference_search_order(g) -> list[int]:
     """Graph.search_order restated step by step, in O(n^2) time."""
-    rank = {v: i for i, v in enumerate(solver_vertex_order(g))}
+    rank = {v: i for i, v in enumerate(g.degree_order.tolist())}
     nbrs = [set(g.indices[g.indptr[v] : g.indptr[v + 1]].tolist()) for v in range(g.n)]
     pendant = [len(ws) == 1 for ws in nbrs]
     order: list[int] = []
@@ -89,7 +89,7 @@ def test_search_order_matches_its_definition():
         assert list(g.search_order) == reference_search_order(g)
     # greedy keeps the degree order; the search order differs from it here
     g = seeded_reduction_graph(3, 3)
-    assert list(g.search_order) != solver_vertex_order(g)
+    assert list(g.search_order) != g.degree_order.tolist()
 
 
 def test_empty_graph_is_colorable_with_no_colors():
@@ -217,24 +217,10 @@ def test_greedy_upper_bound_validates():
 
 
 def test_greedy_upper_bound_is_first_fit():
-    # oracle: first fit in the solver's vertex order on the brute-force MV
-    # test; v joins the smallest class that stays an MV set, else a new one
     rng = random.Random(DEFAULT_SEED + 3)
     for _ in range(30):
         g = random_connected_graph(rng, rng.randrange(2, 11))
-        classes: list[list[int]] = []
-        colors = [-1] * g.n
-        for v in solver_vertex_order(g):
-            c = next(
-                (c for c, cls in enumerate(classes) if brute_is_mv_set(g, cls + [v])),
-                len(classes),
-            )
-            if c == len(classes):
-                classes.append([])
-            classes[c].append(v)
-            colors[v] = c
-        k = len(classes)
-        assert greedy_upper_bound(g) == (k, Coloring(tuple(colors), k))
+        assert greedy_upper_bound(g) == first_fit_coloring(g)
 
 
 @pytest.mark.parametrize("d", [127, 128, 129, 255, 256, 300])
@@ -351,7 +337,7 @@ def test_prefix_tables_clear_only_members_without_partners(kind, a, b, monkeypat
     for k in range(1, 5):
         mv_k_colorable(g, k, Budget(max_nodes=20_000))
     # greedy walks the degree order, the four k searches the search order
-    o, orders = g.oracle, [solver_vertex_order(g)] + [g.search_order] * 4
+    o, orders = g.oracle, [g.degree_order.tolist()] + [g.search_order] * 4
     # each search makes its tables depth by depth from depth 0, the one
     # table whose before is empty
     assert sum(table.before == 0 for table in made) == 5

@@ -17,11 +17,12 @@ from mvchroma import (
     build_glued_tree,
     chi_mu_formula,
     constructive_coloring,
+    graph_from_edge_list,
     validate_gp_coloring,
     validate_mv_coloring,
     verify_theorem,
 )
-from mvchroma.errors import InvalidParamsError
+from mvchroma.errors import InvalidParamsError, OutOfRangeVertexError
 from mvchroma.gluedtrees import sibling_types, swap_representatives
 import mvchroma.gluedtrees as gluedtrees
 import mvchroma.visibility as visibility
@@ -266,6 +267,15 @@ def test_verify_theorem_sweeps_from_representatives(monkeypatch):
 def test_exhaustive_report_refuses_sources():
     tree = build_glued_tree(3, 2)
     c = constructive_coloring(tree)
+    # P3 in one class is not MV; a source out of range, and a class with no
+    # source, would skip the sweep that finds it
+    p3 = graph_from_edge_list(3, [(0, 1), (1, 2)])
+    one = Coloring((0, 0, 0), 1)
     for validate in (validate_mv_coloring, validate_gp_coloring):
         with pytest.raises(InvalidParamsError):
             validate(tree.graph, c, True, sources=[0])
+        assert not validate(p3, one, sources=[0]).valid
+        with pytest.raises(OutOfRangeVertexError):
+            validate(p3, one, sources=[9])
+        with pytest.raises(InvalidParamsError, match="no source"):
+            validate(p3, one, sources=[])
