@@ -10,7 +10,6 @@ import mvchroma.solver as solver_module
 from conftest import (
     DEFAULT_SEED,
     brute_chi_mu,
-    brute_is_mv_set,
     c4,
     first_fit_coloring,
     k2_pendant,
