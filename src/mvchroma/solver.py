@@ -18,7 +18,7 @@ colors, the search jumps back to the deepest vertex in that mask and hands
 that vertex the rest (conflict-directed backjumping, Prosser 1993). A depth
 whose color range the symmetry rule cut, and a leaf the validator rejects,
 blame every vertex before it, so such a depth gathers no conflict sets. A
-node is one color tried at one depth; a jump costs none.
+node is one color checked at one depth; a jump costs none.
 
 The greedy bound is the same search over ``Graph.degree_order`` with no
 color limit: a fresh color always passes, so its first descent never
