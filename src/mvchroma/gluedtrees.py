@@ -122,15 +122,21 @@ def _internal_per_side(r: int, t: int) -> int:
     return (t**r - 1) // (t - 1)
 
 
+def _tree_params(r, t) -> tuple[int, int]:
+    r, t = require_int(r, InvalidParamsError, "r"), require_int(t, InvalidParamsError, "t")
+    if r < 1 or t < 2:
+        raise InvalidParamsError(f"need r >= 1 and t >= 2, got r={r}, t={t}")
+    return r, t
+
+
 def glued_tree_order(r: int, t: int) -> int:
     """|V(GT(r, t))| = 2(t^(r+1)-1)/(t-1) - t^r."""
+    r, t = _tree_params(r, t)
     return 2 * _internal_per_side(r + 1, t) - t**r
 
 
 def build_glued_tree(r: int, t: int) -> LabeledGluedTree:
-    r, t = require_int(r, InvalidParamsError, "r"), require_int(t, InvalidParamsError, "t")
-    if r < 1 or t < 2:
-        raise InvalidParamsError(f"need r >= 1 and t >= 2, got r={r}, t={t}")
+    r, t = _tree_params(r, t)
     # n > t^r, so a t^r past 2^64 is over the cap without computing n,
     # whose decimal form may be too long to print
     if r * math.log2(t) > 64 or glued_tree_order(r, t) > DEFAULT_SIZE_CAP:
@@ -162,6 +168,7 @@ def cycle_vertices(tree: LabeledGluedTree, a: int, b: int) -> CycleDecomposition
     """The two tree-side geodesics between quasi-leaves a and b, via LCA walks."""
     r, t = tree.r, tree.t
     q = t**r
+    a, b = (require_int(x, InvalidQuasiLeafError, "quasi-leaf index") for x in (a, b))
     if not (1 <= a <= q and 1 <= b <= q) or a == b:
         raise InvalidQuasiLeafError(f"need distinct quasi-leaf indices in 1..{q}")
     # a quasi-leaf is the child at local index per_side + a - 1 on either side
@@ -196,8 +203,7 @@ def _interval(r: int, t: int) -> _Interval:
     starts at ceil(B) + i - 1, so for odd t one depth per interval lies
     between them.
     """
-    if r < 1 or t < 2:
-        raise InvalidParamsError(f"need r >= 1 and t >= 2, got r={r}, t={t}")
+    r, t = _tree_params(r, t)
     i = 1
     while _internal_per_side(i, t) + i - 1 < r:
         i += 1

@@ -29,7 +29,7 @@ from .errors import (
     VariableOutOfRangeError,
     WrongColorCountError,
 )
-from .graph import DEFAULT_SIZE_CAP, Graph, graph_from_edge_list
+from .graph import DEFAULT_SIZE_CAP, Graph, graph_from_edge_list, require_int
 from .solver import (
     Budget,
     NaeAssignment,
@@ -54,14 +54,15 @@ class NaeFormula:
 
 
 def _canonical_clause(lits) -> tuple[Literal, Literal, Literal]:
-    lits = tuple(sorted((int(v), bool(p)) for v, p in lits))
+    lits = tuple(sorted((require_int(v, VariableOutOfRangeError, "variable"), bool(p))
+                        for v, p in lits))
     if len(lits) != 3:
         raise ClauseArityError(f"clause must have exactly 3 literals, got {len(lits)}")
     return lits
 
 
 def make_formula(q: int, clauses) -> NaeFormula:
-    if q < 1:
+    if (q := require_int(q, VariableOutOfRangeError, "variable count")) < 1:
         raise VariableOutOfRangeError(f"a formula needs q >= 1 variables, got {q}")
     canon = []
     for cl in clauses:

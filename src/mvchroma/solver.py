@@ -7,7 +7,7 @@ with the pair visibility test: after each assignment every same-colored
 pair that could be affected must still have a geodesic whose assigned
 internal vertices avoid that color. Unassigned vertices never block, so the
 rule is sound along a branch. A color class is held as the bitmask of its
-members and nothing else.
+members and nothing else. Greedy is first fit with the same pair test.
 
 The k searches walk ``Graph.search_order``, which places a vertex once its
 non-pendant neighbours are placed and a pendant right after its neighbour.
@@ -19,11 +19,6 @@ that vertex the rest (conflict-directed backjumping, Prosser 1993). A depth
 whose color range the symmetry rule cut, and a leaf the validator rejects,
 blame every vertex before it, so such a depth gathers no conflict sets. A
 node is one color checked at one depth; a jump costs none.
-
-The greedy bound is the same search over ``Graph.degree_order`` with no
-color limit: a fresh color always passes, so its first descent never
-backtracks and is first fit; its color range is cut wherever a color is
-spare, so it keeps no conflict set.
 """
 
 from __future__ import annotations
@@ -32,6 +27,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 
 from .errors import BudgetExhaustedError, InvalidParamsError, TooManyVariablesError
 from .graph import DistanceOracle, Graph, require_int
@@ -69,13 +65,14 @@ class Budget:
     deadline: float | None = field(default=None, init=False)
 
     def __post_init__(self):
-        self.max_nodes = math.inf if self.max_nodes is None else self.max_nodes
+        if self.max_nodes is None:
+            self.max_nodes = math.inf
+        elif require_int(self.max_nodes, InvalidParamsError, "node budget") < 0:
+            raise InvalidParamsError("node budget must be >= 0")
         self.max_seconds = math.inf if self.max_seconds is None else self.max_seconds
         # NaN fails every comparison, so it would never trip
-        if not self.max_nodes >= 0:
-            raise InvalidParamsError("node budget must be >= 0")
-        if not self.max_seconds >= 0:
-            raise InvalidParamsError("time budget must be >= 0")
+        if not isinstance(self.max_seconds, Real) or not self.max_seconds >= 0:
+            raise InvalidParamsError(f"time budget must be a number >= 0: {self.max_seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,8 @@ class PrefixTable:
     """The pairs of ``before`` (a vertex bitmask) that one vertex v can break.
 
     A search makes one for each depth d it reaches: v is ``order[d]`` and
-    ``before`` the vertices ahead of it, ``order[:d]``. ``masks[x]`` is
+    ``before`` the vertices ahead of it, ``order[:d]``; greedy makes one per
+    vertex and drops it once v has a color. ``masks[x]`` is
     ``through(x, v) & before``, stored the first time x's mask is asked for,
     unless it is 0. Then x is cleared from ``live``, which starts as
     ``before`` and only ever loses bits: v lies on no geodesic from x to a
@@ -148,25 +146,19 @@ def _conflict(o: DistanceOracle, x: int, y: int, color_mask: int) -> int:
     return o.between(x, y) & color_mask | 1 << x | 1 << y
 
 
-def mv_k_colorable(g: Graph, k: int, budget: Budget | None = None) -> SearchOutcome:
-    """Decide whether g admits a mutual-visibility coloring with <= k colors."""
-    if require_int(k, InvalidParamsError, "color budget") < 1:
-        raise InvalidParamsError("color budget must be >= 1")
-    return _search(g, k, budget, g.search_order)
-
-
 def _finish(budget, status, coloring, nodes, start) -> SearchOutcome:
     """Charge a search's nodes to its budget and report them."""
     budget.nodes += nodes
     return SearchOutcome(status, coloring, nodes, time.perf_counter() - start)
 
 
-def _search(g: Graph, k: int, budget: Budget | None, order) -> SearchOutcome:
-    """The backjumping loop over the vertex sequence ``order``: at most k
-    colors, drawing on budget."""
+def mv_k_colorable(g: Graph, k: int, budget: Budget | None = None) -> SearchOutcome:
+    """Decide whether g admits a mutual-visibility coloring with <= k colors:
+    the backjumping loop over ``g.search_order``, drawing on budget."""
+    if require_int(k, InvalidParamsError, "color budget") < 1:
+        raise InvalidParamsError("color budget must be >= 1")
     budget = budget or Budget()  # None: a fresh budget with no limit
-    n = g.n
-    o = g.oracle
+    n, o, order = g.n, g.oracle, g.search_order
     # tables[d] is order[d]'s PrefixTable, made when the search first reaches d
     tables = [PrefixTable(0)]
     start = time.perf_counter()
@@ -238,14 +230,20 @@ def _search(g: Graph, k: int, budget: Budget | None, order) -> SearchOutcome:
 
 
 def greedy_upper_bound(g: Graph) -> tuple[int, Coloring]:
-    """First-fit over the degree order: the search's first descent with no
-    color limit.
-
-    A fresh color always passes (its class is a singleton and a vertex never
-    blocks classes of other colors), so the search never backtracks and its
-    first leaf, validated like any other, is the first-fit coloring.
-    """
-    coloring = _search(g, max(g.n, 1), None, g.degree_order.tolist()).coloring
+    """First fit over the degree order, validated like a search's leaf; were
+    it ever rejected, the bound would be one color per vertex, always MV."""
+    o, colors, classes, before = g.oracle, [0] * g.n, [], 0
+    for v in g.degree_order.tolist():
+        table, bit = PrefixTable(before), 1 << v
+        c = next((c for c, members in enumerate(classes)
+                  if _check_assignment(o, table, v, members | bit) is None), len(classes))
+        if c == len(classes):  # a new color always passes: v blocks no other class
+            classes.append(0)
+        classes[c] |= bit
+        colors[v], before = c, before | bit
+    coloring = Coloring(tuple(colors), len(classes))
+    if not validate_mv_coloring(g, coloring).valid:
+        coloring = Coloring(tuple(range(g.n)), g.n)
     return coloring.k, coloring
 
 
@@ -278,12 +276,7 @@ def nae_satisfiable(f) -> NaeAssignment | None:
     clauses = [tuple(cl) for cl in f.clauses]
     for bits in range(1 << q):
         values = tuple(bool((bits >> (q - i)) & 1) for i in range(1, q + 1))
-        ok = True
-        for cl in clauses:
-            truths = [values[var - 1] == positive for var, positive in cl]
-            if all(truths) or not any(truths):
-                ok = False
-                break
-        if ok:
+        # a clause is NAE-satisfied when its literals take both truth values
+        if all(len({values[var - 1] == positive for var, positive in cl}) == 2 for cl in clauses):
             return NaeAssignment(values=values)
     return None

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ColoringNotTotalError, InvalidParamsError, OutOfRangeVertexError
-from .graph import DistanceOracle, Graph, require_connected_graph
+from .graph import DistanceOracle, Graph, require_connected_graph, require_int
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class Coloring:
 
 def coloring_from_list(colors) -> Coloring:
     """Validate and wrap a color list; ids must form the range 0..k-1."""
-    colors = tuple(int(c) for c in colors)
+    colors = tuple(require_int(c, ColoringNotTotalError, "color") for c in colors)
     if not colors:
         raise ColoringNotTotalError("empty coloring")
     used = sorted(set(colors))
@@ -260,7 +260,7 @@ def _scan_classes(
 
 
 def _set_members(g: Graph, s) -> list[int]:
-    members = sorted(set(int(v) for v in s))
+    members = sorted({require_int(v, OutOfRangeVertexError, "vertex id") for v in s})
     for v in members:
         if not 0 <= v < g.n:
             raise OutOfRangeVertexError(f"vertex {v} out of range")

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 import mvchroma
-from mvchroma.errors import InvalidParamsError, OutOfRangeVertexError
+from mvchroma.errors import (
+    ColoringNotTotalError,
+    InvalidParamsError,
+    InvalidQuasiLeafError,
+    OutOfRangeVertexError,
+    VariableOutOfRangeError,
+)
 
 MODULES = ("cli", "graph", "gluedtrees", "reduction", "visibility", "solver", "formats")
 
@@ -102,7 +108,35 @@ NON_INTEGER_CALLS = {
         InvalidParamsError,
         lambda: mvchroma.mv_k_colorable(mvchroma.graph_from_edge_list(3, P3), 1.5),
     ),
+    "formula-r": (InvalidParamsError, lambda: mvchroma.chi_mu_formula(2.5, 2)),
+    "formula-t": (InvalidParamsError, lambda: mvchroma.chi_mu_formula(2, 2.0)),
+    "tree-order": (InvalidParamsError, lambda: mvchroma.glued_tree_order(2.5, 2)),
+    "cycle-leaf": (
+        InvalidQuasiLeafError,
+        lambda: mvchroma.cycle_vertices(mvchroma.build_glued_tree(2, 2), 1.5, 3),
+    ),
+    "formula-q": (VariableOutOfRangeError, lambda: mvchroma.make_formula(3.5, [])),
+    "clause-variable": (
+        VariableOutOfRangeError,
+        lambda: mvchroma.make_formula(4, [[(1, True), (2, False), (3.7, True)]]),
+    ),
+    "budget-nodes": (InvalidParamsError, lambda: mvchroma.Budget(max_nodes="5")),
+    "mv-set-vertex": (
+        OutOfRangeVertexError,
+        lambda: mvchroma.is_mv_set(mvchroma.build_glued_tree(2, 2).graph, [0.5, 1.9, 3]),
+    ),
+    "sweep-source": (
+        OutOfRangeVertexError,
+        lambda: mvchroma.validate_mv_coloring(*_gt22_coloring(), sources=[0.7]),
+    ),
+    "color": (ColoringNotTotalError, lambda: mvchroma.coloring_from_list([0, 1.5, 1])),
 }
+
+
+def _gt22_coloring():
+    """GT(2, 2) and its constructive coloring."""
+    tree = mvchroma.build_glued_tree(2, 2)
+    return tree.graph, mvchroma.constructive_coloring(tree)
 
 
 @pytest.mark.parametrize("call", NON_INTEGER_CALLS)
@@ -117,3 +151,12 @@ def test_numpy_integers_accepted():
     assert (type(g.n), g.edges()) == (int, P3)
     assert mvchroma.build_glued_tree(np.int32(2), np.int64(2)).graph.n == 10
     assert mvchroma.mv_k_colorable(g, np.int64(2)).status is mvchroma.Status.FEASIBLE
+
+
+def test_numpy_integer_ids_and_colors_accepted():
+    g, coloring = _gt22_coloring()
+    ids = np.arange(g.n, dtype=np.int32)
+    assert mvchroma.coloring_from_list(np.array(coloring.colors, dtype=np.int8)) == coloring
+    assert mvchroma.validate_mv_coloring(g, coloring, sources=ids).valid
+    assert mvchroma.is_mv_set(g, [np.int64(0), np.uint8(9)])
+    assert mvchroma.make_formula(np.int64(3), [[(np.int32(1), True), (2, False), (3, True)]]).q == 3

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import weakref
 from itertools import product
 from types import SimpleNamespace
 
@@ -268,23 +269,56 @@ def test_each_search_computes_each_through_mask_once(monkeypatch):
     # a search's tables keep its masks, and greedy and the k = 1..3 searches
     # of chi_mu_exact each make their own
     searches = []
-    through, search = graph_module.DistanceOracle.through, solver_module._search
+    through = graph_module.DistanceOracle.through
 
     def counting_mask(self, x, v):
         searches[-1].append((x, v))
         return through(self, x, v)
 
-    def recording_search(*args):
-        searches.append([])
-        return search(*args)
+    def recording(search):
+        def run(*args, **kwargs):
+            searches.append([])
+            return search(*args, **kwargs)
+
+        return run
 
     monkeypatch.setattr(graph_module.DistanceOracle, "through", counting_mask)
-    monkeypatch.setattr(solver_module, "_search", recording_search)
+    for name in ("greedy_upper_bound", "mv_k_colorable"):
+        monkeypatch.setattr(solver_module, name, recording(getattr(solver_module, name)))
     tree = build_glued_tree(3, 2)
     assert chi_mu_exact(tree.graph)[0] == 4
     assert len(searches) == 4 and any(searches)
     for calls in searches:
         assert len(calls) == len(set(calls))
+
+
+def test_greedy_keeps_one_prefix_table_alive(monkeypatch):
+    # greedy drops each vertex's table once the vertex has its color
+    alive, counts = weakref.WeakSet(), []
+    check = solver_module._check_assignment
+
+    class TrackedTable(solver_module.PrefixTable):
+        def __init__(self, before):
+            super().__init__(before)
+            alive.add(self)
+
+    def counting_check(o, table, v, color_mask):
+        counts.append(len(alive))
+        return check(o, table, v, color_mask)
+
+    monkeypatch.setattr(solver_module, "PrefixTable", TrackedTable)
+    monkeypatch.setattr(solver_module, "_check_assignment", counting_check)
+    assert greedy_upper_bound(build_glued_tree(4, 2).graph)[0] == 6
+    assert counts and max(counts) == 1
+
+
+def test_greedy_falls_back_to_singletons_when_rejected(monkeypatch):
+    def reject(g, coloring, *args, **kwargs):
+        return SimpleNamespace(valid=False)
+
+    monkeypatch.setattr(solver_module, "validate_mv_coloring", reject)
+    g = build_glued_tree(2, 2).graph
+    assert greedy_upper_bound(g) == (g.n, Coloring(tuple(range(g.n)), g.n))
 
 
 def _record_tables(monkeypatch) -> list:
