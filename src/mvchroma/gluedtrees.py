@@ -68,12 +68,14 @@ class LabeledGluedTree:
 
     def internal(self, side: int, i: int, j: int) -> int:
         r, t = self.r, self.t
+        side, i, j = (require_int(x, InvalidParamsError, "internal coordinate") for x in (side, i, j))
         if side not in (1, 2) or not 1 <= i <= r or not 1 <= j <= t ** (i - 1):
             raise InvalidParamsError(f"GT({r},{t}) has no internal vertex {(side, i, j)}")
         return (side - 1) * _internal_per_side(r, t) + _internal_per_side(i - 1, t) + j - 1
 
     def quasi(self, a: int) -> int:
         q = self.num_quasi_leaves
+        a = require_int(a, InvalidQuasiLeafError, "quasi-leaf index")
         if not 1 <= a <= q:
             raise InvalidQuasiLeafError(f"need a quasi-leaf index in 1..{q}")
         return 2 * _internal_per_side(self.r, self.t) + a - 1
@@ -81,6 +83,7 @@ class LabeledGluedTree:
     def coord(self, v: int) -> TreeCoordinate:
         """The coordinates of vertex id v; the inverse of ``internal`` and
         ``quasi``."""
+        v = require_int(v, OutOfRangeVertexError, "vertex id")
         if not 0 <= v < self.graph.n:
             raise OutOfRangeVertexError(f"vertex {v} out of range 0..{self.graph.n - 1}")
         per_side = _internal_per_side(self.r, self.t)
@@ -203,7 +206,6 @@ def _interval(r: int, t: int) -> _Interval:
     starts at ceil(B) + i - 1, so for odd t one depth per interval lies
     between them.
     """
-    r, t = _tree_params(r, t)
     i = 1
     while _internal_per_side(i, t) + i - 1 < r:
         i += 1
@@ -219,6 +221,7 @@ def chi_mu_formula(r: int, t: int) -> FormulaResult:
     For odd t the two value regimes provably miss one r per interval index;
     those inputs are reported as an explicit gap with both candidate counts.
     """
+    r, t = _tree_params(r, t)
     i, _, first_max, second_min = _interval(r, t)
     low = 2 * (r - i) + 2
     if r <= first_max:
@@ -240,6 +243,7 @@ def at_second_regime_min(r: int, t: int) -> bool:
     r = 12, 13, 15 and 16 (``theorem --gp``); GT(14, 2) is a second-regime
     minimum.
     """
+    r, t = _tree_params(r, t)
     return r == _interval(r, t).second_min and r > 1
 
 

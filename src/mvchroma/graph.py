@@ -182,7 +182,10 @@ class DistanceOracle:
     that level. While reach is a whole level with none of it blocked, the
     next reach is the whole next level, since every vertex of a BFS level
     has a neighbour one level up. It stops at the first level with a target
-    outside reach and returns those targets.
+    outside reach and returns those targets. At the last level that holds
+    targets it builds no reach: a target there is in reach iff one of its
+    neighbours is in the previous reach and not blocked, so it tests the
+    targets alone.
 
     The rows, the neighbour lists they are built from and the neighbour
     masks are all it keeps for the graph's lifetime.
@@ -264,7 +267,7 @@ class DistanceOracle:
                 return 0
             if whole and not reach & blocked:
                 reach = level
-            else:
+            elif targets & ~level:
                 free = reach & ~blocked
                 reach = 0
                 while free:
@@ -273,6 +276,14 @@ class DistanceOracle:
                     free ^= low
                 reach &= level
                 whole = reach == level
+            else:  # the last level: test only the targets left
+                free, unseen = reach & ~blocked, 0
+                while targets:
+                    low = targets & -targets
+                    if not nbr[low.bit_length() - 1] & free:
+                        unseen |= low
+                    targets ^= low
+                return unseen
             unseen = targets & level & ~reach
             if unseen:
                 return unseen

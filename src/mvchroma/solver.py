@@ -19,6 +19,22 @@ that vertex the rest (conflict-directed backjumping, Prosser 1993). A depth
 whose color range the symmetry rule cut, and a leaf the validator rejects,
 blame every vertex before it, so such a depth gathers no conflict sets. A
 node is one color checked at one depth; a jump costs none.
+
+A visit to a depth starts from the color that last passed there, or 0
+before any has (phase saving, Pipatsrisawat and Darwiche 2007), and goes
+round the depth's color range once, so the first descent is still first
+fit. A dead end's jump-back set, its culprits with the colors they hold, is
+a nogood: no coloring the search can reach extends it (jump-back learning,
+Frost and Dechter 1994). It is stored under the depth and color of its
+deepest culprit, replacing the one stored there, as one member mask per
+color; when that depth takes that color again with every member on its
+stored color, the color fails with the nogood's members as conflict set.
+It costs a node like a color the pair test rejects, but no pair test. One
+nogood per slot keeps that test as cheap as a few mask compares, where an
+unbounded list per vertex made each node several times slower; a slot's
+table is made by the first dead end that fills it, so memory grows with
+dead ends, not with k. A dead end the symmetry rule cut stores none: its
+culprits are the whole prefix, and the search never meets a prefix twice.
 """
 
 from __future__ import annotations
@@ -174,20 +190,40 @@ def mv_k_colorable(g: Graph, k: int, budget: Budget | None = None) -> SearchOutc
     # depth d has at most d + 1 colors in use, so no color id reaches n
     color_masks = [0] * min(k, n)
     # choice[d] is the color held at depth d, and a leaf reads its coloring
-    # from it; blame[d] holds the conflict sets of the colors that failed at d
-    # and what the subtrees under d's passed colors passed up
-    choice = [-1] * n
+    # from it; first[d] is the color d's visit started from, and phase[d]
+    # the color that last passed at d; blame[d] holds the conflict sets of
+    # the colors that failed at d and what the subtrees under d's passed
+    # colors passed up
+    choice, first, phase = [-1] * n, [0] * n, [0] * n
     blame = [0] * n
     used = [0] * (n + 1)  # colors in use entering depth d
+    # learned[d], made by the first dead end that jumps back to d, maps a
+    # color c to the nogood learned last with order[d] colored c: its
+    # members, and (color, members holding it) pairs
+    learned: dict[int, dict[int, tuple[int, list[tuple[int, int]]]]] = {}
     depth = 0
     while True:
         v = order[depth]
         bit = 1 << v
-        if choice[depth] >= 0:
-            color_masks[choice[depth]] &= ~bit
-        table = tables[depth]
-        cut = used[depth] + 1 < k
-        for c in range(choice[depth] + 1, min(used[depth] + 1, k)):
+        top = used[depth] + 1
+        cut = top < k
+        if not cut:
+            top = k
+        c = choice[depth]
+        if c >= 0:
+            color_masks[c] &= ~bit
+            origin = first[depth]
+            tried = (c - origin) % top + 1
+        else:  # a new visit starts from the saved phase, cycling through range
+            origin = phase[depth]
+            if origin >= top:
+                origin = 0
+            first[depth], tried = origin, 0
+        table, slots = tables[depth], learned.get(depth)
+        for step in range(tried, top):
+            c = origin + step
+            if c >= top:
+                c -= top
             nodes += 1
             if nodes > node_limit or (
                 nodes & 255 == 1 and time.perf_counter() >= deadline
@@ -195,6 +231,16 @@ def mv_k_colorable(g: Graph, k: int, budget: Budget | None = None) -> SearchOutc
                 return _finish(budget, Status.BUDGET_EXHAUSTED, None, nodes, start)
             choice[depth] = c
             color_masks[c] |= bit
+            nogood = slots.get(c) if slots else None
+            if nogood is not None:
+                for h, m in nogood[1]:
+                    if color_masks[h] & m != m:
+                        break
+                else:  # every member holds its stored color: c fails on them
+                    if not cut:
+                        blame[depth] |= nogood[0]
+                    color_masks[c] &= ~bit
+                    continue
             fail = _check_assignment(o, table, v, color_masks[c])
             if fail is None and depth == n - 1:
                 colors = tuple(cu for _, cu in sorted(zip(order, choice)))
@@ -203,7 +249,8 @@ def mv_k_colorable(g: Graph, k: int, budget: Budget | None = None) -> SearchOutc
                     return _finish(budget, Status.FEASIBLE, candidate, nodes, start)
                 blame[depth] = table.before  # a leaf's rejection blames all of it
             elif fail is None:
-                used[depth + 1] = max(used[depth], c + 1)
+                phase[depth] = c
+                used[depth + 1] = c + 1 if c >= used[depth] else used[depth]
                 depth += 1
                 if depth == len(tables):
                     tables.append(PrefixTable(table.before | bit))
@@ -227,6 +274,10 @@ def mv_k_colorable(g: Graph, k: int, budget: Budget | None = None) -> SearchOutc
             if depth < 0:
                 return _finish(budget, Status.INFEASIBLE, None, nodes, start)
             blame[depth] |= culprits & ~(1 << order[depth])
+            if not cut:  # the culprits' colors lie below used[depth + 1]
+                learned.setdefault(depth, {})[choice[depth]] = (culprits, [
+                    (h, m) for h in range(used[depth + 1]) if (m := culprits & color_masks[h])
+                ])
 
 
 def greedy_upper_bound(g: Graph) -> tuple[int, Coloring]:

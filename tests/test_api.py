@@ -3,6 +3,7 @@ test-only helpers stay out of ``src``."""
 
 import dataclasses
 import importlib
+import json
 
 import numpy as np
 import pytest
@@ -130,6 +131,12 @@ NON_INTEGER_CALLS = {
         lambda: mvchroma.validate_mv_coloring(*_gt22_coloring(), sources=[0.7]),
     ),
     "color": (ColoringNotTotalError, lambda: mvchroma.coloring_from_list([0, 1.5, 1])),
+    "tree-quasi": (InvalidQuasiLeafError, lambda: mvchroma.build_glued_tree(2, 2).quasi(1.5)),
+    "tree-internal": (
+        InvalidParamsError,
+        lambda: mvchroma.build_glued_tree(2, 2).internal(1, 2, 1.5),
+    ),
+    "tree-coord": (OutOfRangeVertexError, lambda: mvchroma.build_glued_tree(2, 2).coord(3.5)),
 }
 
 
@@ -151,6 +158,13 @@ def test_numpy_integers_accepted():
     assert (type(g.n), g.edges()) == (int, P3)
     assert mvchroma.build_glued_tree(np.int32(2), np.int64(2)).graph.n == 10
     assert mvchroma.mv_k_colorable(g, np.int64(2)).status is mvchroma.Status.FEASIBLE
+
+
+def test_formula_from_numpy_integers_is_plain_json():
+    result = mvchroma.chi_mu_formula(np.int64(3), np.int64(2))
+    assert (type(result.value), result.value) == (int, 4)
+    assert json.loads(json.dumps(dataclasses.asdict(result)))["value"] == 4
+    assert mvchroma.at_second_regime_min(np.int64(3), np.int64(2)) is True
 
 
 def test_numpy_integer_ids_and_colors_accepted():

@@ -22,7 +22,7 @@ from mvchroma.cli import main
 
 GOLDEN_SEED = 20240817
 GOLDEN_COUNT = 60
-GOLDEN_SHA256 = "e1eea482ce2c52ab8bcdc1e4a5c44b4155bdee430c771ef7eeacaea4b43ac147"
+GOLDEN_SHA256 = "0c26753f0cae510ace13cabf5bb045f53ec5de96d3293cdf7186d276c7bbac06"
 
 
 def seeded_formulas(seed: int, count: int) -> list[str]:

@@ -1,7 +1,8 @@
 import hashlib
 import random
+import tracemalloc
 import weakref
-from itertools import product
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +12,7 @@ import mvchroma.solver as solver_module
 from conftest import (
     DEFAULT_SEED,
     brute_chi_mu,
+    brute_coloring_valid,
     c4,
     first_fit_coloring,
     k2_pendant,
@@ -529,56 +531,104 @@ def test_symmetry_breaking_node_counts_reasonable():
 
 Q3_CLAUSES = [list(zip((1, 2, 3), pols)) for pols in product((False, True), repeat=3)]
 
-# (seed, node budget) -> (status, nodes_explored, colors); the statuses and
-# colourings were recorded before the pair test moved onto the BFS level
-# masks, and the node counts when the search took up backjumping over
-# Graph.search_order; a change to the pair test must leave the search alone
+
+def _seeded_formula(seed: int):
+    """The q = 3 formula of GOLDEN_SEARCHES' seed."""
+    rng = random.Random(seed)
+    return make_formula(3, rng.sample(Q3_CLAUSES, rng.randrange(1, 6)))
+
+
+# (seed, node budget) -> (status, nodes_explored, colors); the statuses were
+# recorded before the pair test moved onto the BFS level masks, and the node
+# counts and colourings when the backjumping search took up the phase-saved
+# color order and its learned nogoods; a change to the pair test must leave
+# the search alone
 GOLDEN_SEARCHES = {
-    (0, 5000): ("infeasible", 463, None),
-    (0, None): ("infeasible", 463, None),
-    (4, 5000): ("feasible", 345, (1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)),
-    (4, None): ("feasible", 345, (1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)),
+    (0, 5000): ("infeasible", 382, None),
+    (0, None): ("infeasible", 382, None),
+    (4, 5000): ("feasible", 260, (0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0)),
+    (4, None): ("feasible", 260, (0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0)),
     (5, 5000): (
         "feasible",
-        340,
-        (1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1),
+        191,
+        (0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0),
     ),
     (5, None): (
         "feasible",
-        340,
-        (1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1),
+        191,
+        (0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0),
     ),
     (9, 5000): (
         "feasible",
-        208,
-        (1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1),
+        185,
+        (0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1),
     ),
     (9, None): (
         "feasible",
-        208,
-        (1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1),
+        185,
+        (0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1),
     ),
 }
 
 
 @pytest.mark.parametrize("seed, max_nodes", GOLDEN_SEARCHES)
 def test_reduction_search_golden(seed, max_nodes):
-    rng = random.Random(seed)
-    f = make_formula(3, rng.sample(Q3_CLAUSES, rng.randrange(1, 6)))
     budget = None if max_nodes is None else Budget(max_nodes=max_nodes)
-    outcome = mv_k_colorable(build_reduction(f).graph, 2, budget)
+    outcome = mv_k_colorable(build_reduction(_seeded_formula(seed)).graph, 2, budget)
     colors = None if outcome.coloring is None else outcome.coloring.colors
     assert (outcome.status.value, outcome.nodes_explored, colors) == GOLDEN_SEARCHES[
         seed, max_nodes
     ]
 
 
+def test_learned_nogoods_prune_and_keep_verdicts(monkeypatch):
+    # a color the learned table rejects costs a node but no pair test, so on
+    # some search the pair test runs fewer times than nodes are counted
+    calls = []
+    check = solver_module._check_assignment
+
+    def counting_check(*args):
+        calls.append(None)
+        return check(*args)
+
+    monkeypatch.setattr(solver_module, "_check_assignment", counting_check)
+    # GOLDEN_SEARCHES' formulas and acceptance 10's: up to 4 distinct clauses
+    clauses = sorted(map(tuple, Q3_CLAUSES))
+    formulas = [_seeded_formula(seed) for seed, _ in GOLDEN_SEARCHES]
+    formulas += [make_formula(3, cls) for size in range(5) for cls in combinations(clauses, size)]
+    pruned = 0
+    for f in formulas:
+        calls.clear()
+        g = build_reduction(f).graph
+        outcome = mv_k_colorable(g, 2)
+        assert (outcome.status is Status.FEASIBLE) == (nae_satisfiable(f) is not None)
+        assert outcome.coloring is None or brute_coloring_valid(g, outcome.coloring.colors)
+        assert len(calls) <= outcome.nodes_explored
+        pruned += len(calls) < outcome.nodes_explored
+    assert pruned
+
+
+def test_learned_table_grows_with_dead_ends_not_k():
+    # slots are made by dead ends, so a first-fit descent at k = 2^62 keeps
+    # no table of n x min(k, n) slots (75 MB of None on GT(10,2))
+    g = build_glued_tree(10, 2).graph
+    tracemalloc.start()
+    try:
+        outcome = mv_k_colorable(g, 2**62, Budget(max_nodes=50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.status is Status.BUDGET_EXHAUSTED
+    assert peak < 16 * 2**20
+
+
 # searches on glued trees of diameter up to 8: (r, t, k) -> (status,
 # nodes_explored), the statuses recorded before the pair test swept reach
-# outward from one endpoint, the node counts with the backjumping search
+# outward from one endpoint, the node counts with the backjumping search's
+# phase-saved color order and learned nogoods
 GOLDEN_TREE_SEARCHES = {
-    (3, 2, 3): ("infeasible", 1512),
-    (2, 3, 2): ("infeasible", 44),
+    (3, 2, 3): ("infeasible", 1176),
+    (2, 3, 2): ("infeasible", 41),
 }
 
 
