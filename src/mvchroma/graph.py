@@ -267,8 +267,16 @@ class DistanceOracle:
                 return 0
             if whole and not reach & blocked:
                 reach = level
-            elif targets & ~level:
+            else:
                 free = reach & ~blocked
+                if not targets & ~level:  # the last level: test only its targets
+                    unseen = 0
+                    while targets:
+                        low = targets & -targets
+                        if not nbr[low.bit_length() - 1] & free:
+                            unseen |= low
+                        targets ^= low
+                    return unseen
                 reach = 0
                 while free:
                     low = free & -free
@@ -276,14 +284,6 @@ class DistanceOracle:
                     free ^= low
                 reach &= level
                 whole = reach == level
-            else:  # the last level: test only the targets left
-                free, unseen = reach & ~blocked, 0
-                while targets:
-                    low = targets & -targets
-                    if not nbr[low.bit_length() - 1] & free:
-                        unseen |= low
-                    targets ^= low
-                return unseen
             unseen = targets & level & ~reach
             if unseen:
                 return unseen
