@@ -273,10 +273,11 @@ def mv_k_colorable(g: Graph, k: int, budget: Budget | None = None) -> SearchOutc
                 depth -= 1
             if depth < 0:
                 return _finish(budget, Status.INFEASIBLE, None, nodes, start)
-            blame[depth] |= culprits & ~(1 << order[depth])
-            if not cut:  # the culprits' colors lie below used[depth + 1]
+            rest = culprits & ~(1 << order[depth])
+            blame[depth] |= rest
+            if not cut:  # order[depth] itself holds the slot's color when tested
                 learned.setdefault(depth, {})[choice[depth]] = (culprits, [
-                    (h, m) for h in range(used[depth + 1]) if (m := culprits & color_masks[h])
+                    (h, m) for h in range(used[depth]) if (m := rest & color_masks[h])
                 ])
 
 
