@@ -26,9 +26,10 @@ round the depth's color range once, so the first descent is still first
 fit. A dead end's jump-back set, its culprits with the colors they hold, is
 a nogood: no coloring the search can reach extends it (jump-back learning,
 Frost and Dechter 1994). It is stored under the depth and color of its
-deepest culprit, replacing the one stored there, as one member mask per
-color; when that depth takes that color again with every member on its
-stored color, the color fails with the nogood's members as conflict set.
+deepest culprit, replacing the one stored there, with one mask per color
+of the other culprits; when that depth takes that color again with every
+one of them on its stored color, the color fails with the nogood's
+members as conflict set.
 It costs a node like a color the pair test rejects, but no pair test. One
 nogood per slot keeps that test as cheap as a few mask compares, where an
 unbounded list per vertex made each node several times slower; a slot's
