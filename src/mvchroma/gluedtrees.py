@@ -29,7 +29,7 @@ from .errors import (
 )
 from .graph import DEFAULT_SIZE_CAP, Graph, graph_from_edge_list, require_int
 from .solver import chi_mu_exact
-from .visibility import Coloring, validate_gp_coloring, validate_mv_coloring
+from .visibility import Coloring, validate_mv_coloring
 
 
 @dataclass(frozen=True)
@@ -390,12 +390,12 @@ def verify_theorem(
 ) -> TheoremReport:
     """Build GT(r, t), run the constructive coloring, validate, compare counts.
 
-    With ``gp`` the coloring is checked for general position first, and MV
-    only when that fails: every GP set is an MV set. Both checks sweep from
-    one vertex per orbit of the coloring-preserving sibling swaps
-    (``swap_representatives``), with every member of a class a target; the
-    swaps are automorphisms that map each class onto itself, so the
-    verdicts are those of the full sweeps.
+    One MV validation gives both verdicts: its report's ``gp_valid`` is
+    read from the same sweeps, and ``gp_valid`` is reported only with
+    ``gp``. It sweeps from one vertex per orbit of the coloring-preserving
+    sibling swaps (``swap_representatives``), with every member of a class a
+    target; the swaps are automorphisms that map each class onto itself, so
+    the verdicts are those of the full sweeps.
 
     When the exact solver's budget runs out, ``exact`` stays None and
     ``bounds`` holds its [lo, hi].
@@ -408,11 +408,7 @@ def verify_theorem(
         )
     tree = build_glued_tree(r, t)
     coloring = constructive_coloring(tree)
-    sources = swap_representatives(tree, coloring)
-    gp_valid = None
-    if gp:
-        gp_valid = validate_gp_coloring(tree.graph, coloring, sources=sources).valid
-    mv_valid = gp_valid or validate_mv_coloring(tree.graph, coloring, sources=sources).valid
+    report = validate_mv_coloring(tree.graph, coloring, sources=swap_representatives(tree, coloring))
     exact_value = bounds = None
     if exact:
         try:
@@ -424,8 +420,8 @@ def verify_theorem(
         t=t,
         formula=formula,
         construction_colors=coloring.k,
-        mv_valid=mv_valid,
-        gp_valid=gp_valid,
+        mv_valid=report.valid,
+        gp_valid=report.gp_valid if gp else None,
         exact=exact_value,
         bounds=bounds,
     )

@@ -75,12 +75,13 @@ class Graph:
         """The exact search's vertex order, which closes neighbourhoods early.
 
         A vertex comes as soon as every neighbour of it that is not a pendant
-        (a degree-1 vertex) has come, a pendant right after its one
-        neighbour, and otherwise the next vertex in ``degree_order``; ready
-        vertices also come in degree order. O(m + n log n): a count of
-        unplaced non-pendant neighbours per vertex, and a heap of the ready
-        vertices keyed by degree rank.
+        (a degree-1 vertex) has come, a pendant right after its one neighbour,
+        and otherwise the next vertex in ``degree_order``; ready vertices also
+        come in degree order. O(m + n log n): a count of unplaced non-pendant
+        neighbours per vertex, and a heap of the ready vertices keyed by degree
+        rank. A disconnected g raises DisconnectedGraphError.
         """
+        require_connected_graph(self)
         n, by_degree = self.n, self.degree_order.tolist()
         degree = np.diff(self.indptr)
         ptr, nbr = self.indptr.tolist(), self.indices.tolist()
@@ -94,8 +95,6 @@ class Graph:
         while len(order) < n:
             if ready:
                 v = by_degree[heappop(ready)]
-                if placed[v]:
-                    continue
             else:
                 while placed[by_degree[scan]]:
                     scan += 1

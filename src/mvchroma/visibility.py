@@ -52,6 +52,9 @@ class ValidationReport:
     # every violating pair when exhaustive; otherwise the scan stops at the
     # first, so 0 or 1
     violation_count: int = 0
+    # every class is in general position: exact in both modes, read from the
+    # same sweeps, since a scan stops only on a GP violation
+    gp_valid: bool = True
 
 
 # Sources per multi-source BFS. A batch holds O(m * BATCH_SOURCES / 8) bytes
@@ -176,13 +179,11 @@ def _class_sweep(n: int, rank: np.ndarray, blocks, batch) -> tuple[np.ndarray, n
     return own & ~visible, own & crossed
 
 
-def _violating_entries(n, rank, blocks, batch, mode: str):
-    """Sweep one batch and yield ``(color, members, lo, pairs)`` for each
-    entry that may hold a violation, in batch order: pairs[i, t] is set when
-    source members[lo + i] and target members[t] violate with the source
-    first (members ascend), so each pair u < v is set once."""
-    hidden, crossed = _class_sweep(n, rank, blocks, batch)
-    bad = hidden if mode == "mv" else crossed
+def _violating_entries(bad: np.ndarray, batch):
+    """Yield ``(color, members, lo, pairs)`` for each entry of a batch whose
+    ``bad`` rows (its sweep's ``hidden`` or ``crossed``) may hold a violation,
+    in batch order: pairs[i, t] is set when source members[lo + i] and target
+    members[t] violate with the source first, so each pair is set once."""
     row = b0 = 0
     for color, members, lo, hi in batch:
         s, b1 = len(members), b0 + hi - lo
@@ -224,31 +225,32 @@ def _scan_classes(
                 raise InvalidParamsError(f"no source in color class {len(split)}")
             split.append((front + [v for v in members if v not in chosen], len(front)))
     room = MAX_LISTED_VIOLATIONS if exhaustive else 1
-    count, violations = 0, []
+    count, violations, gp_valid = 0, [], True
     batches = list(_batches(split))
     if batches:
         rank, blocks = _degree_blocks(g)
-    entries = (
-        entry
-        for batch in batches
-        for entry in _violating_entries(g.n, rank, blocks, batch, mode)
-    )
-    for color, members, lo, pairs in entries:
-        per_row = np.count_nonzero(pairs, axis=1)
-        found = int(per_row.sum())
-        if not found:
-            continue
-        count += found
-        take = room - len(violations)
-        if take > 0:
-            # unpack only the rows that hold the first `take` pairs
-            stop = int(np.searchsorted(np.cumsum(per_row), take)) + 1
-            i, t = np.nonzero(pairs[:stop])
-            violations.extend(
-                (members[lo + x], members[y], color)
-                for x, y in zip(i[:take].tolist(), t[:take].tolist())
-            )
-        if not exhaustive:
+    for batch in batches:
+        hidden, crossed = _class_sweep(g.n, rank, blocks, batch)
+        gp_valid = gp_valid and not crossed.any()
+        bad = hidden if mode == "mv" else crossed
+        for color, members, lo, pairs in _violating_entries(bad, batch):
+            per_row = np.count_nonzero(pairs, axis=1)
+            found = int(per_row.sum())
+            if not found:
+                continue
+            count += found
+            take = room - len(violations)
+            if take > 0:
+                # unpack only the rows that hold the first `take` pairs
+                stop = int(np.searchsorted(np.cumsum(per_row), take)) + 1
+                i, t = np.nonzero(pairs[:stop])
+                violations.extend(
+                    (members[lo + x], members[y], color)
+                    for x, y in zip(i[:take].tolist(), t[:take].tolist())
+                )
+            if not exhaustive:
+                break
+        if violations and not exhaustive:
             break
     last = violations[0][2] if violations and not exhaustive else len(classes) - 1
     return ValidationReport(
@@ -256,6 +258,7 @@ def _scan_classes(
         violations=tuple(violations),
         checked_pairs=sum(len(m) * (len(m) - 1) // 2 for m in classes[: last + 1]),
         violation_count=count if exhaustive else len(violations),
+        gp_valid=gp_valid,
     )
 
 
@@ -298,7 +301,7 @@ def validate_mv_coloring(
     of automorphisms of g that maps each color class onto itself. The
     sweep then runs from those members only, with every member a target:
     such a map takes a violating pair to a violating pair, so a violation
-    exists iff one has an end in ``sources``. ``valid`` and
+    exists iff one has an end in ``sources``. ``valid``, ``gp_valid`` and
     ``checked_pairs`` are those of the full scan; the listed pair is one
     violating (source, target) pair, not the smallest. It needs
     exhaustive=False.

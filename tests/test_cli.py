@@ -89,9 +89,9 @@ def test_theorem_unexpected_gp_verdict_exits_3(monkeypatch, capsys):
     # in general position; a GP failure there is a disagreement
     monkeypatch.setattr(
         gluedtrees,
-        "validate_gp_coloring",
+        "validate_mv_coloring",
         lambda g, c, exhaustive=False, sources=None: visibility.ValidationReport(
-            False, ((0, 1, 0),), 1
+            True, (), 1, gp_valid=False
         ),
     )
     code, _, _ = run(capsys, "theorem", "--r", "2", "--t", "2", "--gp", "--json", os.devnull)

@@ -287,8 +287,8 @@ def test_verify_theorem_agrees():
 
 
 def test_verify_theorem_gp_decides_mv():
-    # with gp, a GP-valid construction skips the MV check: every GP set is
-    # an MV set, so the verdict must match a direct MV validation
+    # with gp, one MV validation from the swap representatives gives both
+    # verdicts; its MV verdict must match a direct, full MV validation
     for r, t in trees_up_to(400):
         if not chi_mu_formula(r, t).gap:
             tree = build_glued_tree(r, t)

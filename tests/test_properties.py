@@ -229,7 +229,8 @@ def hub_colorings(draw):
 def test_batched_sweeps_match_brute_force(case):
     # at 64 sources per sweep, the big class runs in two chunks and the small
     # ones share sweeps; the reports must match those at the default width
-    # and, class by class, the brute-force oracles
+    # and, class by class, the brute-force oracles. Every report, MV or GP,
+    # exhaustive or not, says whether all classes are in general position
     g, c = case
     checks = (validate_mv_coloring, validate_gp_coloring)
     default = [check(g, c, exhaustive=ex) for check in checks for ex in (False, True)]
@@ -242,6 +243,8 @@ def test_batched_sweeps_match_brute_force(case):
     for report, brute in ((narrow[1], brute_is_mv_set), (narrow[3], brute_is_gp_set)):
         failing = {color for _, _, color in report.violations}
         assert failing == {i for i, m in enumerate(classes) if not brute(g, m)}
+    gp = all(brute_is_gp_set(g, m) for m in classes)
+    assert [report.gp_valid for report in default + narrow] == [gp] * 8
 
 
 @given(connected_graphs(max_n=7))

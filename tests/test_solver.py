@@ -161,7 +161,9 @@ def test_huge_k_answers_like_k_equal_n(k):
 
 
 def test_disconnected_rejected():
-    # two edges, and GT(9, 2) (n = 1534) beside one isolated vertex
+    # two edges, and GT(9, 2) (n = 1534) beside one isolated vertex; the
+    # search order too, which would place a K2 component's second vertex
+    # twice
     tree = build_glued_tree(9, 2)
     for g in (
         graph_from_edge_list(4, [(0, 1), (2, 3)]),
@@ -171,6 +173,8 @@ def test_disconnected_rejected():
             mv_k_colorable(g, 2)
         with pytest.raises(DisconnectedGraphError):
             DistanceOracle(g)
+        with pytest.raises(DisconnectedGraphError):
+            g.search_order
 
 
 def test_node_budget_exhausts():
@@ -321,6 +325,27 @@ def test_greedy_falls_back_to_singletons_when_rejected(monkeypatch):
     monkeypatch.setattr(solver_module, "validate_mv_coloring", reject)
     g = build_glued_tree(2, 2).graph
     assert greedy_upper_bound(g) == (g.n, Coloring(tuple(range(g.n)), g.n))
+
+
+def test_search_goes_on_past_rejected_leaves(monkeypatch):
+    # a leaf the validator rejects blames its whole prefix, so the search
+    # backtracks from it like from any other dead end
+    real = solver_module.validate_mv_coloring
+    g = build_glued_tree(2, 2).graph
+    found = mv_k_colorable(g, 3).coloring
+    seen = []
+
+    def reject_first(g, coloring, *args, **kwargs):
+        seen.append(coloring)
+        return SimpleNamespace(valid=False) if len(seen) == 1 else real(g, coloring)
+
+    monkeypatch.setattr(solver_module, "validate_mv_coloring", reject_first)
+    outcome = mv_k_colorable(g, 3)
+    assert outcome.status is Status.FEASIBLE and seen[0] == found
+    assert outcome.coloring != found and real(g, outcome.coloring).valid
+    # rejecting every leaf leaves no colouring
+    monkeypatch.setattr(solver_module, "validate_mv_coloring", lambda *a: SimpleNamespace(valid=False))
+    assert mv_k_colorable(g, 3).status is Status.INFEASIBLE
 
 
 def _record_tables(monkeypatch) -> list:

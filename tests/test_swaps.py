@@ -140,19 +140,18 @@ def test_equal_type_swaps_are_coloring_automorphisms():
     assert swaps > 2_000_000
 
 
+def verdicts(report):
+    """(mv, gp) from one MV report, which says both."""
+    return report.valid, report.gp_valid
+
+
 def representative_verdicts(tree, coloring):
     sources = swap_representatives(tree, coloring)
-    return (
-        validate_mv_coloring(tree.graph, coloring, sources=sources).valid,
-        validate_gp_coloring(tree.graph, coloring, sources=sources).valid,
-    )
+    return verdicts(validate_mv_coloring(tree.graph, coloring, sources=sources))
 
 
 def full_verdicts(tree, coloring):
-    # a GP set is an MV set (test_gp_implies_mv), so the full MV sweep runs
-    # only when the full GP sweep fails
-    gp = validate_gp_coloring(tree.graph, coloring).valid
-    return gp or validate_mv_coloring(tree.graph, coloring).valid, gp
+    return verdicts(validate_mv_coloring(tree.graph, coloring))
 
 
 def narrow_verdicts(tree, coloring, width, entries):
@@ -244,6 +243,10 @@ def test_representatives_match_full_validators_on_perturbed_colorings():
         for coloring in perturbed_colorings(tree, rng, 3):
             full = full_verdicts(tree, coloring)
             assert representative_verdicts(tree, coloring) == full, (r, t, coloring)
+            # GP mode from representatives against the full MV report's gp_valid
+            sources = swap_representatives(tree, coloring)
+            gp = validate_gp_coloring(tree.graph, coloring, sources=sources).valid
+            assert gp == full[1], (r, t, coloring)
             assert narrow_verdicts(tree, coloring, 2, entries) == full, (r, t, coloring)
             verdicts.add(full)
     # every verdict pair that can occur did: GP implies MV
@@ -253,15 +256,16 @@ def test_representatives_match_full_validators_on_perturbed_colorings():
 
 def test_verify_theorem_sweeps_from_representatives(monkeypatch):
     seen = []
-    real = visibility.validate_gp_coloring
+    real = visibility.validate_mv_coloring
 
     def spy(g, c, exhaustive=False, *, sources=None):
         seen.append(sources)
         return real(g, c, exhaustive, sources=sources)
 
-    monkeypatch.setattr(gluedtrees, "validate_gp_coloring", spy)
+    monkeypatch.setattr(gluedtrees, "validate_mv_coloring", spy)
     assert verify_theorem(13, 2, gp=True).gp_valid
-    assert len(seen[0]) == 140
+    # one validation gives both verdicts
+    assert [len(sources) for sources in seen] == [140]
 
 
 def test_exhaustive_report_refuses_sources():
