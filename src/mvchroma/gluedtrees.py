@@ -24,10 +24,9 @@ from .errors import (
     GapInputError,
     InvalidParamsError,
     InvalidQuasiLeafError,
-    OutOfRangeVertexError,
     SizeCapExceededError,
 )
-from .graph import DEFAULT_SIZE_CAP, Graph, graph_from_edge_list, require_int
+from .graph import DEFAULT_SIZE_CAP, Graph, graph_from_edge_list, require_int, require_vertex
 from .solver import chi_mu_exact
 from .visibility import Coloring, validate_mv_coloring
 
@@ -83,9 +82,7 @@ class LabeledGluedTree:
     def coord(self, v: int) -> TreeCoordinate:
         """The coordinates of vertex id v; the inverse of ``internal`` and
         ``quasi``."""
-        v = require_int(v, OutOfRangeVertexError, "vertex id")
-        if not 0 <= v < self.graph.n:
-            raise OutOfRangeVertexError(f"vertex {v} out of range 0..{self.graph.n - 1}")
+        v = require_vertex(v, self.graph.n)
         per_side = _internal_per_side(self.r, self.t)
         if v >= 2 * per_side:
             return QuasiLeaf(v - 2 * per_side + 1)

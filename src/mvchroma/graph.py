@@ -1,10 +1,10 @@
 """Immutable simple undirected graphs and their distance oracle.
 
-A graph keeps one adjacency, read-only CSR arrays, on at most DEFAULT_SIZE_CAP
-vertices; the validators read only it and ``connected``. The DistanceOracle,
-which the solver and pair_visible read, caches three things of a connected
-graph: one row per source, its BFS levels as bitmasks, built on first use in
-one level-by-level pass; the neighbour lists that pass walks; and the
+A graph is connected, on at most DEFAULT_SIZE_CAP vertices, and keeps one
+adjacency, read-only CSR arrays; the validators read only it. The
+DistanceOracle, which the solver and pair_visible read, caches three things
+of the graph: one row per source, its BFS levels as bitmasks, built on first
+use in one level-by-level pass; the neighbour lists that pass walks; and the
 neighbour bitmasks ``sees`` reads.
 """
 
@@ -31,12 +31,26 @@ DEFAULT_SIZE_CAP = 200_000
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph as read-only int64 CSR arrays: the sorted
-    neighbours of v are ``indices[indptr[v]:indptr[v + 1]]``."""
+    """Connected simple undirected graph as read-only int64 CSR arrays: the
+    sorted neighbours of v are ``indices[indptr[v]:indptr[v + 1]]``."""
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
+
+    def __post_init__(self):
+        """Raise DisconnectedGraphError unless every vertex reaches vertex 0.
+        Hooking and pointer jumping (after Shiloach and Vishkin, J. Algorithms
+        1982) hooks every root with an edge out of its tree within two rounds,
+        so O(log n) rounds suffice."""
+        u, v = np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices
+        root = np.arange(self.n)
+        while (root[u] != root[v]).any():
+            np.minimum.at(root, root[u], root[v])
+            while (root[root] != root).any():
+                root = root[root]
+        if root.any():
+            raise DisconnectedGraphError("graph is disconnected")
 
     @property
     def m(self) -> int:
@@ -50,19 +64,6 @@ class Graph:
         u = np.repeat(np.arange(self.n), np.diff(self.indptr))
         keep = u < self.indices
         return list(zip(u[keep].tolist(), self.indices[keep].tolist()))
-
-    @cached_property
-    def connected(self) -> bool:
-        """True iff every vertex reaches vertex 0. Hooking and pointer jumping
-        (after Shiloach and Vishkin, J. Algorithms 1982) hooks every root with
-        an edge out of its tree within two rounds, so O(log n) rounds suffice."""
-        u, v = np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices
-        root = np.arange(self.n)
-        while (root[u] != root[v]).any():
-            np.minimum.at(root, root[u], root[v])
-            while (root[root] != root).any():
-                root = root[root]
-        return bool((root == 0).all())
 
     @cached_property
     def degree_order(self) -> np.ndarray:
@@ -79,9 +80,8 @@ class Graph:
         and otherwise the next vertex in ``degree_order``; ready vertices also
         come in degree order. O(m + n log n): a count of unplaced non-pendant
         neighbours per vertex, and a heap of the ready vertices keyed by degree
-        rank. A disconnected g raises DisconnectedGraphError.
+        rank.
         """
-        require_connected_graph(self)
         n, by_degree = self.n, self.degree_order.tolist()
         degree = np.diff(self.indptr)
         ptr, nbr = self.indptr.tolist(), self.indices.tolist()
@@ -127,7 +127,8 @@ def require_int(value, error: type[Exception], what: str) -> int:
 
 
 def graph_from_edge_list(n: int, edges) -> Graph:
-    """Build a canonical simple graph; duplicate edges collapse, self-loops raise."""
+    """Build a canonical simple graph; duplicate edges collapse, and
+    self-loops and disconnected input raise."""
     n = require_int(n, OutOfRangeVertexError, "vertex count")
     if n < 0:
         raise OutOfRangeVertexError("vertex count must be non-negative")
@@ -155,15 +156,13 @@ def graph_from_edge_list(n: int, edges) -> Graph:
     return Graph(n=n, indptr=indptr, indices=indices)
 
 
-def _check_vertex(v: int, n: int) -> None:
+def require_vertex(v, n: int) -> int:
+    """v as a Python int; raises OutOfRangeVertexError unless it is an
+    integer in 0..n-1."""
+    v = require_int(v, OutOfRangeVertexError, "vertex id")
     if not 0 <= v < n:
         raise OutOfRangeVertexError(f"vertex {v} out of range 0..{n - 1}")
-
-
-def require_connected_graph(g: Graph) -> None:
-    """Raise DisconnectedGraphError unless ``g.connected``."""
-    if not g.connected:
-        raise DisconnectedGraphError("graph is disconnected")
+    return v
 
 
 class DistanceOracle:
@@ -188,11 +187,9 @@ class DistanceOracle:
 
     The rows, the neighbour lists they are built from and the neighbour
     masks are all it keeps for the graph's lifetime.
-    A disconnected g raises DisconnectedGraphError, so every row has every vertex.
     """
 
     def __init__(self, g: Graph):
-        require_connected_graph(g)
         self.g = g
         self._rows: list[list[int] | None] = [None] * g.n
 
@@ -228,8 +225,7 @@ class DistanceOracle:
         return row
 
     def d(self, u: int, v: int) -> int:
-        _check_vertex(u, self.g.n)
-        _check_vertex(v, self.g.n)
+        u, v = require_vertex(u, self.g.n), require_vertex(v, self.g.n)
         return next(i for i, level in enumerate(self._row(u)) if level >> v & 1)
 
     def through(self, x: int, v: int) -> int:

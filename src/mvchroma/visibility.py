@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ColoringNotTotalError, InvalidParamsError, OutOfRangeVertexError
-from .graph import DistanceOracle, Graph, require_connected_graph, require_int
+from .errors import ColoringNotTotalError, InvalidParamsError
+from .graph import DistanceOracle, Graph, require_int, require_vertex
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,8 @@ def _batches(classes):
 
 def _class_sweep(n: int, rank: np.ndarray, blocks, batch) -> tuple[np.ndarray, np.ndarray]:
     """Bit-parallel BFS from every source of a batch at once, one bit per
-    source (after Akiba, Iwata and Yoshida, SIGMOD 2013). The graph must be
-    connected; ``rank`` and ``blocks`` come from ``_degree_blocks``.
+    source (after Akiba, Iwata and Yoshida, SIGMOD 2013); ``rank`` and
+    ``blocks`` come from ``_degree_blocks``.
 
     The entries' sources take consecutive bits, and their targets
     consecutive rows. A target's ``own`` row holds the bits of the sources
@@ -213,7 +213,6 @@ def _scan_classes(
     # a sweep from orbit representatives misses the pairs their images cover
     if exhaustive and sources is not None:
         raise InvalidParamsError("an exhaustive report needs every member as a source")
-    require_connected_graph(g)
     if sources is None:
         split = [(members, len(members)) for members in classes]
     else:
@@ -263,11 +262,7 @@ def _scan_classes(
 
 
 def _set_members(g: Graph, s) -> list[int]:
-    members = sorted({require_int(v, OutOfRangeVertexError, "vertex id") for v in s})
-    for v in members:
-        if not 0 <= v < g.n:
-            raise OutOfRangeVertexError(f"vertex {v} out of range")
-    return members
+    return sorted({require_vertex(v, g.n) for v in s})
 
 
 def is_mv_set(g: Graph, s) -> bool:
@@ -330,5 +325,5 @@ def pair_visible(g: Graph, o: DistanceOracle, u: int, v: int, same_class) -> boo
 
     ``o`` is g's distance oracle.
     """
-    o.d(u, v)  # range-checks u and v
+    u, v = require_vertex(u, g.n), require_vertex(v, g.n)
     return not o.sees(u, 1 << v, sum(1 << w for w in _set_members(g, same_class)))

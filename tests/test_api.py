@@ -137,7 +137,17 @@ NON_INTEGER_CALLS = {
         lambda: mvchroma.build_glued_tree(2, 2).internal(1, 2, 1.5),
     ),
     "tree-coord": (OutOfRangeVertexError, lambda: mvchroma.build_glued_tree(2, 2).coord(3.5)),
+    "oracle-d": (
+        OutOfRangeVertexError,
+        lambda: mvchroma.graph_from_edge_list(3, P3).oracle.d(1.5, 2),
+    ),
+    "pair-visible": (OutOfRangeVertexError, lambda: _p3_pair_visible(0, 2.5, [1])),
 }
+
+
+def _p3_pair_visible(u, v, same_class):
+    g = mvchroma.graph_from_edge_list(3, P3)
+    return mvchroma.visibility.pair_visible(g, g.oracle, u, v, same_class)
 
 
 def _gt22_coloring():
@@ -158,6 +168,23 @@ def test_numpy_integers_accepted():
     assert (type(g.n), g.edges()) == (int, P3)
     assert mvchroma.build_glued_tree(np.int32(2), np.int64(2)).graph.n == 10
     assert mvchroma.mv_k_colorable(g, np.int64(2)).status is mvchroma.Status.FEASIBLE
+
+
+def test_numpy_vertex_ids_answer_like_python_ids():
+    # on GT(6, 2), n = 190: a shift of 1 by a numpy id of 64 or more overflows
+    assert _p3_pair_visible(np.int64(0), np.int64(2), [np.int64(1)]) is False
+    g = mvchroma.build_glued_tree(6, 2).graph
+    o = g.oracle
+    answers = set()
+    for u, v in ((0, 100), (70, 189), (64, 127), (100, 150)):
+        assert o.d(np.int64(u), np.int64(v)) == o.d(u, v)
+        inside = [w for w in range(g.n) if o.between(u, v) >> w & 1]
+        for same_class in ([], inside[:1], inside[-1:]):
+            answer = mvchroma.visibility.pair_visible(g, o, u, v, same_class)
+            ids = np.array(same_class, dtype=np.int64)
+            assert mvchroma.visibility.pair_visible(g, o, np.int64(u), np.uint8(v), ids) is answer
+            answers.add(answer)
+    assert answers == {True, False}
 
 
 def test_formula_from_numpy_integers_is_plain_json():

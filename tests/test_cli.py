@@ -510,6 +510,14 @@ def test_reduce_over_size_cap_exit_2(tmp_path, capsys):
     assert "200008 vertices" in err
 
 
+def test_reduce_caps_the_graph_before_its_edges(tmp_path, capsys):
+    # 10^9 variables: the edge list alone would hold 5 * 10^9 pairs
+    fpath = write_formula(tmp_path, "p nae3 1000000000 0\n")
+    assert run(capsys, "reduce", "--formula", fpath) == (
+        2, "", "error: the reduction graph has 4000000004 vertices, more than 200000\n"
+    )
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "nae", "--formula", "/nonexistent/path.nae")
     assert code == 2

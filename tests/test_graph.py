@@ -12,7 +12,7 @@ from conftest import (
     enumerate_shortest_paths,
 )
 from mvchroma import (
-    DistanceOracle,
+    Graph,
     all_pairs_distances,
     build_glued_tree,
     graph_from_edge_list,
@@ -78,8 +78,9 @@ def test_bfs_path():
 
 
 def test_bfs_unreachable_sentinel():
-    g = graph_from_edge_list(3, [(0, 1)])
-    assert bfs_distances(g, 0) == [0, 1, -1]
+    # a sink is reached but not expanded, so the vertex past it is not
+    g = graph_from_edge_list(3, [(0, 1), (1, 2)])
+    assert bfs_distances(g, 0, sinks={1}) == [0, 1, -1]
 
 
 def test_all_pairs_matches_bfs():
@@ -141,17 +142,6 @@ def test_on_some_geodesic_gt2_quasi_leaves():
     assert o.through(tree.quasi(1), tree.internal(1, 1, 1)) >> tree.quasi(4) & 1
 
 
-def test_oracle_rejects_disconnected_graph():
-    # the path 0-1-2-3 and the edge 4-5: no oracle, so no row misses a vertex
-    g = graph_from_edge_list(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
-    with pytest.raises(DisconnectedGraphError):
-        DistanceOracle(g)
-    with pytest.raises(DisconnectedGraphError):
-        all_pairs_distances(g)
-    with pytest.raises(DisconnectedGraphError):
-        g.oracle
-
-
 def test_geodesic_count_c4():
     g = c4()
     assert len(enumerate_shortest_paths(g, 0, 2)) == 2
@@ -170,7 +160,9 @@ def test_geodesic_count_gt2():
 
 def test_connected_matches_bfs():
     # random graphs of up to 40 vertices, many of them disconnected, and
-    # paths in shuffled vertex order, whole or cut in the middle
+    # paths in shuffled vertex order, whole or cut in the middle. A graph is
+    # built iff it is connected: conftest's BFS measures reach in it through
+    # a hub n joined to every vertex, a sink, so the BFS never expands it
     rng = random.Random(DEFAULT_SEED)
     kinds = set()
     for trial in range(600):
@@ -182,8 +174,25 @@ def test_connected_matches_bfs():
             p = rng.sample(range(n), n)
             cut = n // 2 if trial % 2 else None
             edges = {(p[i], p[i + 1]) for i in range(n - 1) if i + 1 != cut}
-        g = graph_from_edge_list(n, sorted(edges))
-        expected = n <= 1 or -1 not in bfs_distances(g, 0)
-        assert g.connected == expected, (n, sorted(edges))
+        edges = sorted(edges)
+        hub = graph_from_edge_list(n + 1, edges + [(v, n) for v in range(n)])
+        expected = -1 not in bfs_distances(hub, 0, sinks={n})
+        try:
+            graph_from_edge_list(n, edges)
+        except DisconnectedGraphError:
+            assert not expected, (n, edges)
+        else:
+            assert expected, (n, edges)
         kinds.add(expected)
     assert kinds == {True, False}
+    # two edges, GT(9, 2) (n = 1534) beside one isolated vertex, and the CSR
+    # arrays of two edges handed to Graph itself
+    tree = build_glued_tree(9, 2)
+    for build in (
+        lambda: graph_from_edge_list(4, [(0, 1), (2, 3)]),
+        lambda: graph_from_edge_list(tree.graph.n + 1, tree.graph.edges()),
+        lambda: Graph(4, np.array([0, 1, 2, 3, 4]), np.array([1, 0, 3, 2])),
+    ):
+        with pytest.raises(DisconnectedGraphError, match="disconnected"):
+            build()
+    assert Graph(2, np.array([0, 1, 2]), np.array([1, 0])).m == 1

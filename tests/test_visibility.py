@@ -17,7 +17,6 @@ from conftest import (
 )
 from mvchroma import (
     Coloring,
-    DistanceOracle,
     ValidationReport,
     all_pairs_distances,
     build_glued_tree,
@@ -32,7 +31,6 @@ from mvchroma import (
 )
 from mvchroma.errors import (
     ColoringNotTotalError,
-    DisconnectedGraphError,
     OutOfRangeVertexError,
 )
 import mvchroma.visibility as visibility
@@ -318,27 +316,6 @@ def test_validator_matches_pair_visible_on_hub_graphs():
             ]
             report = validate_gp_coloring(g, c, exhaustive=True)
             assert list(report.violations) == expected, (hubs, size)
-
-
-def test_every_check_rejects_a_disconnected_graph():
-    # two edges, and GT(9, 2) (n = 1534) beside one isolated vertex
-    tree = build_glued_tree(9, 2)
-    for g in (
-        graph_from_edge_list(4, [(0, 1), (2, 3)]),
-        graph_from_edge_list(tree.graph.n + 1, tree.graph.edges()),
-    ):
-        c = Coloring(tuple(v % 2 for v in range(g.n)), 2)
-        for check in (
-            lambda: is_mv_set(g, [0, 2]),
-            lambda: is_gp_set(g, [0, 2]),
-            lambda: validate_mv_coloring(g, c),
-            lambda: validate_gp_coloring(g, c),
-            lambda: validate_mv_coloring(g, c, exhaustive=True),
-            lambda: validate_gp_coloring(g, c, exhaustive=True),
-            lambda: DistanceOracle(g),
-        ):
-            with pytest.raises(DisconnectedGraphError):
-                check()
 
 
 def test_small_classes_agree_with_is_mv_set():
