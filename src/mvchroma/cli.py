@@ -13,6 +13,8 @@ import math
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from . import __version__
 from .errors import BudgetExhaustedError, InvalidParamsError, MvChromaError
 from .formats import (
@@ -53,8 +55,29 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-# one entry of validate's violation list, as json.dumps(indent=2, sort_keys=True) writes it
-_VIOLATION = '    {\n      "color": %d,\n      "u": %d,\n      "v": %d\n    }'
+def _violation_list(pairs: np.ndarray) -> str:
+    """The (u, v, color) rows of ``pairs``, 0-based, as validate's 1-based
+    "violations" list, with the bytes json.dumps(indent=2, sort_keys=True)
+    writes. An entry is three pieces, its colour's, its u's and its v's,
+    gathered from a string table per column that holds one piece per id
+    the column uses."""
+    if not len(pairs):
+        return "[]"
+
+    def column(j, before, after=""):
+        ids = pairs[:, j]
+        slot = np.zeros(int(ids.max()) + 1, dtype=np.int64)
+        slot[ids] = 1
+        used = np.flatnonzero(slot)
+        slot[used] = np.arange(len(used))  # an id's row in the table
+        return np.array([f"{before}{i + 1}{after}" for i in used.tolist()], dtype=object)[slot[ids]]
+
+    pieces = np.stack((
+        column(2, '    {\n      "color": '),
+        column(0, ',\n      "u": '),
+        column(1, ',\n      "v": ', "\n    },\n"),
+    ), axis=1)
+    return f"[\n{''.join(pieces.ravel().tolist())[:-2]}\n  ]"
 
 
 def _json_report(
@@ -63,9 +86,10 @@ def _json_report(
     """End a JSON command: write payload, with the version and config, to
     --json; exit 4 when a budget stopped the run, else 0 if ok, else 3.
 
-    ``violations``, (color, u, v) triples, becomes the "violations" list. The
-    key sorts after every other, so the list is written from _VIOLATION in
-    place of the dump's closing "\n}", with the bytes json.dumps would write.
+    ``violations``, a report's array of (u, v, color) rows, becomes the
+    "violations" list. The key sorts after every other, so the list is
+    written by _violation_list in place of the dump's closing "\n}", with
+    the bytes json.dumps would write.
     """
     if stopped:
         payload["status"] = "budget"
@@ -73,9 +97,7 @@ def _json_report(
     payload["config"] = {k: v for k, v in vars(args).items() if k != "func"}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if violations is not None:
-        entries = ",\n".join(map(_VIOLATION.__mod__, violations))
-        listed = f"[\n{entries}\n  ]" if entries else "[]"
-        text = f'{text[:-2]},\n  "violations": {listed}\n}}'
+        text = f'{text[:-2]},\n  "violations": {_violation_list(violations)}\n}}'
     _write(args.json, text + "\n")
     if stopped:
         return EXIT_BUDGET
@@ -126,8 +148,7 @@ def cmd_validate(args) -> int:
     }
     if any(ext - 1 != dense for ext, dense in mapping.items()):
         payload["color_mapping"] = {str(ext): dense + 1 for ext, dense in mapping.items()}
-    violations = [(color + 1, u + 1, v + 1) for u, v, color in report.violations]
-    return _json_report(args, payload, report.valid, violations=violations)
+    return _json_report(args, payload, report.valid, violations=report.pairs)
 
 
 def cmd_solve(args) -> int:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     DisconnectedGraphError,
+    GraphFormatError,
     OutOfRangeVertexError,
     SelfLoopError,
     SizeCapExceededError,
@@ -32,19 +33,39 @@ DEFAULT_SIZE_CAP = 200_000
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Connected simple undirected graph as read-only int64 CSR arrays: the
-    sorted neighbours of v are ``indices[indptr[v]:indptr[v + 1]]``."""
+    sorted neighbours of v are ``indices[indptr[v]:indptr[v + 1]]``. Arrays
+    that break this raise a typed MvChromaError."""
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
 
     def __post_init__(self):
-        """Raise DisconnectedGraphError unless every vertex reaches vertex 0.
-        Hooking and pointer jumping (after Shiloach and Vishkin, J. Algorithms
-        1982) hooks every root with an edge out of its tree within two rounds,
-        so O(log n) rounds suffice."""
-        u, v = np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices
-        root = np.arange(self.n)
+        """Check the CSR arrays, then raise DisconnectedGraphError unless
+        every vertex reaches vertex 0.
+
+        ``indptr`` must rise from 0 to len(indices) in n steps, every index
+        must be a vertex other than its row's, and the rows must be strictly
+        increasing and symmetric: the (u, v) keys u * n + v in row order
+        rise and equal the (v, u) keys sorted. Then hooking and pointer
+        jumping (after Shiloach and Vishkin, J. Algorithms 1982), which
+        needs the symmetry, hooks every root with an edge out of its tree
+        within two rounds, so O(log n) rounds suffice.
+        """
+        n, indptr, indices = self.n, self.indptr, self.indices
+        degree = np.diff(indptr)
+        if len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(indices) or (degree < 0).any():
+            raise GraphFormatError(f"indptr does not rise from 0 to {len(indices)} in {n} steps")
+        outside = (indices < 0) | (indices >= n)
+        if outside.any():
+            raise OutOfRangeVertexError(f"vertex {indices[outside][0]} out of range 0..{n - 1}")
+        u, v = np.repeat(np.arange(n), degree), indices
+        if (u == v).any():
+            raise SelfLoopError(f"self-loop at vertex {u[u == v][0]}")
+        keys = u * n + v
+        if (np.diff(keys) <= 0).any() or not np.array_equal(keys, np.sort(v * n + u)):
+            raise GraphFormatError("adjacency rows are not strictly increasing and symmetric")
+        root = np.arange(n)
         while (root[u] != root[v]).any():
             np.minimum.at(root, root[u], root[v])
             while (root[root] != root).any():

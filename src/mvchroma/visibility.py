@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,10 +45,14 @@ def coloring_from_list(colors) -> Coloring:
 MAX_LISTED_VIOLATIONS = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidationReport:
+    """A validator's verdict. Two reports are equal when their fields are,
+    the listed pairs compared as ``violations``, their tuple view."""
+
     valid: bool
-    violations: tuple[tuple[int, int, int], ...]  # (u, v, color)
+    # the listed violating pairs as a (k, 3) int64 array of (u, v, color) rows
+    pairs: np.ndarray
     checked_pairs: int
     # every violating pair when exhaustive; otherwise the scan stops at the
     # first, so 0 or 1
@@ -55,6 +60,23 @@ class ValidationReport:
     # every class is in general position: exact in both modes, read from the
     # same sweeps, since a scan stops only on a GP violation
     gp_valid: bool = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", np.asarray(self.pairs, dtype=np.int64).reshape(-1, 3))
+
+    @cached_property
+    def violations(self) -> tuple[tuple[int, int, int], ...]:
+        """The listed pairs as (u, v, color) tuples of Python ints."""
+        return tuple(map(tuple, self.pairs.tolist()))
+
+    def _key(self):
+        return self.valid, self.violations, self.checked_pairs, self.violation_count, self.gp_valid
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, ValidationReport) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 # Sources per multi-source BFS. A batch holds O(m * BATCH_SOURCES / 8) bytes
@@ -224,7 +246,7 @@ def _scan_classes(
                 raise InvalidParamsError(f"no source in color class {len(split)}")
             split.append((front + [v for v in members if v not in chosen], len(front)))
     room = MAX_LISTED_VIOLATIONS if exhaustive else 1
-    count, violations, gp_valid = 0, [], True
+    count, listed, violations, gp_valid = 0, 0, [], True
     batches = list(_batches(split))
     if batches:
         rank, blocks = _degree_blocks(g)
@@ -238,25 +260,24 @@ def _scan_classes(
             if not found:
                 continue
             count += found
-            take = room - len(violations)
+            take = room - listed
             if take > 0:
                 # unpack only the rows that hold the first `take` pairs
                 stop = int(np.searchsorted(np.cumsum(per_row), take)) + 1
                 i, t = np.nonzero(pairs[:stop])
-                violations.extend(
-                    (members[lo + x], members[y], color)
-                    for x, y in zip(i[:take].tolist(), t[:take].tolist())
-                )
+                i, t, members = i[:take], t[:take], np.asarray(members)
+                violations.append(np.stack((members[lo + i], members[t], np.full_like(i, color)), axis=1))
+                listed += len(i)
             if not exhaustive:
                 break
-        if violations and not exhaustive:
+        if listed and not exhaustive:
             break
-    last = violations[0][2] if violations and not exhaustive else len(classes) - 1
+    last = int(violations[0][0, 2]) if listed and not exhaustive else len(classes) - 1
     return ValidationReport(
-        valid=not violations,
-        violations=tuple(violations),
+        valid=not listed,
+        pairs=np.concatenate(violations) if violations else (),
         checked_pairs=sum(len(m) * (len(m) - 1) // 2 for m in classes[: last + 1]),
-        violation_count=count if exhaustive else len(violations),
+        violation_count=count if exhaustive else listed,
         gp_valid=gp_valid,
     )
 

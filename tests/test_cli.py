@@ -1,19 +1,30 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import mvchroma.gluedtrees as gluedtrees
 import mvchroma.visibility as visibility
-from conftest import k2_pendant
+from conftest import (
+    DEFAULT_SEED,
+    brute_is_gp_set,
+    brute_is_mv_set,
+    brute_pair_visible,
+    enumerate_shortest_paths,
+    k2_pendant,
+)
 from mvchroma import (
     build_glued_tree,
+    graph_from_edge_list,
     read_coloring,
     read_graph,
+    validate_gp_coloring,
     validate_mv_coloring,
     write_graph,
 )
@@ -270,6 +281,51 @@ def test_validate_json_bytes_equal_json_dumps(tmp_path, capsys, d, colors, mode,
     assert code == (3 if listed else 0)
     assert (len(payload["violations"]), "color_mapping" in payload) == (listed, mapped)
     assert payload["config"]["json"] == str(jpath)
+
+
+@pytest.mark.parametrize("listed", [None, 7], ids=["all-listed", "truncated"])
+@pytest.mark.parametrize("mode", ["mv", "gp"])
+def test_validate_lists_every_violating_pair(tmp_path, capsys, monkeypatch, mode, listed):
+    # a 104-cycle, two geodesics between antipodes, coloured with sparse ids:
+    # three random classes that violate in both modes; antipodes 10 and 62
+    # with 36 on one of their geodesics, which violate GP but not MV; and
+    # antipodes 0 and 52, which cannot violate
+    n = 104
+    g = graph_from_edge_list(n, [(v, (v + 1) % n) for v in range(n)])
+    rng = random.Random(DEFAULT_SEED)
+    external = [rng.choice((10, 11, 25)) for _ in range(n)]
+    external[10] = external[36] = external[62] = 40
+    external[0] = external[52] = 70
+    gpath, cpath, jpath = tmp_path / "g.col", tmp_path / "c.sol", tmp_path / "v.json"
+    gpath.write_text(write_graph(g))
+    cpath.write_text(f"s color {n} 5\n" + "".join(f"v {v + 1} {c}\n" for v, c in enumerate(external)))
+    dense = {10: 0, 11: 1, 25: 2, 40: 3, 70: 4}
+    classes = [[v for v in range(n) if dense[external[v]] == c] for c in range(5)]
+
+    def violates(u, v, members):
+        if mode == "mv":
+            return not brute_pair_visible(g, u, v, set(members) - {u, v})
+        return any(w in members for p in enumerate_shortest_paths(g, u, v) for w in p[1:-1])
+
+    expected = [(c, u, v) for c, members in enumerate(classes)
+                for u, v in combinations(members, 2) if violates(u, v, members)]
+    brute_set = brute_is_mv_set if mode == "mv" else brute_is_gp_set
+    failing = sorted({c for c, _, _ in expected})
+    assert failing == [c for c, members in enumerate(classes) if not brute_set(g, members)]
+    assert failing == ([0, 1, 2] if mode == "mv" else [0, 1, 2, 3])
+    assert max(max(u, v) for _, u, v in expected) >= 100
+    if listed is not None:
+        monkeypatch.setattr(visibility, "MAX_LISTED_VIOLATIONS", listed)
+    code, _, _ = run(capsys, "validate", "--graph", str(gpath), "--coloring", str(cpath),
+                     "--mode", mode, "--json", str(jpath))
+    payload = json.loads(jpath.read_text())
+    got = [(x["color"] - 1, x["u"] - 1, x["v"] - 1) for x in payload["violations"]]
+    validate = validate_mv_coloring if mode == "mv" else validate_gp_coloring
+    report = validate(g, read_coloring(cpath.read_text())[0], exhaustive=True)
+    assert code == 3
+    assert got == [(c, u, v) for u, v, c in report.violations] == expected[:listed]
+    assert payload["violation_count"] == report.violation_count == len(expected)
+    assert payload["color_mapping"] == {str(ext): d + 1 for ext, d in dense.items()}
 
 
 def test_solve_k_feasible(tmp_path, capsys):

@@ -19,6 +19,7 @@ from mvchroma import (
 )
 from mvchroma.errors import (
     DisconnectedGraphError,
+    GraphFormatError,
     OutOfRangeVertexError,
     SelfLoopError,
     SizeCapExceededError,
@@ -49,6 +50,30 @@ def test_out_of_range_endpoint():
     for edge in ((0, 3), (-1, 0), (0, 99999999999999999999998), (-(10**30), 1), (0, 2**63)):
         with pytest.raises(OutOfRangeVertexError):
             graph_from_edge_list(3, [(0, 1), edge])
+
+
+@pytest.mark.parametrize("n, indptr, indices, error, message", [
+    # an edge stored in one direction only, which the connectivity test
+    # would never finish hooking
+    (2, [0, 1, 1], [1], GraphFormatError,
+     "adjacency rows are not strictly increasing and symmetric"),
+    (2, [0, 1, 2], [1, 5], OutOfRangeVertexError, "vertex 5 out of range 0..1"),
+    (2, [0, 1, 2], [1, -1], OutOfRangeVertexError, "vertex -1 out of range 0..1"),
+    (2, [0, 2], [1, 0], GraphFormatError, "indptr does not rise from 0 to 2 in 2 steps"),
+    (2, [1, 1, 2], [1, 0], GraphFormatError, "indptr does not rise from 0 to 2 in 2 steps"),
+    (2, [0, 1, 3], [1, 0], GraphFormatError, "indptr does not rise from 0 to 2 in 2 steps"),
+    (3, [0, 2, 1, 2], [1, 0], GraphFormatError, "indptr does not rise from 0 to 2 in 3 steps"),
+    (2, [0, 1, 2], [0, 0], SelfLoopError, "self-loop at vertex 0"),
+    (2, [0, 2, 4], [1, 1, 0, 0], GraphFormatError,
+     "adjacency rows are not strictly increasing and symmetric"),
+    (3, [0, 2, 3, 4], [2, 1, 0, 0], GraphFormatError,
+     "adjacency rows are not strictly increasing and symmetric"),
+], ids=["one-direction", "index-past-n", "index-negative", "indptr-short", "indptr-not-from-0",
+        "indptr-past-indices", "indptr-falls", "self-loop", "repeated-entry", "unsorted-row"])
+def test_graph_checks_its_csr_arrays(n, indptr, indices, error, message):
+    with pytest.raises(error) as exc:
+        Graph(n, np.array(indptr), np.array(indices))
+    assert str(exc.value) == message
 
 
 def test_negative_vertex_count_rejected():

@@ -158,6 +158,11 @@ def test_exhaustive_report_lists_a_bounded_prefix(monkeypatch, validate):
     assert not report.valid
     assert report.violations == tuple(expected[:10])
     assert report.violation_count == len(expected)
+    # the report holds an array; built from tuples, it is the same report
+    assert report.pairs.shape == (10, 3)
+    same = ValidationReport(False, tuple(expected[:10]), report.checked_pairs, len(expected),
+                            gp_valid=False)
+    assert (same, hash(same)) == (report, hash(report))
 
 
 @pytest.mark.parametrize(
