@@ -251,8 +251,7 @@ def constructive_coloring(tree: LabeledGluedTree) -> Coloring:
     file output shifts everything to 1-based.
     """
     r, t = tree.r, tree.t
-    formula = chi_mu_formula(r, t)
-    if formula.gap:
+    if chi_mu_formula(r, t).gap:
         raise GapInputError(f"chi_mu formula has a gap at (r={r}, t={t})")
     i, a_i, first_max, _ = _interval(r, t)
     first_regime = r <= first_max
@@ -284,10 +283,7 @@ def constructive_coloring(tree: LabeledGluedTree) -> Coloring:
         if at_second_regime_min(r, t):
             # the one side-1 vertex recolored back to the quasi-leaf color
             colors[tree.internal(1, i, r - i - a_i + 1)] = 0
-    assert all(c != -1 for c in colors)
-    coloring = Coloring(colors=tuple(colors), k=max(colors) + 1)
-    assert coloring.k == formula.value
-    return coloring
+    return Coloring(colors=tuple(colors), k=max(colors) + 1)
 
 
 def sibling_types(tree: LabeledGluedTree, coloring: Coloring) -> list[np.ndarray]:

@@ -1,11 +1,11 @@
 """Immutable simple undirected graphs and their distance oracle.
 
-A graph is connected, on at most DEFAULT_SIZE_CAP vertices, and keeps one
-adjacency, read-only CSR arrays; the validators read only it. The
-DistanceOracle, which the solver and pair_visible read, caches three things
-of the graph: one row per source, its BFS levels as bitmasks, built on first
-use in one level-by-level pass; the neighbour lists that pass walks; and the
-neighbour bitmasks ``sees`` reads.
+A Graph, however it is built, is connected, on at most DEFAULT_SIZE_CAP
+vertices, and keeps one adjacency, read-only CSR arrays; the validators read
+only it. The DistanceOracle, which the solver and pair_visible read, caches
+three things of the graph: one row per source, its BFS levels as bitmasks,
+built on first use in one level-by-level pass; the neighbour lists that pass
+walks; and the neighbour bitmasks ``sees`` reads.
 """
 
 from __future__ import annotations
@@ -41,17 +41,29 @@ class Graph:
     indices: np.ndarray
 
     def __post_init__(self):
-        """Check the CSR arrays, then raise DisconnectedGraphError unless
-        every vertex reaches vertex 0.
+        """Check n and the CSR arrays, then raise DisconnectedGraphError
+        unless every vertex reaches vertex 0.
 
-        ``indptr`` must rise from 0 to len(indices) in n steps, every index
-        must be a vertex other than its row's, and the rows must be strictly
-        increasing and symmetric: the (u, v) keys u * n + v in row order
-        rise and equal the (v, u) keys sorted. Then hooking and pointer
-        jumping (after Shiloach and Vishkin, J. Algorithms 1982), which
-        needs the symmetry, hooks every root with an edge out of its tree
-        within two rounds, so O(log n) rounds suffice.
+        n must be an integer in 0..DEFAULT_SIZE_CAP; the arrays are kept as
+        read-only int64 arrays, copied unless they already are and own their
+        data (a view's base could still be written). ``indptr`` must rise
+        from 0 to len(indices) in n steps, every index must be a vertex
+        other than its row's, and the rows must be strictly increasing and
+        symmetric: the (u, v) keys u * n + v in row order rise and equal the
+        (v, u) keys sorted. Then hooking and pointer jumping (after Shiloach
+        and Vishkin, J. Algorithms 1982), which needs the symmetry, hooks
+        every root with an edge out of its tree within two rounds, so
+        O(log n) rounds suffice.
         """
+        object.__setattr__(self, "n", _vertex_count(self.n))
+        for name in ("indptr", "indices"):
+            a = np.asarray(getattr(self, name))
+            if a.ndim != 1 or (a.dtype.kind not in "iu" and a.size):  # [] reads as float
+                raise GraphFormatError(f"{name} is not a one-dimensional integer array")
+            if a.dtype != np.int64 or a.flags.writeable or not a.flags.owndata:
+                a = a.astype(np.int64)
+                a.setflags(write=False)
+            object.__setattr__(self, name, a)
         n, indptr, indices = self.n, self.indptr, self.indices
         degree = np.diff(indptr)
         if len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(indices) or (degree < 0).any():
@@ -147,14 +159,20 @@ def require_int(value, error: type[Exception], what: str) -> int:
     return int(value)
 
 
-def graph_from_edge_list(n: int, edges) -> Graph:
-    """Build a canonical simple graph; duplicate edges collapse, and
-    self-loops and disconnected input raise."""
+def _vertex_count(n) -> int:
+    """n as a Python int; raises unless it is an integer in 0..DEFAULT_SIZE_CAP."""
     n = require_int(n, OutOfRangeVertexError, "vertex count")
     if n < 0:
         raise OutOfRangeVertexError("vertex count must be non-negative")
     if n > DEFAULT_SIZE_CAP:
         raise SizeCapExceededError(f"{n} vertices is more than {DEFAULT_SIZE_CAP}")
+    return n
+
+
+def graph_from_edge_list(n: int, edges) -> Graph:
+    """Build a canonical simple graph; duplicate edges collapse, and
+    self-loops and disconnected input raise."""
+    n = _vertex_count(n)
     edges = edges if isinstance(edges, np.ndarray) else list(edges)
     e = np.asarray(edges)
     if e.dtype.kind not in "iu":  # ids past int64 stay Python ints; a non-integer raises
@@ -165,15 +183,11 @@ def graph_from_edge_list(n: int, edges) -> Graph:
     if bad.any():
         raise OutOfRangeVertexError(f"vertex {e[bad][0]} out of range 0..{n - 1}")
     u, v = e.astype(np.int64, copy=False).T
-    if (u == v).any():
-        raise SelfLoopError(f"self-loop at vertex {u[u == v][0]}")
     # both directions as sorted unique keys u * n + v; np.unique's hashing is slower
     keys = np.sort(np.concatenate((u * n + v, v * n + u)))
     keys = keys[np.diff(keys, prepend=-1) > 0]
     rows, indices = np.divmod(keys, max(n, 1))
     indptr = np.searchsorted(rows, np.arange(n + 1))
-    indptr.setflags(write=False)
-    indices.setflags(write=False)
     return Graph(n=n, indptr=indptr, indices=indices)
 
 

@@ -38,7 +38,7 @@ from .solver import (
     mv_k_colorable,
     nae_satisfiable,
 )
-from .visibility import Coloring, validate_mv_coloring
+from .visibility import Coloring, _require_total, validate_mv_coloring
 
 Literal = tuple[int, bool]  # (1-based variable index, positive polarity)
 
@@ -49,29 +49,32 @@ P, C, Z, ZP = 0, 1, 2, 3
 
 @dataclass(frozen=True)
 class NaeFormula:
+    """NAE3SAT over x_1..x_q, q >= 1: a tuple of clauses, each three sorted
+    literals with variables in 1..q; other input raises FormulaSyntaxError."""
+
     q: int
     clauses: tuple[tuple[Literal, Literal, Literal], ...]
 
-
-def _canonical_clause(lits) -> tuple[Literal, Literal, Literal]:
-    lits = tuple(sorted((require_int(v, VariableOutOfRangeError, "variable"), bool(p))
-                        for v, p in lits))
-    if len(lits) != 3:
-        raise ClauseArityError(f"clause must have exactly 3 literals, got {len(lits)}")
-    return lits
+    def __post_init__(self):
+        if (q := require_int(self.q, VariableOutOfRangeError, "variable count")) < 1:
+            raise VariableOutOfRangeError(f"a formula needs q >= 1 variables, got {q}")
+        canon = []
+        for cl in self.clauses:
+            cl = tuple(sorted((require_int(v, VariableOutOfRangeError, "variable"), bool(p))
+                              for v, p in cl))
+            if len(cl) != 3:
+                raise ClauseArityError(f"clause must have exactly 3 literals, got {len(cl)}")
+            for var, _ in cl:
+                if not 1 <= var <= q:
+                    raise VariableOutOfRangeError(f"variable {var} out of range 1..{q}")
+            canon.append(cl)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "clauses", tuple(canon))
 
 
 def make_formula(q: int, clauses) -> NaeFormula:
-    if (q := require_int(q, VariableOutOfRangeError, "variable count")) < 1:
-        raise VariableOutOfRangeError(f"a formula needs q >= 1 variables, got {q}")
-    canon = []
-    for cl in clauses:
-        cl = _canonical_clause(cl)
-        for var, _ in cl:
-            if not 1 <= var <= q:
-                raise VariableOutOfRangeError(f"variable {var} out of range 1..{q}")
-        canon.append(cl)
-    return NaeFormula(q=q, clauses=tuple(canon))
+    """``NaeFormula(q, clauses)``; ``perfbench`` imports it under this name."""
+    return NaeFormula(q, clauses)
 
 
 def random_clause(rng: random.Random, q: int) -> list[Literal]:
@@ -152,8 +155,8 @@ def normalize(f: NaeFormula) -> NaeFormula | None:
             out.append(cl)
             continue
         q += 1
-        out += [_canonical_clause([*lits, (q, pos)]) for pos in (True, False)]
-    return NaeFormula(q=q, clauses=tuple(out))
+        out += [(*lits, (q, pos)) for pos in (True, False)]
+    return NaeFormula(q=q, clauses=out)
 
 
 @dataclass(frozen=True)
@@ -232,6 +235,7 @@ def coloring_to_assignment(rg: ReductionGraph, c: Coloring) -> NaeAssignment:
     NAE satisfaction is invariant under globally flipping the assignment, so
     the anchor choice is harmless.
     """
+    _require_total(rg.graph, c)
     if c.k != 2:
         raise WrongColorCountError(f"expected exactly 2 colors, got {c.k}")
     u_colors = c.colors[4 : 4 * rg.formula.q + 4 : 4]

@@ -318,15 +318,11 @@ def chi_mu_exact(g: Graph, budget: Budget | None = None) -> tuple[int, Coloring]
 
 
 def nae_satisfiable(f) -> NaeAssignment | None:
-    """Exhaustive NAE3SAT scan in increasing binary order, x_1 most significant.
-
-    Accepts any formula object exposing ``q`` and ``clauses`` (each clause an
-    iterable of (variable, positive) literals).
-    """
-    q = f.q
+    """Exhaustive NAE3SAT scan of a ``reduction.NaeFormula`` in increasing
+    binary order, x_1 most significant."""
+    q, clauses = f.q, f.clauses
     if q > NAE_VARIABLE_CAP:
         raise TooManyVariablesError(f"{q} variables exceeds cap {NAE_VARIABLE_CAP}")
-    clauses = [tuple(cl) for cl in f.clauses]
     for bits in range(1 << q):
         values = tuple(bool((bits >> (q - i)) & 1) for i in range(1, q + 1))
         # a clause is NAE-satisfied when its literals take both truth values

@@ -13,10 +13,23 @@ from .graph import DistanceOracle, Graph, require_int, require_vertex
 
 @dataclass(frozen=True)
 class Coloring:
-    """Total vertex coloring with dense 0-based color ids 0..k-1."""
+    """Total vertex coloring, a tuple of Python ints, with color ids in
+    0..k-1 and k <= n; other input raises ColoringNotTotalError."""
 
     colors: tuple[int, ...]
     k: int
+
+    def __post_init__(self):
+        colors, k = tuple(self.colors), require_int(self.k, ColoringNotTotalError, "color count")
+        # a type test per distinct type, and per color only when one is not an int
+        if set(map(type, colors)) - {int}:
+            colors = tuple(require_int(c, ColoringNotTotalError, "color") for c in colors)
+        if not 0 <= k <= len(colors):
+            raise ColoringNotTotalError(f"{k} colors declared for {len(colors)} vertices")
+        if colors and not 0 <= min(colors) <= max(colors) < k:
+            raise ColoringNotTotalError(f"color ids outside 0..{k - 1}")
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "k", k)
 
     @property
     def n(self) -> int:
@@ -30,14 +43,12 @@ class Coloring:
 
 
 def coloring_from_list(colors) -> Coloring:
-    """Validate and wrap a color list; ids must form the range 0..k-1."""
-    colors = tuple(require_int(c, ColoringNotTotalError, "color") for c in colors)
+    """A non-empty color list as a Coloring of k = its distinct colors."""
+    colors = tuple(colors)
     if not colors:
         raise ColoringNotTotalError("empty coloring")
-    used = sorted(set(colors))
-    if used != list(range(len(used))):
-        raise ColoringNotTotalError(f"color ids not dense: {used}")
-    return Coloring(colors=colors, k=len(used))
+    colors = Coloring(colors, len(colors)).colors  # integers, so hashable
+    return Coloring(colors, len(set(colors)))
 
 
 # An exhaustive report lists at most this many violating pairs, the smallest
@@ -296,11 +307,6 @@ def _require_total(g: Graph, c: Coloring) -> None:
         raise ColoringNotTotalError(
             f"coloring covers {c.n} vertices, graph has {g.n}"
         )
-    # dense ids 0..k-1 on n vertices need k <= n
-    if c.k > c.n:
-        raise ColoringNotTotalError(f"{c.k} colors declared for {c.n} vertices")
-    if c.colors and not 0 <= min(c.colors) <= max(c.colors) < c.k:
-        raise ColoringNotTotalError(f"color ids outside 0..{c.k - 1}")
 
 
 def validate_mv_coloring(
@@ -344,7 +350,9 @@ def pair_visible(g: Graph, o: DistanceOracle, u: int, v: int, same_class) -> boo
     """Single-pair view of the class check, for cross-validation in tests:
     True iff some shortest u-v path has no vertex of ``same_class`` inside.
 
-    ``o`` is g's distance oracle.
+    ``o`` must be g's distance oracle, ``g.oracle``.
     """
+    if o.g is not g:
+        raise InvalidParamsError("the distance oracle is not the graph's")
     u, v = require_vertex(u, g.n), require_vertex(v, g.n)
     return not o.sees(u, 1 << v, sum(1 << w for w in _set_members(g, same_class)))

@@ -10,10 +10,12 @@ import pytest
 
 import mvchroma
 from mvchroma.errors import (
+    ClauseArityError,
     ColoringNotTotalError,
     InvalidParamsError,
     InvalidQuasiLeafError,
     OutOfRangeVertexError,
+    SizeCapExceededError,
     VariableOutOfRangeError,
 )
 
@@ -161,6 +163,92 @@ def test_non_integer_inputs_rejected(call):
     error, make = NON_INTEGER_CALLS[call]
     with pytest.raises(error, match="integer"):
         make()
+
+
+def _path_csr(n):
+    """The CSR arrays of the path 0-1-...-(n-1)."""
+    v = np.arange(n)
+    nbrs = np.stack((v - 1, v + 1), axis=1).ravel()
+    degree = (v > 0).astype(np.int64) + (v < n - 1)
+    return np.concatenate(([0], np.cumsum(degree))), nbrs[(nbrs >= 0) & (nbrs < n)]
+
+
+# each type checks its own rules, so a value built directly is held to them
+DIRECT_CONSTRUCTIONS = {
+    "coloring-non-integer": (
+        ColoringNotTotalError, "color must be an integer, got 1.5",
+        lambda: mvchroma.validate_mv_coloring(
+            mvchroma.graph_from_edge_list(3, P3), mvchroma.Coloring((0, 1.5, 0), 2)
+        ),
+    ),
+    "coloring-negative": (
+        ColoringNotTotalError, "color ids outside 0..1",
+        lambda: mvchroma.Coloring((0, -1, 0), 2),
+    ),
+    "coloring-k": (
+        ColoringNotTotalError, "color count must be an integer, got 2.0",
+        lambda: mvchroma.Coloring((0, 1, 0), 2.0),
+    ),
+    "graph-negative-n": (
+        OutOfRangeVertexError, "vertex count must be non-negative",
+        lambda: mvchroma.Graph(-1, [], []),
+    ),
+    "graph-past-cap": (
+        SizeCapExceededError, "300000 vertices is more than 200000",
+        lambda: mvchroma.Graph(300_000, *_path_csr(300_000)),
+    ),
+    "formula-variable-past-q": (
+        VariableOutOfRangeError, "variable 3 out of range 1..2",
+        lambda: mvchroma.NaeFormula(2, (((1, True), (2, True), (3, False)),)),
+    ),
+    "formula-two-literals": (
+        ClauseArityError, "clause must have exactly 3 literals, got 2",
+        lambda: mvchroma.NaeFormula(3, [[(1, True), (2, True)]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("call", DIRECT_CONSTRUCTIONS)
+def test_direct_constructions_checked(call):
+    error, message, make = DIRECT_CONSTRUCTIONS[call]
+    with pytest.raises(error) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_graph_keeps_its_own_read_only_arrays():
+    indptr, indices = np.array([0, 1, 2]), np.array([1, 0])
+    g = mvchroma.Graph(2, indptr, indices)
+    indptr[1], indices[0] = 0, 0
+    assert (g.indptr.tolist(), g.indices.tolist()) == ([0, 1, 2], [1, 0])
+    # lists and other integer dtypes are copied into read-only int64 arrays
+    for g in (mvchroma.Graph(np.int64(2), [0, 1, 2], [1, 0]),
+              mvchroma.Graph(2, np.array([0, 1, 2], np.uint8), np.array([1, 0], np.int32))):
+        assert (type(g.n), g.edges()) == (int, [(0, 1)])
+        for a in (g.indptr, g.indices):
+            assert a.dtype == np.int64 and not a.flags.writeable
+    # a read-only int64 array is kept as it is
+    indptr, indices = np.array([0, 1, 2]), np.array([1, 0])
+    for a in (indptr, indices):
+        a.setflags(write=False)
+    g = mvchroma.Graph(2, indptr, indices)
+    assert g.indptr is indptr and g.indices is indices
+    # a read-only view is copied, since its base may still be written
+    base = np.array([1, 0])
+    view = base[:]
+    view.setflags(write=False)
+    g = mvchroma.Graph(2, indptr, view)
+    base[0] = 0
+    assert g.indices.tolist() == [1, 0]
+
+
+def test_direct_colorings_and_formulas_are_canonical():
+    c = mvchroma.Coloring(np.array([0, 1, 0], dtype=np.int8), np.int64(2))
+    assert c == mvchroma.Coloring((0, 1, 0), 2)
+    assert {type(x) for x in (*c.colors, c.k)} == {int}
+    f = mvchroma.NaeFormula(np.int64(3), [[(3, 1), (1, True), (2, False)]])
+    assert f == mvchroma.make_formula(3, [[(1, True), (2, False), (3, True)]])
+    assert f.clauses == (((1, True), (2, False), (3, True)),) and type(f.q) is int
 
 
 def test_numpy_integers_accepted():

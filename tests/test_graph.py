@@ -42,6 +42,10 @@ def test_self_loop_rejected():
     for edges in ([(1, 1)], [(0, 1), (2, 2)]):
         with pytest.raises(SelfLoopError):
             graph_from_edge_list(3, edges)
+    # Graph's check names the lowest vertex with a loop, not the first edge
+    with pytest.raises(SelfLoopError) as exc:
+        graph_from_edge_list(3, [(2, 2), (0, 1), (1, 1), (1, 2)])
+    assert str(exc.value) == "self-loop at vertex 1"
 
 
 def test_out_of_range_endpoint():
@@ -68,8 +72,11 @@ def test_out_of_range_endpoint():
      "adjacency rows are not strictly increasing and symmetric"),
     (3, [0, 2, 3, 4], [2, 1, 0, 0], GraphFormatError,
      "adjacency rows are not strictly increasing and symmetric"),
+    (2, [0, 1, 2], [1.0, 0.0], GraphFormatError, "indices is not a one-dimensional integer array"),
+    (2, [[0, 1, 2]], [1, 0], GraphFormatError, "indptr is not a one-dimensional integer array"),
 ], ids=["one-direction", "index-past-n", "index-negative", "indptr-short", "indptr-not-from-0",
-        "indptr-past-indices", "indptr-falls", "self-loop", "repeated-entry", "unsorted-row"])
+        "indptr-past-indices", "indptr-falls", "self-loop", "repeated-entry", "unsorted-row",
+        "float-indices", "two-dimensional-indptr"])
 def test_graph_checks_its_csr_arrays(n, indptr, indices, error, message):
     with pytest.raises(error) as exc:
         Graph(n, np.array(indptr), np.array(indices))

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import DEFAULT_SEED, build_h_gadget, diameter, nae_satisfies, random_clauses
 from mvchroma import (
+    Coloring,
     NaeAssignment,
     Status,
     assignment_to_coloring,
@@ -21,6 +22,7 @@ from mvchroma import (
 )
 from mvchroma.errors import (
     ClauseArityError,
+    ColoringNotTotalError,
     FormulaSyntaxError,
     NonNormalizedInputError,
     PartialAssignmentError,
@@ -175,10 +177,17 @@ def test_backward_assignment_satisfies():
 def test_backward_wrong_color_count():
     f = make_formula(3, [[(1, True), (2, True), (3, True)]])
     rg = build_reduction(f)
-    from mvchroma import Coloring
-
     with pytest.raises(WrongColorCountError):
         coloring_to_assignment(rg, Coloring(tuple(range(rg.graph.n)), rg.graph.n))
+
+
+def test_backward_coloring_of_another_graph():
+    # 18 vertices; a 2-vertex or 10-vertex coloring read no u_i, or two of three
+    rg = build_reduction(make_formula(3, [[(1, True), (2, True), (3, True)]]))
+    for c in (Coloring((0, 1), 2), Coloring((0, 1) * 5, 2)):
+        with pytest.raises(ColoringNotTotalError) as exc:
+            coloring_to_assignment(rg, c)
+        assert str(exc.value) == f"coloring covers {c.n} vertices, graph has 18"
 
 
 def test_verify_reduction_sat():

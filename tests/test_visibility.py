@@ -31,6 +31,7 @@ from mvchroma import (
 )
 from mvchroma.errors import (
     ColoringNotTotalError,
+    InvalidParamsError,
     OutOfRangeVertexError,
 )
 import mvchroma.visibility as visibility
@@ -336,6 +337,15 @@ def test_pair_visible_c4():
     o = all_pairs_distances(g)
     assert pair_visible(g, o, 0, 2, [0, 1, 2])
     assert not pair_visible(g, o, 0, 2, [1, 3])
+
+
+def test_pair_visible_rejects_another_graphs_oracle():
+    # on P3, 1 lies inside the one 0-2 path; C4's oracle reads a second path
+    p3 = graph_from_edge_list(3, [(0, 1), (1, 2)])
+    assert not pair_visible(p3, p3.oracle, 0, 2, [0, 1, 2])
+    with pytest.raises(InvalidParamsError) as exc:
+        pair_visible(p3, c4().oracle, 0, 2, [0, 1, 2])
+    assert str(exc.value) == "the distance oracle is not the graph's"
 
 
 def test_pair_visible_adjacent():
