@@ -41,28 +41,24 @@ class Graph:
     indices: np.ndarray
 
     def __post_init__(self):
-        """Check n and the CSR arrays, then raise DisconnectedGraphError
-        unless every vertex reaches vertex 0.
+        """Check n and the CSR arrays, kept as read-only int64 copies, then
+        raise DisconnectedGraphError unless every vertex reaches vertex 0.
 
-        n must be an integer in 0..DEFAULT_SIZE_CAP; the arrays are kept as
-        read-only int64 arrays, copied unless they already are and own their
-        data (a view's base could still be written). ``indptr`` must rise
-        from 0 to len(indices) in n steps, every index must be a vertex
-        other than its row's, and the rows must be strictly increasing and
-        symmetric: the (u, v) keys u * n + v in row order rise and equal the
-        (v, u) keys sorted. Then hooking and pointer jumping (after Shiloach
-        and Vishkin, J. Algorithms 1982), which needs the symmetry, hooks
-        every root with an edge out of its tree within two rounds, so
-        O(log n) rounds suffice.
+        ``indptr`` must rise from 0 to len(indices) in n steps, every index
+        must be a vertex other than its row's, and the rows must be strictly
+        increasing and symmetric: the (u, v) keys u * n + v in row order
+        rise and equal the (v, u) keys sorted. Then hooking and pointer
+        jumping (after Shiloach and Vishkin, J. Algorithms 1982), which
+        needs the symmetry, hooks every root with an edge out of its tree
+        within two rounds, so O(log n) rounds suffice.
         """
         object.__setattr__(self, "n", _vertex_count(self.n))
         for name in ("indptr", "indices"):
             a = np.asarray(getattr(self, name))
             if a.ndim != 1 or (a.dtype.kind not in "iu" and a.size):  # [] reads as float
                 raise GraphFormatError(f"{name} is not a one-dimensional integer array")
-            if a.dtype != np.int64 or a.flags.writeable or not a.flags.owndata:
-                a = a.astype(np.int64)
-                a.setflags(write=False)
+            a = a.astype(np.int64)  # a copy, so no caller's array is shared
+            a.setflags(write=False)
             object.__setattr__(self, name, a)
         n, indptr, indices = self.n, self.indptr, self.indices
         degree = np.diff(indptr)
@@ -160,7 +156,6 @@ def require_int(value, error: type[Exception], what: str) -> int:
 
 
 def _vertex_count(n) -> int:
-    """n as a Python int; raises unless it is an integer in 0..DEFAULT_SIZE_CAP."""
     n = require_int(n, OutOfRangeVertexError, "vertex count")
     if n < 0:
         raise OutOfRangeVertexError("vertex count must be non-negative")

@@ -49,8 +49,7 @@ P, C, Z, ZP = 0, 1, 2, 3
 
 @dataclass(frozen=True)
 class NaeFormula:
-    """NAE3SAT over x_1..x_q, q >= 1: a tuple of clauses, each three sorted
-    literals with variables in 1..q; other input raises FormulaSyntaxError."""
+    """NAE3SAT over x_1..x_q, q >= 1: clauses of three sorted literals."""
 
     q: int
     clauses: tuple[tuple[Literal, Literal, Literal], ...]
@@ -73,7 +72,6 @@ class NaeFormula:
 
 
 def make_formula(q: int, clauses) -> NaeFormula:
-    """``NaeFormula(q, clauses)``; ``perfbench`` imports it under this name."""
     return NaeFormula(q, clauses)
 
 

@@ -13,15 +13,13 @@ from .graph import DistanceOracle, Graph, require_int, require_vertex
 
 @dataclass(frozen=True)
 class Coloring:
-    """Total vertex coloring, a tuple of Python ints, with color ids in
-    0..k-1 and k <= n; other input raises ColoringNotTotalError."""
+    """Total vertex coloring: a tuple of Python ints in 0..k-1, k <= n."""
 
     colors: tuple[int, ...]
     k: int
 
     def __post_init__(self):
         colors, k = tuple(self.colors), require_int(self.k, ColoringNotTotalError, "color count")
-        # a type test per distinct type, and per color only when one is not an int
         if set(map(type, colors)) - {int}:
             colors = tuple(require_int(c, ColoringNotTotalError, "color") for c in colors)
         if not 0 <= k <= len(colors):
@@ -348,10 +346,8 @@ def validate_gp_coloring(
 
 def pair_visible(g: Graph, o: DistanceOracle, u: int, v: int, same_class) -> bool:
     """Single-pair view of the class check, for cross-validation in tests:
-    True iff some shortest u-v path has no vertex of ``same_class`` inside.
-
-    ``o`` must be g's distance oracle, ``g.oracle``.
-    """
+    True iff some shortest u-v path has no vertex of ``same_class`` inside;
+    ``o`` must be ``g.oracle``."""
     if o.g is not g:
         raise InvalidParamsError("the distance oracle is not the graph's")
     u, v = require_vertex(u, g.n), require_vertex(v, g.n)
