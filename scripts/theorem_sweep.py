@@ -15,6 +15,7 @@ valid except at the second regime's smallest depth (``TheoremReport.gp_expected`
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -44,6 +45,9 @@ def main() -> int:
     parser.add_argument("--budget-secs", type=float, default=None)
     parser.add_argument("--json", default=None, help="write a JSON summary here")
     args = parser.parse_args()
+    # the JSON summary writes the seconds, and JSON has no infinity or NaN
+    if args.budget_secs is not None and not 0 <= args.budget_secs < math.inf:
+        parser.error(f"--budget-secs must be a finite number >= 0, got {args.budget_secs}")
 
     rows = []
     failures = 0

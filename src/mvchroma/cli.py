@@ -16,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .errors import BudgetExhaustedError, InvalidParamsError, MvChromaError
+from .errors import InvalidParamsError, MvChromaError
 from .formats import (
     read_coloring,
     read_graph,
@@ -166,12 +166,11 @@ def cmd_solve(args) -> int:
             return EXIT_NEGATIVE
         print("BUDGET")
         return EXIT_BUDGET
-    try:
-        k, coloring = chi_mu_exact(g, budget=budget)
-    except BudgetExhaustedError as e:
-        print(f"BUDGET bounds [{e.lo}, {e.hi}]")
+    lo, hi, coloring = chi_mu_exact(g, budget=budget)
+    if lo != hi:
+        print(f"BUDGET bounds [{lo}, {hi}]")
         return EXIT_BUDGET
-    print(f"CHI {k}")
+    print(f"CHI {lo}")
     if args.out:
         _write(args.out, write_coloring(coloring))
     return EXIT_OK

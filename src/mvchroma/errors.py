@@ -68,11 +68,3 @@ class WrongColorCountError(MvChromaError):
 class GraphFormatError(MvChromaError):
     pass
 
-
-class BudgetExhaustedError(MvChromaError):
-    """Search budget ran out; carries the best known bounds [lo, hi]."""
-
-    def __init__(self, lo, hi, message=None):
-        self.lo = lo
-        self.hi = hi
-        super().__init__(message or f"budget exhausted; bounds [{lo}, {hi}]")

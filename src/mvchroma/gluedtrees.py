@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    BudgetExhaustedError,
     GapInputError,
     InvalidParamsError,
     InvalidQuasiLeafError,
@@ -404,10 +403,8 @@ def verify_theorem(
     report = validate_mv_coloring(tree.graph, coloring, sources=swap_representatives(tree, coloring))
     exact_value = bounds = None
     if exact:
-        try:
-            exact_value, _ = chi_mu_exact(tree.graph, budget=budget)
-        except BudgetExhaustedError as e:
-            bounds = (e.lo, e.hi)
+        lo, hi, _ = chi_mu_exact(tree.graph, budget=budget)
+        exact_value, bounds = (lo, None) if lo == hi else (None, (lo, hi))
     return TheoremReport(
         r=r,
         t=t,

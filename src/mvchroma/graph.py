@@ -54,19 +54,22 @@ class Graph:
         """
         object.__setattr__(self, "n", _vertex_count(self.n))
         for name in ("indptr", "indices"):
-            a = np.asarray(getattr(self, name))
-            if a.ndim != 1 or (a.dtype.kind not in "iu" and a.size):  # [] reads as float
+            try:
+                a = np.asarray(getattr(self, name))
+            except ValueError:  # a ragged list
+                a = None
+            if a is None or a.ndim != 1 or (a.dtype.kind not in "iu" and a.size):  # [] reads as float
                 raise GraphFormatError(f"{name} is not a one-dimensional integer array")
-            a = a.astype(np.int64)  # a copy, so no caller's array is shared
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            copy = a.astype(np.int64)  # a copy, so no caller's array is shared
+            copy.setflags(write=False)
+            object.__setattr__(self, name, copy)
         n, indptr, indices = self.n, self.indptr, self.indices
         degree = np.diff(indptr)
         if len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(indices) or (degree < 0).any():
             raise GraphFormatError(f"indptr does not rise from 0 to {len(indices)} in {n} steps")
-        outside = (indices < 0) | (indices >= n)
+        outside = (a < 0) | (a >= n)  # a: the loop's last, the caller's indices; int64 wraps uint64 ids
         if outside.any():
-            raise OutOfRangeVertexError(f"vertex {indices[outside][0]} out of range 0..{n - 1}")
+            raise OutOfRangeVertexError(f"vertex {a[outside][0]} out of range 0..{n - 1}")
         u, v = np.repeat(np.arange(n), degree), indices
         if (u == v).any():
             raise SelfLoopError(f"self-loop at vertex {u[u == v][0]}")
@@ -165,11 +168,16 @@ def _vertex_count(n) -> int:
 
 
 def graph_from_edge_list(n: int, edges) -> Graph:
-    """Build a canonical simple graph; duplicate edges collapse, and
-    self-loops and disconnected input raise."""
+    """Build a canonical simple graph from (u, v) pairs, an (m, 2) array or
+    list; duplicate edges collapse, and self-loops and disconnected input raise."""
     n = _vertex_count(n)
     edges = edges if isinstance(edges, np.ndarray) else list(edges)
-    e = np.asarray(edges)
+    try:
+        e = np.asarray(edges)
+    except ValueError:  # a ragged list
+        e = None
+    if e is None or e.size and e.shape[1:] != (2,):
+        raise GraphFormatError("edges are not (u, v) pairs")
     if e.dtype.kind not in "iu":  # ids past int64 stay Python ints; a non-integer raises
         ids = np.array(edges, dtype=object).flat
         e = np.array([require_int(x, OutOfRangeVertexError, "vertex id") for x in ids], dtype=object)

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Real
 
-from .errors import BudgetExhaustedError, InvalidParamsError, TooManyVariablesError
+from .errors import InvalidParamsError, TooManyVariablesError
 from .graph import DistanceOracle, Graph, require_int
 from .visibility import Coloring, validate_mv_coloring
 
@@ -300,21 +300,19 @@ def greedy_upper_bound(g: Graph) -> tuple[int, Coloring]:
     return coloring.k, coloring
 
 
-def chi_mu_exact(g: Graph, budget: Budget | None = None) -> tuple[int, Coloring]:
-    """Smallest k with a feasible mutual-visibility coloring, swept upward.
-
-    Every k's search draws on the one budget. Raises BudgetExhaustedError
-    with the best known bounds [lo, hi] when it runs out before the sweep
-    settles.
-    """
+def chi_mu_exact(g: Graph, budget: Budget | None = None) -> tuple[int, int, Coloring]:
+    """Bounds [lo, hi] on chi_mu and a coloring with hi colors: k swept upward,
+    every k's search drawing on the one budget. lo == hi == chi_mu once the
+    sweep settles; when the budget runs out at k, lo is k, and hi and the
+    coloring are greedy's."""
     ub, greedy_coloring = greedy_upper_bound(g)
     for k in range(1, ub):
         outcome = mv_k_colorable(g, k, budget)
         if outcome.status is Status.FEASIBLE:
-            return k, outcome.coloring
+            return k, k, outcome.coloring
         if outcome.status is Status.BUDGET_EXHAUSTED:
-            raise BudgetExhaustedError(lo=k, hi=ub)
-    return ub, greedy_coloring
+            return k, ub, greedy_coloring
+    return ub, ub, greedy_coloring
 
 
 def nae_satisfiable(f) -> NaeAssignment | None:

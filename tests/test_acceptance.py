@@ -108,13 +108,13 @@ def test_acceptance_03_upper_bound_sweep():
 def test_acceptance_04_exact_lower_bounds():
     start = time.perf_counter()
     c4 = graph_from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    k_c4, _ = chi_mu_exact(c4)
-    k_gt2, _ = chi_mu_exact(build_glued_tree(2, 2).graph)
+    k_c4, hi_c4, _ = chi_mu_exact(c4)
+    k_gt2, hi_gt2, _ = chi_mu_exact(build_glued_tree(2, 2).graph)
     infeasible_2 = (
         mv_k_colorable(build_glued_tree(2, 2).graph, 2).status is Status.INFEASIBLE
     )
     elapsed = time.perf_counter() - start
-    ok = k_c4 == 2 and k_gt2 == 3 and infeasible_2 and elapsed < 60.0
+    ok = k_c4 == hi_c4 == 2 and k_gt2 == hi_gt2 == 3 and infeasible_2 and elapsed < 60.0
     _report(
         4,
         "exact-lower-bounds",

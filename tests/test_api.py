@@ -12,6 +12,7 @@ import mvchroma
 from mvchroma.errors import (
     ClauseArityError,
     ColoringNotTotalError,
+    GraphFormatError,
     InvalidParamsError,
     InvalidQuasiLeafError,
     OutOfRangeVertexError,
@@ -60,6 +61,7 @@ REMOVED = (
     "HGadgetLegend",
     "bfs_distances",
     "solver_vertex_order",
+    "BudgetExhaustedError",
 )
 
 
@@ -71,6 +73,7 @@ def test_benchmark_names_resolve(module, name):
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_helpers_are_gone(name):
     assert not hasattr(mvchroma, name)
+    assert not hasattr(mvchroma.errors, name)
     for module in MODULES:
         assert not hasattr(importlib.import_module(f"mvchroma.{module}"), name)
 
@@ -196,6 +199,29 @@ DIRECT_CONSTRUCTIONS = {
     "graph-past-cap": (
         SizeCapExceededError, "300000 vertices is more than 200000",
         lambda: mvchroma.Graph(300_000, *_path_csr(300_000)),
+    ),
+    "graph-ragged-list": (
+        GraphFormatError, "indptr is not a one-dimensional integer array",
+        lambda: mvchroma.Graph(2, [[0], [1, 2]], [1, 0]),
+    ),
+    "graph-uint64-past-int64": (
+        OutOfRangeVertexError, f"vertex {2**64 - 1} out of range 0..1",
+        lambda: mvchroma.Graph(
+            2, np.array([0, 1, 2], np.uint64), np.array([2**64 - 1, 0], np.uint64)
+        ),
+    ),
+    "edges-ragged-list": (
+        GraphFormatError, "edges are not (u, v) pairs",
+        lambda: mvchroma.graph_from_edge_list(3, [(0, 1), (1,)]),
+    ),
+    # two triples hold six ids, which would read as three pairs
+    "edges-triples": (
+        GraphFormatError, "edges are not (u, v) pairs",
+        lambda: mvchroma.graph_from_edge_list(4, [(0, 1, 2), (1, 3, 0)]),
+    ),
+    "edges-one-triple": (
+        GraphFormatError, "edges are not (u, v) pairs",
+        lambda: mvchroma.graph_from_edge_list(4, [(0, 1, 2)]),
     ),
     "formula-variable-past-q": (
         VariableOutOfRangeError, "variable 3 out of range 1..2",

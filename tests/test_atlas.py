@@ -40,8 +40,8 @@ def test_atlas_chi_mu_census():
         g = graph_from_edge_list(h.number_of_nodes(), list(h.edges()))
         chi = brute_chi_mu(g, g.n)
         assert recorded[index] == chi
-        k, coloring = chi_mu_exact(g)
-        assert (k, coloring.k) == (chi, chi)
+        lo, hi, coloring = chi_mu_exact(g)
+        assert (lo, hi, coloring.k) == (chi, chi, chi)
         assert validate_mv_coloring(g, coloring).valid
         assert greedy_upper_bound(g) == first_fit_coloring(g)
         for k in range(1, g.n + 1):

@@ -372,7 +372,8 @@ def test_solve_budget_exit_4(tmp_path, capsys):
         capsys, "solve", "--graph", str(gpath), "--budget-nodes", "1"
     )
     assert code == 4
-    assert "BUDGET" in out
+    # the bounds theorem --exact reports at the same budget
+    assert out == "BUDGET bounds [1, 4]\n"
 
 
 def test_solve_k_zero_node_budget_exit_4(tmp_path, capsys):

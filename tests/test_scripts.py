@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from mvchroma import parse_nae_formula
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,6 +45,17 @@ def test_theorem_sweep_zero_seconds_bounds_every_search(tmp_path):
     rows = {(row["r"], row["t"]): row for row in json.loads(jpath.read_text())["rows"]}
     assert rows[1, 2]["exact"] is None and rows[1, 2]["bounds"] == [1, 2]
     assert rows[2, 2]["exact"] is None and rows[2, 2]["bounds"] == [1, 3]
+
+
+@pytest.mark.parametrize("secs", ["inf", "nan", "-1"])
+def test_theorem_sweep_rejects_a_time_budget_json_cannot_hold(tmp_path, secs):
+    # inf wrote "budget_secs": Infinity into the JSON; nan and -1 ended in a traceback
+    jpath = tmp_path / "sweep.json"
+    proc = run_sweep("--max-n", "12", "--exact", "--budget-secs", secs, "--json", str(jpath))
+    assert proc.returncode == 2
+    assert f"--budget-secs must be a finite number >= 0, got {float(secs)}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not jpath.exists()
 
 
 def test_theorem_sweep_gp_verdicts_match_expected(tmp_path):

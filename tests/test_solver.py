@@ -36,7 +36,6 @@ from mvchroma import (
     validate_mv_coloring,
 )
 from mvchroma.errors import (
-    BudgetExhaustedError,
     InvalidParamsError,
     TooManyVariablesError,
 )
@@ -228,15 +227,15 @@ def test_greedy_upper_bound_golden(d):
 
 
 def test_chi_mu_exact_c4():
-    k, coloring = chi_mu_exact(c4())
-    assert k == 2
+    lo, hi, coloring = chi_mu_exact(c4())
+    assert lo == hi == 2
     assert validate_mv_coloring(c4(), coloring).valid
 
 
 def test_chi_mu_exact_gt2():
     tree = build_glued_tree(2, 2)
-    k, _ = chi_mu_exact(tree.graph)
-    assert k == 3
+    lo, hi, _ = chi_mu_exact(tree.graph)
+    assert lo == hi == 3
 
 
 def test_chi_mu_exact_builds_each_bfs_row_once(monkeypatch):
@@ -251,7 +250,8 @@ def test_chi_mu_exact_builds_each_bfs_row_once(monkeypatch):
 
     monkeypatch.setattr(graph_module.DistanceOracle, "_row", counting_row)
     tree = build_glued_tree(3, 2)
-    assert chi_mu_exact(tree.graph)[0] == 4
+    lo, hi, _ = chi_mu_exact(tree.graph)
+    assert lo == hi == 4
     assert calls and len(calls) == len(set(calls))
 
 
@@ -276,7 +276,8 @@ def test_each_search_computes_each_through_mask_once(monkeypatch):
     for name in ("greedy_upper_bound", "mv_k_colorable"):
         monkeypatch.setattr(solver_module, name, recording(getattr(solver_module, name)))
     tree = build_glued_tree(3, 2)
-    assert chi_mu_exact(tree.graph)[0] == 4
+    lo, hi, _ = chi_mu_exact(tree.graph)
+    assert lo == hi == 4
     assert len(searches) == 4 and any(searches)
     for calls in searches:
         assert len(calls) == len(set(calls))
@@ -428,15 +429,16 @@ def test_chi_mu_exact_matches_naive():
     for _ in range(12):
         g = random_connected_graph(rng, rng.randrange(2, 8))
         naive = brute_chi_mu(g, 6)
-        k, _ = chi_mu_exact(g)
-        assert k == naive
+        lo, hi, _ = chi_mu_exact(g)
+        assert lo == hi == naive
 
 
 def test_chi_mu_exact_budget_bounds():
     tree = build_glued_tree(3, 2)
-    with pytest.raises(BudgetExhaustedError) as exc:
-        chi_mu_exact(tree.graph, budget=Budget(max_nodes=5))
-    assert 1 <= exc.value.lo <= exc.value.hi
+    lo, hi, coloring = chi_mu_exact(tree.graph, budget=Budget(max_nodes=5))
+    # k = 1 is refuted within the budget and k = 2 is not: hi is greedy's
+    assert (lo, hi) == (2, 4)
+    assert (coloring.k, validate_mv_coloring(tree.graph, coloring).valid) == (4, True)
 
 
 def test_chi_mu_exact_time_overrun_reports_bounds(monkeypatch):
@@ -447,9 +449,8 @@ def test_chi_mu_exact_time_overrun_reports_bounds(monkeypatch):
         solver_module, "time", SimpleNamespace(perf_counter=lambda: next(clock))
     )
     tree = build_glued_tree(2, 2)
-    with pytest.raises(BudgetExhaustedError) as exc:
-        chi_mu_exact(tree.graph, budget=Budget(max_seconds=2.5))
-    assert (exc.value.lo, exc.value.hi) == (2, 3)
+    lo, hi, _ = chi_mu_exact(tree.graph, budget=Budget(max_seconds=2.5))
+    assert (lo, hi) == (2, 3)
 
 
 def test_budget_is_drawn_down_across_searches():
@@ -482,8 +483,7 @@ def test_deadline_is_fixed_by_the_first_search(monkeypatch):
 
 def test_chi_mu_exact_charges_every_k_to_one_budget():
     budget = Budget(max_nodes=5)
-    with pytest.raises(BudgetExhaustedError):
-        chi_mu_exact(build_glued_tree(3, 2).graph, budget)
+    assert chi_mu_exact(build_glued_tree(3, 2).graph, budget)[:2] == (2, 4)
     # the search that tripped counts the node past the limit
     assert budget.nodes == 6
 
