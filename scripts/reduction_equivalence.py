@@ -41,6 +41,11 @@ def main() -> int:
     parser.add_argument("--max-q", type=int, default=5)
     parser.add_argument("--max-clauses", type=int, default=6)
     args = parser.parse_args()
+    # a random formula has at least three variables and one clause
+    for flag, value, least in (("--count", args.count, 0), ("--max-q", args.max_q, 3),
+                               ("--max-clauses", args.max_clauses, 1)):
+        if value < least:
+            parser.error(f"{flag} must be >= {least}, got {value}")
 
     rng = random.Random(args.seed)
     disagreements = 0

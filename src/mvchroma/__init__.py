@@ -65,7 +65,6 @@ from .reduction import (
 from .formats import (
     read_coloring,
     read_graph,
-    read_labels,
     write_coloring,
     write_graph,
     write_labels,

@@ -1,17 +1,18 @@
-"""Text formats: DIMACS-style graphs, colorings, tree label sidecars.
+"""Text formats: DIMACS-style graphs and colorings; tree label sidecars,
+which are written but never read.
 
 External files are 1-based; these readers and writers translate them to and
-from the library's dense 0-based ids. The CLI's validate report and
-``reduction.legend_to_dict`` add 1 on their own.
+from the library's dense 0-based ids, and reader errors name the file's ids.
+The CLI's validate report and ``reduction.legend_to_dict`` add 1 themselves.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import GraphFormatError
-from .gluedtrees import Internal, LabeledGluedTree, QuasiLeaf
-from .graph import Graph, graph_from_edge_list
+from .errors import GraphFormatError, OutOfRangeVertexError, SelfLoopError
+from .gluedtrees import Internal, LabeledGluedTree
+from .graph import Graph, graph_from_edge_list, require_vertex_count
 from .visibility import Coloring
 
 
@@ -26,8 +27,7 @@ _KIND = np.ones(0x3002, dtype=np.uint8)
 _KIND[ord("0") : ord("9") + 1] = 0
 _KIND[list(_SPACES)] = 2
 _KIND[list(_BREAKS)] = 3
-# int64 values that stay in int64 when shifted by one
-_INT64 = range(1 - 2**63, 2**63 - 1)
+_INT64 = range(-(2**63), 2**63)
 
 
 def _integers(text: str, c: np.ndarray, start: np.ndarray, end: np.ndarray, digits: np.ndarray):
@@ -36,8 +36,7 @@ def _integers(text: str, c: np.ndarray, start: np.ndarray, end: np.ndarray, digi
 
     A word of up to 18 ASCII digits (``digits`` is set) is read in numpy,
     most significant digit first. ``int`` reads any other word, and a value
-    that a shift by one would take past int64 makes the result an array of
-    Python ints.
+    past int64 makes the result an array of Python ints.
     """
     length = end - start
     plain = digits & (length <= 18)
@@ -59,19 +58,16 @@ def _integers(text: str, c: np.ndarray, start: np.ndarray, end: np.ndarray, digi
     return value, failed
 
 
-def _records(text: str, header: tuple[str, str] | None, arity: dict[str, int]):
-    """The two counts of the header line ``<tag> <kind> <a> <b>``, None when
-    ``header`` is None; each body line's tag, as its index in ``arity``; and
-    the body lines' integer fields, one row per line, as an int64 array (of
-    Python ints when a field nears or passes the int64 limits). A row has a
-    column per field of the widest tag; a narrower one repeats its last.
+def _records(text: str, header: tuple[str, str], tag: str):
+    """The two counts of the header line ``<header> <a> <b>``, and the two
+    integer fields of each body line ``<tag> <x> <y>`` as an (m, 2) int64
+    array (of Python ints when a field passes the int64 limits).
 
     Blank lines and lines starting with ``c`` are skipped. The header appears
-    exactly once; a body line is a tag of ``arity`` followed by that many
-    integers. Anything else raises GraphFormatError quoting the first such
-    line. Lines, words and fields are found over all the text's code points
-    at once, with the whitespace of ``str.split`` and the line breaks of
-    ``str.splitlines``.
+    exactly once, anywhere; anything that is neither it nor a body line
+    raises GraphFormatError quoting the first such line. Lines, words and
+    fields are found over all the text's code points at once, with the
+    whitespace of ``str.split`` and the line breaks of ``str.splitlines``.
     """
     # line breaks around the text: every word lies strictly inside c
     text = f"\n{text}\n"
@@ -94,25 +90,19 @@ def _records(text: str, header: tuple[str, str] | None, arity: dict[str, int]):
             hit &= c[np.minimum(start[at] + i, len(c) - 1)] == ord(ch)
         return hit
 
-    tag = np.full(len(first), -1)
-    for j, (t, a) in enumerate(arity.items()):
-        tag[word_is(first, t) & (words == a + 1)] = j
-    heads = np.zeros(0, dtype=int)
-    if header is not None:
-        heads = np.flatnonzero(words == 4)
-        heads = heads[word_is(first[heads], header[0]) & word_is(first[heads] + 1, header[1])]
-    rows = np.flatnonzero(tag >= 0)
-    cols = np.arange(1, max(arity.values()) + 1)
-    width = np.array(list(arity.values()))[tag[rows]]
-    at = (first[rows, None] + np.minimum(cols, width[:, None])).ravel()
+    body = word_is(first, tag) & (words == 3)
+    heads = np.flatnonzero(words == 4)
+    heads = heads[word_is(first[heads], header[0]) & word_is(first[heads] + 1, header[1])]
+    rows = np.flatnonzero(body)
+    at = (first[rows, None] + [1, 2]).ravel()
     fields, failed = _integers(text, c, start[at], end[at], most[2 * at + 1] == 0)
 
     # the first line at fault in file order names the error
-    bad = tag < 0
+    bad = ~body
     bad[heads] = False
     problems = [(i, "bad line: {!r}") for i in np.flatnonzero(bad)[:1]]
     problems += [(i, "duplicate header line: {!r}") for i in heads[1:2]]
-    unread = rows[failed.reshape(len(rows), len(cols)).any(axis=1)]
+    unread = rows[failed.reshape(-1, 2).any(axis=1)]
     problems += [(i, "non-integer field in line {!r}") for i in unread[:1]]
     counts = None
     if len(heads):
@@ -124,9 +114,9 @@ def _records(text: str, header: tuple[str, str] | None, arity: dict[str, int]):
     if problems:
         i, message = min(problems)
         raise GraphFormatError(message.format(text[start[first[i]] : end[first[i] + words[i] - 1]]))
-    if header is not None and counts is None:
+    if counts is None:
         raise GraphFormatError(f"missing header line {' '.join(header)!r}")
-    return counts, tag[rows], fields.reshape(len(rows), len(cols))
+    return counts, fields.reshape(-1, 2)
 
 
 def write_graph(g: Graph) -> str:
@@ -137,10 +127,18 @@ def write_graph(g: Graph) -> str:
 
 
 def read_graph(text: str) -> Graph:
-    (n, m), _, edges = _records(text, ("p", "edge"), {"e": 2})
+    (n, m), edges = _records(text, ("p", "edge"), "e")
     if len(edges) != m:
         raise GraphFormatError(f"problem line announces {m} edges, found {len(edges)}")
-    return graph_from_edge_list(n, edges - 1)
+    n = require_vertex_count(n)
+    # the file's ids are checked before the shift to 0-based, so errors name them
+    outside = (edges < 1) | (edges > n)
+    if outside.any():
+        raise OutOfRangeVertexError(f"vertex {edges[outside][0]} out of range 1..{n}")
+    loops = edges[:, 0] == edges[:, 1]
+    if loops.any():
+        raise SelfLoopError(f"self-loop at vertex {edges[loops, 0].min()}")
+    return graph_from_edge_list(n, edges.astype(np.int64, copy=False) - 1)
 
 
 def write_coloring(c: Coloring) -> str:
@@ -157,7 +155,7 @@ def read_coloring(text: str) -> tuple[Coloring, dict[int, int]]:
     1-based external ids mapped to 0-based internal).
     """
     # the header's palette size describes the writer, not the classes
-    (n, _), _, rows = _records(text, ("s", "color"), {"v": 2})
+    (n, _), rows = _records(text, ("s", "color"), "v")
     v, col = rows.T
     # a stable sort keeps each vertex's lines in file order: a line equal to
     # the one before it in the sort repeats a vertex
@@ -182,25 +180,3 @@ def write_labels(tree: LabeledGluedTree) -> str:
         else:
             lines.append(f"Q {vid + 1} {coord.a}")
     return "\n".join(lines) + "\n"
-
-
-def read_labels(text: str) -> dict[int, Internal | QuasiLeaf]:
-    """Parse a label sidecar: its ids cover 1..(number of lines) once each,
-    a side is 1 or 2, and i, j and a are positive."""
-    arity = {"L": 4, "Q": 2}
-    _, tags, rows = _records(text, None, arity)
-    labels = {}
-    for t, (vid, *coord) in zip(tags.tolist(), rows.tolist()):
-        tag = "LQ"[t]
-        coord = coord[: arity[tag] - 1]
-        if vid - 1 in labels:
-            problem = "duplicate label id"
-        elif not 1 <= vid <= len(rows):
-            problem = f"label id outside 1..{len(rows)}"
-        elif min(coord) < 1 or (tag == "L" and coord[0] > 2):
-            problem = "bad label coordinates"
-        else:
-            labels[vid - 1] = Internal(*coord) if tag == "L" else QuasiLeaf(*coord)
-            continue
-        raise GraphFormatError(f"{problem}: {' '.join(map(str, (tag, vid, *coord)))!r}")
-    return labels

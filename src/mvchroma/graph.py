@@ -52,7 +52,7 @@ class Graph:
         needs the symmetry, hooks every root with an edge out of its tree
         within two rounds, so O(log n) rounds suffice.
         """
-        object.__setattr__(self, "n", _vertex_count(self.n))
+        object.__setattr__(self, "n", require_vertex_count(self.n))
         for name in ("indptr", "indices"):
             try:
                 a = np.asarray(getattr(self, name))
@@ -158,7 +158,7 @@ def require_int(value, error: type[Exception], what: str) -> int:
     return int(value)
 
 
-def _vertex_count(n) -> int:
+def require_vertex_count(n) -> int:
     n = require_int(n, OutOfRangeVertexError, "vertex count")
     if n < 0:
         raise OutOfRangeVertexError("vertex count must be non-negative")
@@ -170,7 +170,7 @@ def _vertex_count(n) -> int:
 def graph_from_edge_list(n: int, edges) -> Graph:
     """Build a canonical simple graph from (u, v) pairs, an (m, 2) array or
     list; duplicate edges collapse, and self-loops and disconnected input raise."""
-    n = _vertex_count(n)
+    n = require_vertex_count(n)
     edges = edges if isinstance(edges, np.ndarray) else list(edges)
     try:
         e = np.asarray(edges)

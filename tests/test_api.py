@@ -62,6 +62,7 @@ REMOVED = (
     "bfs_distances",
     "solver_vertex_order",
     "BudgetExhaustedError",
+    "read_labels",
 )
 
 

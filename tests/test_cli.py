@@ -212,10 +212,10 @@ def test_validate_disconnected_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edge, message", [
-    ("e 0 1", "vertex -1 out of range 0..2"),
-    ("e 1 4", "vertex 3 out of range 0..2"),
-    ("e 1 99999999999999999999999", "vertex 99999999999999999999998 out of range 0..2"),
-    ("e 2 2", "self-loop at vertex 1"),
+    ("e 0 1", "vertex 0 out of range 1..3"),
+    ("e 1 4", "vertex 4 out of range 1..3"),
+    ("e 1 99999999999999999999999", "vertex 99999999999999999999999 out of range 1..3"),
+    ("e 2 2", "self-loop at vertex 2"),
 ], ids=["zero", "past-n", "past-int64", "self-loop"])
 def test_validate_bad_edge_line_exit_2(tmp_path, capsys, edge, message):
     gpath = tmp_path / "g.col"

@@ -3,12 +3,10 @@ import pytest
 from mvchroma import (
     Coloring,
     Internal,
-    QuasiLeaf,
     build_glued_tree,
     graph_from_edge_list,
     read_coloring,
     read_graph,
-    read_labels,
     write_coloring,
     write_graph,
     write_labels,
@@ -75,10 +73,10 @@ def test_graph_reader_layouts(text):
 def test_graph_ids_past_int64_reach_the_range_check():
     with pytest.raises(OutOfRangeVertexError) as exc:
         read_graph(f"p edge 2 1\ne 1 {2**64}\n")
-    assert str(exc.value) == f"vertex {2**64 - 1} out of range 0..1"
+    assert str(exc.value) == f"vertex {2**64} out of range 1..2"
     with pytest.raises(OutOfRangeVertexError) as exc:
         read_graph(f"p edge 2 1\ne {-(2**63)} 1\n")
-    assert str(exc.value) == f"vertex {-(2**63) - 1} out of range 0..1"
+    assert str(exc.value) == f"vertex {-(2**63)} out of range 1..2"
 
 
 def test_line_breaks_and_whitespace_are_python_s():
@@ -149,39 +147,14 @@ def test_coloring_ids_past_int64_stay_python_ints():
     assert all(type(x) is int for x in (*c.colors, *mapping, *mapping.values()))
 
 
-def test_labels_round_trip():
-    tree = build_glued_tree(2, 2)
-    text = write_labels(tree)
-    labels = read_labels(text)
-    assert labels == {v: tree.coord(v) for v in range(tree.graph.n)}
-    assert labels[tree.internal(1, 2, 2)] == Internal(1, 2, 2)
-    assert labels[tree.quasi(3)] == QuasiLeaf(3)
-
-
-def test_labels_bad_line():
-    with pytest.raises(GraphFormatError):
-        read_labels("L 1 1\n")
-    with pytest.raises(GraphFormatError):
-        read_labels("L 1 a 1 1\n")
-    with pytest.raises(GraphFormatError):
-        read_labels("Q 1 1\nX 2 1\n")  # unknown tag
-    with pytest.raises(GraphFormatError):
-        read_labels("p edge 1 0\nQ 1 1\n")  # label files have no header
-
-
-@pytest.mark.parametrize("text, message", [
-    ("L 1 1 1 1\nL 1 2 1 1\n", "duplicate label id: 'L 1 2 1 1'"),
-    ("L 0 1 1 1\n", "label id outside 1..1: 'L 0 1 1 1'"),
-    ("Q 1 1\nQ -3 1\n", "label id outside 1..2: 'Q -3 1'"),
-    ("Q 1 1\nQ 3 2\n", "label id outside 1..2: 'Q 3 2'"),
-    ("L 1 9 9 9\n", "bad label coordinates: 'L 1 9 9 9'"),
-    ("L 1 0 1 1\n", "bad label coordinates: 'L 1 0 1 1'"),
-    ("L 1 1 0 1\n", "bad label coordinates: 'L 1 1 0 1'"),
-    ("L 1 2 1 -1\n", "bad label coordinates: 'L 1 2 1 -1'"),
-    ("Q 1 0\n", "bad label coordinates: 'Q 1 0'"),
-], ids=["duplicate-id", "id-zero", "id-negative", "id-past-line-count", "side-9",
-        "side-0", "i-zero", "j-negative", "a-zero"])
-def test_labels_reject_what_no_tree_has(text, message):
-    with pytest.raises(GraphFormatError) as exc:
-        read_labels(text)
-    assert str(exc.value) == message
+def test_write_labels_gives_each_vertex_its_coord():
+    # the sidecar is written, never read: each line is the vertex's coord
+    for r, t in [(2, 2), (3, 3), (2, 5)]:
+        tree = build_glued_tree(r, t)
+        lines = write_labels(tree).splitlines()
+        assert len(lines) == tree.graph.n
+        for v, line in enumerate(lines):
+            c = tree.coord(v)
+            coord = ("L", c.side, c.i, c.j) if isinstance(c, Internal) else ("Q", c.a)
+            tag, vid, *rest = line.split()
+            assert (tag, int(vid), *map(int, rest)) == (coord[0], v + 1, *coord[1:]), line

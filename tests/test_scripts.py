@@ -11,14 +11,18 @@ from mvchroma import parse_nae_formula
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_sweep(*argv):
+def run_script(name, *argv):
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "theorem_sweep.py"), *argv],
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def run_sweep(*argv):
+    return run_script("theorem_sweep.py", *argv)
 
 
 def test_theorem_sweep_reports_budget_bounds(tmp_path):
@@ -56,6 +60,21 @@ def test_theorem_sweep_rejects_a_time_budget_json_cannot_hold(tmp_path, secs):
     assert f"--budget-secs must be a finite number >= 0, got {float(secs)}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not jpath.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--count", "-3"), ("--max-q", "2"), ("--max-clauses", "0")])
+def test_reduction_equivalence_rejects_bad_arguments(flag, value):
+    # --max-q 2 and --max-clauses 0 ended in a traceback; --count -3 exited 0
+    proc = run_script("reduction_equivalence.py", flag, value)
+    assert proc.returncode == 2
+    assert f"{flag} must be >= " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_reduction_equivalence_small_run_agrees():
+    proc = run_script("reduction_equivalence.py", "--count", "3", "--max-q", "4", "--max-clauses", "4")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("3 instances, 0 disagreements")
 
 
 def test_theorem_sweep_gp_verdicts_match_expected(tmp_path):
